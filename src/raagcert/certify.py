@@ -8,13 +8,24 @@ through characteristic quotients or join decompositions, so every recursion
 strictly decreases the pair (vertex count, non-edge count) lexicographically.
 Complete graphs are the definite negative case, and UNDECIDED is an honest
 first-class verdict rather than an error.
+
+Each rule is defined once, as an entry of ``RULES``: its name, the verdict it
+proves, and the reductions it allows on a graph.  ``certify`` searches the
+table and ``audit_certificate`` checks a serialized tree against the same
+table, re-deriving every node from its graph6 string alone.  The auditor fails
+closed: a node it cannot re-derive within the search budgets is a problem, and
+so are malformed JSON values, which it reports instead of raising.  In
+particular ``CHAR_CLOSURE_GENERIC`` needs the full automorphism group, so
+``certify`` never emits it above ``AUTOMORPHISM_MAX_N`` (10) vertices and the
+auditor rejects it there.  The certificate JSON shape is unchanged by this
+design, and so is the CLI's ``SCHEMA`` number.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .closures import (
     characteristic_closure,
@@ -34,7 +45,12 @@ from .graphs import (
     structure_flags,
     to_graph6,
 )
-from .isomorphism import CANONICAL_MAX_N, automorphisms, canonical_relabelled
+from .isomorphism import (
+    AUTOMORPHISM_MAX_N,
+    CANONICAL_MAX_N,
+    automorphisms,
+    canonical_relabelled,
+)
 
 
 def _serial6(g: Graph) -> str:
@@ -48,57 +64,6 @@ def _serial6(g: Graph) -> str:
 RINF = "RINF"
 NOT_RINF_ABELIAN = "NOT_RINF_ABELIAN"
 UNDECIDED = "UNDECIDED"
-
-RULE_ABELIAN = "ABELIAN"
-RULE_DISCONNECTED = "DISCONNECTED"
-RULE_TRANSVECTION_FREE = "TRANSVECTION_FREE"
-RULE_SRG = "SRG"
-RULE_JOIN_FACTOR = "JOIN_FACTOR"
-RULE_REGULAR_SMALL = "REGULAR_SMALL"
-RULE_SIMPLIFICATION = "SIMPLIFICATION"
-RULE_MBA_K_N1 = "MBA_K_N1"
-RULE_MBA_K_N2_SPLIT = "MBA_K_N2_SPLIT"
-RULE_MBA_K_N2_QUOTIENT = "MBA_K_N2_QUOTIENT"
-RULE_CHAR_CLOSURE = "CHAR_CLOSURE_GENERIC"
-RULE_FALLBACK = "FALLBACK"
-
-CITATIONS = {
-    RULE_ABELIAN: "complete graph: the group is free abelian and admits automorphisms "
-    "with finite Reidemeister number",
-    RULE_DISCONNECTED: "disconnected graph: free product of freely indecomposable "
-    "factors with finite-index characteristic subgroups has R-infinity",
-    RULE_TRANSVECTION_FREE: "transvection-free graph: every automorphism acts through "
-    "signed graph symmetries and partial conjugations, and some graded piece of the "
-    "lower central series carries eigenvalue 1",
-    RULE_JOIN_FACTOR: "maximal join decomposition: if one join factor has R-infinity, "
-    "the whole direct product does",
-    RULE_REGULAR_SMALL: "degree-k regular with k in {1, 2, n-2, n-3}: classified as "
-    "disjoint unions of edges or cycles, or joins of their complements, all R-infinity",
-    RULE_SIMPLIFICATION: "deleting all maximal-degree vertices is a characteristic "
-    "quotient onto a smaller defining graph",
-    RULE_MBA_K_N1: "one vertex of non-maximal degree: quotient by the normal closure "
-    "of its link is characteristic and leaves a disconnected graph",
-    RULE_MBA_K_N2_SPLIT: "the links of the two non-maximal vertices partition the "
-    "vertices: adding all cross edges is a characteristic quotient onto a join of two "
-    "disconnected graphs",
-    RULE_MBA_K_N2_QUOTIENT: "two non-maximal vertices: quotient by the intersection "
-    "of their links, or by the maximal-degree vertices their links cover, leaves a "
-    "smaller non-complete graph",
-    RULE_CHAR_CLOSURE: "quotient by a characteristic closure, or by the set of "
-    "transvection-free vertices, is a characteristic quotient",
-    RULE_FALLBACK: "no rule applies; conjecturally the group still has R-infinity",
-}
-
-SRG_CITE_MULTIPARTITE = (
-    "strongly regular with mu = k: complete multipartite, a join of edgeless blocks, "
-    "hence a direct product of non-abelian free groups"
-)
-SRG_CITE_UNION = (
-    "strongly regular with lambda = k-1: disjoint union of equal complete graphs"
-)
-SRG_CITE_TRANSVECTION_FREE = (
-    "strongly regular with lambda < k-1 and mu < k: transvection-free"
-)
 
 
 @dataclass(frozen=True)
@@ -182,103 +147,110 @@ def simplify(g: Graph) -> SimplificationResult:
     return SimplificationResult(terminal, tuple(chain), category)
 
 
-def _leaf(verdict: str, rule: str, g: Graph, citation: Optional[str] = None) -> Certificate:
-    return Certificate(verdict, rule, citation or CITATIONS[rule], g)
+# -- the rule table -------------------------------------------------------------
 
 
-def _node(rule: str, g: Graph, children: list[Certificate], citation: Optional[str] = None) -> Certificate:
-    return Certificate(RINF, rule, citation or CITATIONS[rule], g, tuple(children))
+class Reduction(NamedTuple):
+    """One way a rule applies: its citation, the child graphs it reduces to
+    (none for a leaf), and the vertex set a quotient deletes, which must be
+    characteristic."""
+
+    citation: str
+    children: tuple[Graph, ...]
+    deleted: Optional[VertexSet] = None
 
 
-def _try_srg(g: Graph) -> Optional[Certificate]:
+Reductions = Callable[[Graph], Iterator[Reduction]]
+
+
+class Rule(NamedTuple):
+    """A rule's name, the verdict it proves, and ``reductions(g)``, which lazily
+    yields each way the rule applies to ``g`` in the order ``certify`` tries
+    them, and nothing when its hypothesis fails.  A budget it would exceed
+    raises ``ResourceError``."""
+
+    name: str
+    verdict: str
+    reductions: Reductions
+
+
+def _leaf_if(holds: Callable[[Graph], bool], citation: str) -> Reductions:
+    def reductions(g: Graph) -> Iterator[Reduction]:
+        if holds(g):
+            yield Reduction(citation, ())
+
+    return reductions
+
+
+def _deletion(g: Graph, deleted: VertexSet, citation: str) -> Iterator[Reduction]:
+    """The quotient deleting ``deleted``, when something is deleted and what is
+    left is a non-complete graph on at least two vertices."""
+    if 0 < len(deleted) <= g.n - 2:
+        quotient = induced(g, deleted.complement())
+        if not quotient.is_complete():
+            yield Reduction(citation, (quotient,), deleted)
+
+
+def _srg(g: Graph) -> Iterator[Reduction]:
     params = srg_parameters(g)
     if params is None:
-        return None
-    n, k, lam, mu = params
+        return
+    _, k, lam, mu = params
+    # a strongly regular graph with lambda = k-1 is a disjoint union of equal
+    # complete graphs, which the disconnected rule already covers
     if mu == k:
-        decomposition = max_join_decomposition(g)
-        children = [certify(factor) for factor in decomposition.factors]
-        return _node(RULE_SRG, g, children, SRG_CITE_MULTIPARTITE)
-    if lam == k - 1:
-        # unreachable after the disconnected rule; kept for rule completeness
-        return _leaf(RINF, RULE_SRG, g, SRG_CITE_UNION)
-    return _leaf(RINF, RULE_SRG, g, SRG_CITE_TRANSVECTION_FREE)
+        yield Reduction(
+            "strongly regular with mu = k: complete multipartite, a join of edgeless "
+            "blocks, hence a direct product of non-abelian free groups",
+            max_join_decomposition(g).factors,
+        )
+    elif lam < k - 1:
+        yield Reduction("strongly regular with lambda < k-1 and mu < k: transvection-free", ())
 
 
-def _try_join(g: Graph) -> Optional[Certificate]:
-    decomposition = max_join_decomposition(g)
-    proper = decomposition.centre_size > 0 or len(decomposition.factors) > 1
-    if not proper:
-        return None
-    targets = [f for f in decomposition.factors if not f.is_complete()]
-    if not targets:
-        return None
-    children = [certify(f) for f in targets]
-    if any(child.verdict == RINF for child in children):
-        return _node(RULE_JOIN_FACTOR, g, children)
-    return None
+def _join_factor(g: Graph) -> Iterator[Reduction]:
+    if not g.is_connected():
+        return
+    centre_size, factors = max_join_decomposition(g)
+    targets = tuple(f for f in factors if not f.is_complete())
+    if (centre_size > 0 or len(factors) > 1) and targets:
+        yield Reduction(
+            "maximal join decomposition: if one join factor has R-infinity, the whole "
+            "direct product does",
+            targets,
+        )
 
 
-def _try_regular_small(g: Graph) -> Optional[Certificate]:
+def _is_small_regular(g: Graph) -> bool:
+    flags = structure_flags(g)
+    return (flags.is_regular and not flags.is_complete
+            and flags.regularity_degree in (1, 2, g.n - 2, g.n - 3))
+
+
+def _simplification(g: Graph) -> Iterator[Reduction]:
     flags = structure_flags(g)
     if not flags.is_regular:
-        return None
-    k = flags.regularity_degree
-    if k in (1, 2, g.n - 2, g.n - 3):
-        return _leaf(RINF, RULE_REGULAR_SMALL, g)
-    return None
+        yield from _deletion(
+            g, flags.max_degree_vertices,
+            "deleting all maximal-degree vertices is a characteristic quotient onto a "
+            "smaller defining graph",
+        )
 
 
-def _try_simplification(g: Graph) -> Optional[Certificate]:
-    flags = structure_flags(g)
-    if flags.is_regular:
+def _mba_links(g: Graph, low: int) -> Optional[list[int]]:
+    """Links of the vertices of non-maximal degree of a max-by-abelian graph
+    with exactly ``low`` of them, else None; counting degrees first keeps
+    ``mba_parameters`` to the rules whose count matches."""
+    degrees = [row.bit_count() for row in g.rows]
+    top = max(degrees)
+    nonmax = [v for v in range(g.n) if degrees[v] < top]
+    if len(nonmax) != low or mba_parameters(g) is None:
         return None
-    quotient = induced(g, flags.max_degree_vertices.complement())
-    if quotient.n < 2 or quotient.is_complete():
-        return None
-    child = certify(quotient)
-    if child.verdict == RINF:
-        return _node(RULE_SIMPLIFICATION, g, [child])
-    return None
+    return [g.rows[v] for v in nonmax]
 
 
-def _mba_nonmax(g: Graph) -> list[int]:
-    flags = structure_flags(g)
-    return sorted(flags.max_degree_vertices.complement())
-
-
-def _try_mba_rules(g: Graph) -> Optional[Certificate]:
-    params = mba_parameters(g)
-    if params is None:
-        return None
-    n, k, _ = params
-    if k == n - 1:
-        (v,) = _mba_nonmax(g)
-        quotient = induced(g, g.link(v).complement())
-        child = certify(quotient)
-        return _node(RULE_MBA_K_N1, g, [child])
-    if k != n - 2:
-        return None
-    v1, v2 = _mba_nonmax(g)
-    lk1, lk2 = g.rows[v1], g.rows[v2]
-    full = (1 << g.n) - 1
-    if lk1 & lk2 == 0 and lk1 | lk2 == full:
-        joined = _add_cross_edges(g, lk1, lk2)
-        child = certify(joined)
-        if child.verdict == RINF:
-            return _node(RULE_MBA_K_N2_SPLIT, g, [child])
-        return None
-    mask = lk1 & lk2
-    if mask == 0:
-        vmax = structure_flags(g).max_degree_vertices.mask
-        mask = vmax & (lk1 | lk2)
-    quotient = induced(g, VertexSet(mask, g.n).complement())
-    if quotient.n < 2 or quotient.is_complete():
-        return None
-    child = certify(quotient)
-    if child.verdict == RINF:
-        return _node(RULE_MBA_K_N2_QUOTIENT, g, [child])
-    return None
+def _links_partition(g: Graph, lk1: int, lk2: int) -> bool:
+    return lk1 & lk2 == 0 and lk1 | lk2 == (1 << g.n) - 1
 
 
 def _add_cross_edges(g: Graph, side1: int, side2: int) -> Graph:
@@ -291,256 +263,182 @@ def _add_cross_edges(g: Graph, side1: int, side2: int) -> Graph:
     return Graph(g.n, tuple(rows), g.labels)
 
 
-def _try_char_closures(g: Graph) -> Optional[Certificate]:
-    try:
-        auts = automorphisms(g)
-    except ResourceError:
-        # beyond the symmetry budget this rule cannot apply; fall through
-        return None
-    candidates: list[int] = []
-    for v in range(g.n):
-        mask = characteristic_closure(g, v, auts).mask
-        if mask not in candidates:
-            candidates.append(mask)
-    tf = transvection_free_vertices(g).mask
-    if tf not in candidates:
-        candidates.append(tf)
-    full = (1 << g.n) - 1
-    for mask in candidates:
-        if mask == 0 or mask == full:
-            continue
-        quotient = induced(g, VertexSet(mask, g.n).complement())
-        if quotient.n < 2 or quotient.is_complete():
-            continue
-        child = certify(quotient)
-        if child.verdict == RINF:
-            return _node(RULE_CHAR_CLOSURE, g, [child])
-    return None
+def _mba_k_n1(g: Graph) -> Iterator[Reduction]:
+    links = _mba_links(g, 1)
+    if links is not None:
+        yield from _deletion(
+            g, VertexSet(links[0], g.n),
+            "one vertex of non-maximal degree: quotient by the normal closure of its "
+            "link is characteristic and leaves a disconnected graph",
+        )
+
+
+def _mba_k_n2_split(g: Graph) -> Iterator[Reduction]:
+    links = _mba_links(g, 2)
+    if links is not None and _links_partition(g, *links):
+        yield Reduction(
+            "the links of the two non-maximal vertices partition the vertices: adding "
+            "all cross edges is a characteristic quotient onto a join of two "
+            "disconnected graphs",
+            (_add_cross_edges(g, *links),),
+        )
+
+
+def _mba_k_n2_quotient(g: Graph) -> Iterator[Reduction]:
+    links = _mba_links(g, 2)
+    if links is None or _links_partition(g, *links):
+        return
+    lk1, lk2 = links
+    mask = lk1 & lk2 or structure_flags(g).max_degree_vertices.mask & (lk1 | lk2)
+    yield from _deletion(
+        g, VertexSet(mask, g.n),
+        "two non-maximal vertices: quotient by the intersection of their links, or by "
+        "the maximal-degree vertices their links cover, leaves a smaller non-complete "
+        "graph",
+    )
+
+
+def _char_closure(g: Graph) -> Iterator[Reduction]:
+    # every quotient of a complete graph is complete; returning early also
+    # spares the auditor the n! automorphisms of a forged complete node
+    if g.is_complete():
+        return
+    auts = automorphisms(g)
+    masks = {characteristic_closure(g, v, auts).mask: None for v in range(g.n)}
+    masks.setdefault(transvection_free_vertices(g).mask)
+    for mask in masks:
+        yield from _deletion(
+            g, VertexSet(mask, g.n),
+            "quotient by a characteristic closure, or by the set of transvection-free "
+            "vertices, is a characteristic quotient",
+        )
+
+
+RULES: tuple[Rule, ...] = (
+    Rule("ABELIAN", NOT_RINF_ABELIAN, _leaf_if(
+        Graph.is_complete,
+        "complete graph: the group is free abelian and admits automorphisms with "
+        "finite Reidemeister number")),
+    Rule("DISCONNECTED", RINF, _leaf_if(
+        lambda g: not g.is_connected(),
+        "disconnected graph: free product of freely indecomposable factors with "
+        "finite-index characteristic subgroups has R-infinity")),
+    Rule("TRANSVECTION_FREE", RINF, _leaf_if(
+        is_transvection_free_graph,
+        "transvection-free graph: every automorphism acts through signed graph "
+        "symmetries and partial conjugations, and some graded piece of the lower "
+        "central series carries eigenvalue 1")),
+    Rule("SRG", RINF, _srg),
+    Rule("JOIN_FACTOR", RINF, _join_factor),
+    Rule("REGULAR_SMALL", RINF, _leaf_if(
+        _is_small_regular,
+        "degree-k regular with k in {1, 2, n-2, n-3}: classified as disjoint unions "
+        "of edges or cycles, or joins of their complements, all R-infinity")),
+    Rule("SIMPLIFICATION", RINF, _simplification),
+    Rule("MBA_K_N1", RINF, _mba_k_n1),
+    Rule("MBA_K_N2_SPLIT", RINF, _mba_k_n2_split),
+    Rule("MBA_K_N2_QUOTIENT", RINF, _mba_k_n2_quotient),
+    Rule("CHAR_CLOSURE_GENERIC", RINF, _char_closure),
+    Rule("FALLBACK", UNDECIDED, _leaf_if(
+        lambda g: True, "no rule applies; conjecturally the group still has R-infinity")),
+)
+RULES_BY_NAME = {rule.name: rule for rule in RULES}
 
 
 def certify(g: Graph) -> Certificate:
-    """Deterministic certificate for the graph's group, rules tried in fixed order."""
+    """Deterministic certificate for the graph's group: the first reduction, in
+    table order, that is a leaf or has a child with R-infinity.  A rule that
+    would exceed a search budget does not apply."""
     if g.n < 1:
         raise InputError("certification needs at least one vertex")
-    if g.is_complete():
-        return _leaf(NOT_RINF_ABELIAN, RULE_ABELIAN, g)
-    if len(g.components()) > 1:
-        return _leaf(RINF, RULE_DISCONNECTED, g)
-    if is_transvection_free_graph(g):
-        return _leaf(RINF, RULE_TRANSVECTION_FREE, g)
-    for attempt in (_try_srg, _try_join, _try_regular_small, _try_simplification,
-                    _try_mba_rules, _try_char_closures):
-        cert = attempt(g)
-        if cert is not None:
-            return cert
-    return _leaf(UNDECIDED, RULE_FALLBACK, g)
+    for rule in RULES:
+        try:
+            for citation, graphs, _ in rule.reductions(g):
+                children = tuple(certify(h) for h in graphs)
+                if not children or any(child.verdict == RINF for child in children):
+                    return Certificate(rule.verdict, rule.name, citation, g, children)
+        except ResourceError:
+            continue
+    raise AssertionError("the FALLBACK leaf applies to every graph")
 
 
 # -- independent soundness audit ---------------------------------------------
 
-
-def _measure(g: Graph) -> tuple[int, int]:
-    return (g.n, g.non_edge_count)
+FIELDS = ("verdict", "rule", "citation", "graph6", "children")
 
 
-def _is_characteristic_within_budget(g: Graph, s: VertexSet) -> bool:
-    """Characteristic-set re-check for the auditor; graphs beyond the symmetry
-    budget pass vacuously (the structural checks still apply)."""
-    try:
-        return is_characteristic_vertex_set(g, s)
-    except ResourceError:
-        return True
-
-
-def audit_certificate(node: dict, _path: str = "root") -> list[str]:
-    """Re-validate every rule application in a serialized certificate.
-
-    Walks the tree, re-deriving each node's hypotheses from its graph6 string
-    alone, checks that recorded children match the recomputed reductions, and
-    that every reduction strictly decreases (vertex count, non-edge count).
-    Returns a list of problems; an empty list means the certificate is sound.
-    """
-    problems: list[str] = []
-
-    def complain(msg: str) -> None:
-        problems.append(f"{_path}: {msg}")
-
-    for key in ("verdict", "rule", "citation", "graph6", "children"):
+def _shape_problem(node: object, check_children: bool = True) -> Optional[str]:
+    """First malformed field of a node, or of one of its children, or None."""
+    if not isinstance(node, dict):
+        return "node is not an object"
+    for key in FIELDS:
         if key not in node:
-            complain(f"missing field {key}")
-            return problems
+            return f"missing field {key}"
+    if not isinstance(node["graph6"], str):
+        return "graph6 is not a string"
+    if not isinstance(node["children"], list):
+        return "children is not a list"
+    for idx, child in enumerate(node["children"] if check_children else ()):
+        problem = _shape_problem(child, check_children=False)
+        if problem is not None:
+            return f"child {idx}: {problem}"
+    return None
+
+
+def _rule_problem(node: dict) -> Optional[str]:
+    """First failed check of a well-formed node against its rule, or None;
+    raises ``ResourceError`` when re-deriving the node exceeds a budget."""
     try:
         g = from_graph6(node["graph6"])
     except InputError as exc:
-        complain(f"bad graph6: {exc}")
-        return problems
-
+        return f"bad graph6: {exc}"
+    name = node["rule"]
+    rule = RULES_BY_NAME.get(name) if isinstance(name, str) else None
+    if rule is None:
+        return f"unknown rule {name!r}"
+    if node["verdict"] != rule.verdict:
+        return f"rule {rule.name} proves {rule.verdict}, not {node['verdict']!r}"
     children = node["children"]
-    child_graphs = []
-    for idx, child in enumerate(children):
-        try:
-            child_graphs.append(from_graph6(child["graph6"]))
-        except (KeyError, InputError):
-            complain(f"child {idx} has no readable graph")
-            return problems
-    for idx, child_graph in enumerate(child_graphs):
-        if not _measure(child_graph) < _measure(g):
-            complain(f"child {idx} does not decrease the (n, non-edges) measure")
-
-    verdict, rule = node["verdict"], node["rule"]
-    rinf_children = [c for c in children if c["verdict"] == RINF]
-
-    if rule == RULE_ABELIAN:
-        if verdict != NOT_RINF_ABELIAN or not g.is_complete() or children:
-            complain("abelian leaf must be a childless complete graph")
-    elif rule == RULE_DISCONNECTED:
-        if verdict != RINF or len(g.components()) < 2 or children:
-            complain("disconnected leaf hypothesis fails")
-    elif rule == RULE_TRANSVECTION_FREE:
-        if verdict != RINF or not is_transvection_free_graph(g) or children:
-            complain("transvection-free leaf hypothesis fails")
-    elif rule == RULE_SRG:
-        params = srg_parameters(g)
-        if verdict != RINF or params is None:
-            complain("strong regularity hypothesis fails")
-        else:
-            n, k, lam, mu = params
-            if (n - k - 1) * mu != k * (k - lam - 1):
-                complain("strong regularity parameter identity fails")
-            if children:
-                if mu != k:
-                    complain("join-shaped srg node needs mu = k")
-                elif not rinf_children:
-                    complain("join-shaped srg node needs a child with R-infinity")
-                else:
-                    factors = max_join_decomposition(g).factors
-                    if sorted(_serial6(f) for f in factors) != sorted(
-                        c["graph6"] for c in children
-                    ):
-                        complain("srg children do not match the join factors")
-            elif not (lam == k - 1 or (lam < k - 1 and mu < k)):
-                complain("childless srg node needs the union or transvection-free branch")
-    elif rule == RULE_JOIN_FACTOR:
-        if verdict != RINF or not g.is_connected():
-            complain("join rule needs a connected graph")
-        else:
-            decomposition = max_join_decomposition(g)
-            proper = decomposition.centre_size > 0 or len(decomposition.factors) > 1
-            targets = sorted(_serial6(f) for f in decomposition.factors if not f.is_complete())
-            if not proper or not targets:
-                complain("join decomposition is trivial")
-            elif sorted(c["graph6"] for c in children) != targets:
-                complain("children do not match the non-complete join factors")
-            elif not rinf_children:
-                complain("join rule needs a child with R-infinity")
-    elif rule == RULE_REGULAR_SMALL:
-        flags = structure_flags(g)
-        ok = (
-            verdict == RINF
-            and not children
-            and flags.is_regular
-            and not g.is_complete()
-            and flags.regularity_degree in (1, 2, g.n - 2, g.n - 3)
-        )
-        if not ok:
-            complain("small-degree regular leaf hypothesis fails")
-    elif rule == RULE_SIMPLIFICATION:
-        flags = structure_flags(g)
-        if verdict != RINF or flags.is_regular or len(children) != 1:
-            complain("simplification rule shape fails")
-        else:
-            quotient = induced(g, flags.max_degree_vertices.complement())
-            if quotient.is_complete():
-                complain("simplification quotient must be non-complete")
-            elif children[0]["graph6"] != _serial6(quotient):
-                complain("child does not match the maximal-degree deletion")
-            elif children[0]["verdict"] != RINF:
-                complain("simplification child must have R-infinity")
-            elif not _is_characteristic_within_budget(g, flags.max_degree_vertices):
-                complain("maximal-degree set fails the characteristic-set test")
-    elif rule == RULE_MBA_K_N1:
-        params = mba_parameters(g)
-        if verdict != RINF or params is None or params.k != params.n - 1 or len(children) != 1:
-            complain("single-non-maximal-vertex rule shape fails")
-        else:
-            (v,) = _mba_nonmax(g)
-            quotient = induced(g, g.link(v).complement())
-            if children[0]["graph6"] != _serial6(quotient):
-                complain("child does not match the link deletion")
-            elif len(quotient.components()) < 2:
-                complain("link deletion should disconnect the graph")
-            elif children[0]["verdict"] != RINF:
-                complain("child must have R-infinity")
-            elif not _is_characteristic_within_budget(g, g.link(v)):
-                complain("deleted link fails the characteristic-set test")
-    elif rule == RULE_MBA_K_N2_SPLIT:
-        params = mba_parameters(g)
-        if verdict != RINF or params is None or params.k != params.n - 2 or len(children) != 1:
-            complain("link-partition rule shape fails")
-        else:
-            v1, v2 = _mba_nonmax(g)
-            lk1, lk2 = g.rows[v1], g.rows[v2]
-            if lk1 & lk2 or lk1 | lk2 != (1 << g.n) - 1:
-                complain("links do not partition the vertex set")
-            elif children[0]["graph6"] != _serial6(_add_cross_edges(g, lk1, lk2)):
-                complain("child does not match the cross-edge closure")
-            elif children[0]["verdict"] != RINF:
-                complain("child must have R-infinity")
-    elif rule == RULE_MBA_K_N2_QUOTIENT:
-        params = mba_parameters(g)
-        if verdict != RINF or params is None or params.k != params.n - 2 or len(children) != 1:
-            complain("two-non-maximal-vertex quotient rule shape fails")
-        else:
-            v1, v2 = _mba_nonmax(g)
-            lk1, lk2 = g.rows[v1], g.rows[v2]
-            full = (1 << g.n) - 1
-            if lk1 & lk2 == 0 and lk1 | lk2 == full:
-                complain("link-partition case should use the split rule")
-            else:
-                mask = lk1 & lk2
-                if mask == 0:
-                    mask = structure_flags(g).max_degree_vertices.mask & (lk1 | lk2)
-                quotient = induced(g, VertexSet(mask, g.n).complement())
-                if quotient.is_complete():
-                    complain("quotient must be non-complete")
-                elif children[0]["graph6"] != _serial6(quotient):
-                    complain("child does not match the characteristic quotient")
-                elif children[0]["verdict"] != RINF:
-                    complain("child must have R-infinity")
-                elif not _is_characteristic_within_budget(g, VertexSet(mask, g.n)):
-                    complain("quotient set fails the characteristic-set test")
-    elif rule == RULE_CHAR_CLOSURE:
-        if verdict != RINF or len(children) != 1:
-            complain("characteristic-closure rule shape fails")
-        else:
-            try:
-                auts = automorphisms(g)
-            except ResourceError:
-                auts = None
-            if auts is not None:
-                masks = {characteristic_closure(g, v, auts).mask for v in range(g.n)}
-                masks.add(transvection_free_vertices(g).mask)
-                full = (1 << g.n) - 1
-                matched = False
-                for mask in masks:
-                    if mask in (0, full):
-                        continue
-                    quotient = induced(g, VertexSet(mask, g.n).complement())
-                    if quotient.is_complete():
-                        continue
-                    if children[0]["graph6"] == _serial6(quotient):
-                        matched = _is_characteristic_within_budget(g, VertexSet(mask, g.n))
-                        break
-                if not matched:
-                    complain("child matches no proper characteristic-closure quotient")
-            if children[0]["verdict"] != RINF:
-                complain("child must have R-infinity")
-    elif rule == RULE_FALLBACK:
-        if verdict != UNDECIDED or children:
-            complain("fallback must be an UNDECIDED leaf")
+    recorded = sorted(child["graph6"] for child in children)
+    for _, graphs, deleted in rule.reductions(g):
+        if len(graphs) == len(recorded) and sorted(_serial6(h) for h in graphs) == recorded:
+            break
     else:
-        complain(f"unknown rule {rule!r}")
+        return f"children match no reduction of rule {rule.name}"
+    if graphs and not any(child["verdict"] == RINF for child in children):
+        return "no child has R-infinity"
+    if any((h.n, h.non_edge_count) >= (g.n, g.non_edge_count) for h in graphs):
+        return "a child does not decrease the (n, non-edges) measure"
+    if (deleted is not None and g.n <= AUTOMORPHISM_MAX_N
+            and not is_characteristic_vertex_set(g, deleted)):
+        return "deleted vertex set fails the characteristic-set test"
+    return None
 
-    for idx, child in enumerate(children):
-        problems.extend(audit_certificate(child, f"{_path}/{idx}"))
+
+def audit_certificate(node: object) -> list[str]:
+    """Re-validate every rule application in a serialized certificate.
+
+    Walks the tree in preorder, re-deriving each node's hypotheses from its
+    graph6 string alone.  A node passes when its rule is in ``RULES``, its
+    verdict is the rule's, its children match one reduction of the rule, some
+    child has R-infinity, every child strictly decreases (vertex count,
+    non-edge count), and, within the symmetry budget, a deleted vertex set is
+    characteristic.  Returns the problems, each prefixed by the node's path;
+    an empty list means the certificate is sound.  Any JSON value is accepted,
+    and a node that cannot be re-derived is a problem, never a pass.
+    """
+    problems: list[str] = []
+    stack: list[tuple[str, object]] = [("root", node)]
+    while stack:
+        path, current = stack.pop()
+        problem = _shape_problem(current)
+        if problem is None:
+            children = current["children"]
+            stack.extend((f"{path}/{i}", children[i]) for i in reversed(range(len(children))))
+            try:
+                problem = _rule_problem(current)
+            except ResourceError as exc:
+                problem = f"cannot re-derive the node: {exc}"
+        if problem is not None:
+            problems.append(f"{path}: {problem}")
     return problems

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from multiprocessing import Pool
 from typing import Optional, Sequence, TextIO
 
@@ -78,8 +79,11 @@ def read_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     for entry in args.builtin or []:
         graphs.append((entry, parse_builtin(entry)))
     if args.input:
-        stream = sys.stdin if args.input == "-" else open(args.input, encoding="ascii")
-        with stream if stream is not sys.stdin else _noclose(stream) as handle:
+        if args.input == "-":
+            stream = nullcontext(sys.stdin)
+        else:
+            stream = open(args.input, encoding="ascii")
+        with stream as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -91,17 +95,6 @@ def read_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     if not graphs:
         raise InputError("no input graphs; pass --builtin and/or --input")
     return graphs
-
-
-class _noclose:
-    def __init__(self, stream: TextIO) -> None:
-        self.stream = stream
-
-    def __enter__(self) -> TextIO:
-        return self.stream
-
-    def __exit__(self, *exc: object) -> None:
-        return None
 
 
 def _emit(out: TextIO, payload: dict, as_json: bool, text: str) -> None:

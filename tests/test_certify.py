@@ -1,14 +1,20 @@
 import copy
+import hashlib
 import json
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagcert import (
+    Certificate,
     InputError,
     NOT_RINF_ABELIAN,
     RINF,
     UNDECIDED,
+    VertexSet,
     audit_certificate,
     certify,
     complete_graph,
@@ -18,12 +24,14 @@ from raagcert import (
     edgeless_graph,
     from_edges,
     from_graph6,
+    induced,
     max_join_decomposition,
     path_graph,
     petersen_graph,
     simplify,
     to_graph6,
 )
+from raagcert.certify import FIELDS, RULES, RULES_BY_NAME, Reduction, Rule
 from raagcert.isomorphism import are_isomorphic, canonical_form
 
 from conftest import classes, random_graph
@@ -128,13 +136,14 @@ def test_certify_mba_rules(split_mba_8):
 
 def test_certify_regular_small_leaf():
     # 3-regular on 6 vertices that is join-prime and transvection-admitting
-    # does not exist; exercise the rule directly on a (n-3)-regular witness
-    from raagcert.certify import _try_regular_small
-
+    # does not exist; exercise the rule's table entry on a (n-3)-regular witness
     prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                            (0, 3), (1, 4), (2, 5)])
-    cert = _try_regular_small(prism)
-    assert cert is not None and cert.rule == "REGULAR_SMALL" and cert.verdict == RINF
+    rule = RULES_BY_NAME["REGULAR_SMALL"]
+    (citation, children, deleted), = rule.reductions(prism)
+    assert children == () and deleted is None
+    cert = Certificate(rule.verdict, rule.name, citation, prism)
+    assert cert.rule == "REGULAR_SMALL" and cert.verdict == RINF
     assert not audit_certificate(cert.to_dict())
 
 
@@ -225,9 +234,197 @@ def test_auditor_flags_tampering():
     missing_field = {"verdict": RINF}
     assert audit_certificate(missing_field)
 
+    # the child is re-derived correctly but proves nothing
+    simplified = certify(path_graph(4)).to_dict()
+    child = simplified["children"][0]
+    undecided_child = {**child, "verdict": UNDECIDED, "rule": "FALLBACK", "children": []}
+    problems = audit_certificate({**simplified, "children": [undecided_child]})
+    assert problems == ["root: no child has R-infinity"]
+
+
+def test_audit_rejects_circular_reduction():
+    # the join of two copies of K1+K2 is max-by-abelian with two non-maximal
+    # vertices whose links partition it, and every cross edge is already
+    # there, so the split rule's child is the graph itself
+    joined = certify(compose(k1_plus_k2(), k1_plus_k2(), "simplicial_join")).to_dict()
+    circular = {**joined, "rule": "MBA_K_N2_SPLIT", "children": [joined]}
+    problems = audit_certificate(circular)
+    assert problems == ["root: a child does not decrease the (n, non-edges) measure"]
+
+
+def test_audit_rechecks_deleted_sets(monkeypatch):
+    # a faulty rule deleting one end of a path, a set that the path's
+    # reflection moves, so the quotient is not characteristic
+    g = path_graph(4)
+    end = VertexSet.of([0], 4)
+    quotient = induced(g, end.complement())
+
+    def reductions(h):
+        yield Reduction("", (quotient,), end)
+
+    faulty = Rule("SIMPLIFICATION", RINF, reductions)
+    monkeypatch.setitem(RULES_BY_NAME, "SIMPLIFICATION", faulty)
+    node = {"verdict": RINF, "rule": "SIMPLIFICATION", "citation": "",
+            "graph6": to_graph6(g), "children": [certify(quotient).to_dict()]}
+    problems = audit_certificate(node)
+    assert problems == ["root: deleted vertex set fails the characteristic-set test"]
+
 
 def test_audit_accepts_multipartite_srg_certs():
     for parts in ([2, 2], [2, 2, 2], [3, 3]):
         cert = certify(complete_multipartite_graph(parts))
         assert cert.rule == "SRG" and cert.verdict == RINF
         assert audit_certificate(cert.to_dict()) == []
+
+
+def _certificate_digest(top: int) -> str:
+    digest = hashlib.sha256()
+    for n in range(1, top + 1):
+        for g in classes(n):
+            digest.update((certify(g).to_json() + "\n").encode("ascii"))
+    return digest.hexdigest()
+
+
+def test_certificates_byte_identical_up_to_six_vertices():
+    # every certificate of the 208 classes on at most 6 vertices, in
+    # enumeration order, one JSON line each
+    assert _certificate_digest(6) == (
+        "080b78a013a9708adbd78a29e902c66d32b030dc02ec8f8819058dea61b5d0b2")
+
+
+@pytest.mark.slow
+def test_certificates_byte_identical_up_to_seven_vertices():
+    assert _certificate_digest(7) == (
+        "d2e73242c761bc7eecbbc18febae10bf9ec0438dfae995e38b591b7e3010c2be")
+
+
+def _char_closure_forgery(g):
+    return {"verdict": RINF, "rule": "CHAR_CLOSURE_GENERIC", "citation": "",
+            "graph6": to_graph6(g), "children": [certify(cycle_graph(4)).to_dict()]}
+
+
+@pytest.mark.parametrize("n", [10, 11], ids=["K10", "K11"])
+def test_audit_rejects_char_closure_forgery_on_complete_graph(n):
+    # the group of a complete graph is free abelian, not R-infinity
+    problems = audit_certificate(_char_closure_forgery(complete_graph(n)))
+    assert problems and problems[0].startswith("root: ")
+
+
+def test_audit_rejects_nodes_it_cannot_rederive():
+    # C11 does have R-infinity, but the characteristic-closure rule cannot be
+    # re-derived beyond the symmetry budget, so the auditor fails closed
+    problems = audit_certificate(_char_closure_forgery(cycle_graph(11)))
+    assert len(problems) == 1 and "cannot re-derive" in problems[0]
+
+
+def _replace_child(cert, idx, child):
+    children = list(cert["children"])
+    children[idx] = child
+    return {**cert, "children": children}
+
+
+MALFORMED = {
+    "node is a list": lambda cert: [cert],
+    "children is a string": lambda cert: {**cert, "children": "none"},
+    "graph6 is a number": lambda cert: {**cert, "graph6": 5},
+    "rule is a list": lambda cert: {**cert, "rule": ["SRG"]},
+    "child is a number": lambda cert: _replace_child(cert, 0, 7),
+    "child graph6 is a number": lambda cert: _replace_child(
+        cert, 0, {**cert["children"][0], "graph6": 5}),
+    "child lacks verdict": lambda cert: _replace_child(
+        cert, 0, {k: v for k, v in cert["children"][0].items() if k != "verdict"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_audit_reports_malformed_input_at_the_parent(case):
+    cert = MALFORMED[case](certify(cycle_graph(4)).to_dict())
+    problems = audit_certificate(cert)
+    assert len(problems) == 1 and problems[0].startswith("root: ")
+
+
+def test_audit_walks_deep_chains_iteratively():
+    leaf = {"verdict": UNDECIDED, "rule": "FALLBACK", "citation": "",
+            "graph6": to_graph6(cycle_graph(4)), "children": []}
+    node = leaf
+    for _ in range(3000):
+        node = {**leaf, "children": [node]}
+    problems = audit_certificate(node)
+    # every node but the innermost is a FALLBACK leaf with a child
+    assert len(problems) == 3000
+    assert problems[0].startswith("root: ") and problems[1].startswith("root/0: ")
+
+
+@lru_cache(maxsize=None)
+def _small_certificates() -> tuple[str, ...]:
+    return tuple(certify(g).to_json() for n in range(1, 6) for g in classes(n))
+
+
+def _nodes(tree):
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.get("children", []))
+    return out
+
+
+MUTATIONS = ("verdict", "drop_field", "drop_child", "duplicate_child", "swap_graph6", "rename")
+
+
+def _mutate(node, kind, data):
+    if kind == "verdict":
+        node["verdict"] = data.draw(st.sampled_from(
+            [v for v in (RINF, NOT_RINF_ABELIAN, UNDECIDED) if v != node.get("verdict")]))
+    elif kind == "drop_field":
+        node.pop(data.draw(st.sampled_from(FIELDS)), None)
+    elif kind == "swap_graph6":
+        other = json.loads(data.draw(st.sampled_from(_small_certificates())))
+        node["graph6"] = other["graph6"]
+    elif kind == "rename":
+        rule = data.draw(st.sampled_from(RULES))
+        node["rule"] = rule.name
+        if data.draw(st.booleans()):
+            node["verdict"] = rule.verdict
+    elif node.get("children"):
+        children = node["children"]
+        idx = data.draw(st.integers(0, len(children) - 1))
+        if kind == "drop_child":
+            del children[idx]
+        else:
+            children.append(copy.deepcopy(children[idx]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_audit_mutation_corpus(data):
+    tree = json.loads(data.draw(st.sampled_from(_small_certificates())))
+    for _ in range(data.draw(st.integers(1, 2))):
+        node = data.draw(st.sampled_from(_nodes(tree)))
+        _mutate(node, data.draw(st.sampled_from(MUTATIONS)), data)
+    if not audit_certificate(tree):
+        _assert_true_certificate(tree)
+
+
+def _assert_true_certificate(tree):
+    # by the exhaustive sweep, exactly the complete graphs on at most 7
+    # vertices lack R-infinity
+    for node in _nodes(tree):
+        complete = from_graph6(node["graph6"]).is_complete()
+        if node["verdict"] == RINF:
+            assert not complete
+        elif node["verdict"] == NOT_RINF_ABELIAN:
+            assert complete
+
+
+def test_audit_rejects_every_false_rule_claim():
+    # each node of each small certificate, claimed by each rule with that
+    # rule's verdict: a clean audit must still be a true certificate
+    for text in _small_certificates():
+        for idx in range(len(_nodes(json.loads(text)))):
+            for rule in RULES:
+                tree = json.loads(text)
+                node = _nodes(tree)[idx]
+                node["rule"], node["verdict"] = rule.name, rule.verdict
+                if not audit_certificate(tree):
+                    _assert_true_certificate(tree)
