@@ -65,6 +65,7 @@ from .isomorphism import (
     canonical_form,
     canonical_relabelled,
     enumerate_graphs,
+    enumerate_levels,
 )
 from .liering import (
     IntMatrix,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from multiprocessing import Pool
@@ -33,7 +34,7 @@ from .graphs import (
     petersen_graph,
     to_graph6,
 )
-from .isomorphism import enumerate_graphs
+from .isomorphism import enumerate_levels
 from .liering import eigenvalue_witness_report
 from .lyndon import enumerate_lyndon
 
@@ -106,7 +107,8 @@ def _certify_one(graph6: str) -> dict:
 
 
 def _map_jobs(jobs: int, func, items: Sequence):
-    if jobs <= 1 or len(items) <= 1:
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1 or len(items) <= 1:
         return [func(item) for item in items]
     with Pool(jobs) as pool:
         return pool.map(func, items)
@@ -135,8 +137,7 @@ def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     status = 0
     tally: dict[str, int] = {}
     total = 0
-    for n in range(1, args.max_n + 1):
-        graphs = enumerate_graphs(n)
+    for n, graphs in enumerate(enumerate_levels(args.max_n), start=1):
         keys = [to_graph6(g) for g in graphs]
         if args.certify:
             certs = _map_jobs(args.jobs, _certify_one, keys)
@@ -195,8 +196,8 @@ def cmd_autcheck(args: argparse.Namespace, out: TextIO) -> int:
             raise InputError("--max-n must be between 1 and 7 for witness scans")
         graphs = [
             (to_graph6(g), g)
-            for n in range(1, args.max_n + 1)
-            for g in enumerate_graphs(n)
+            for level in enumerate_levels(args.max_n)
+            for g in level
             if not g.is_complete()
         ]
     else:
@@ -287,6 +288,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = sys.stdout
     opened: Optional[TextIO] = None
     try:
+        if args.jobs < 1:
+            raise InputError("--jobs must be at least 1")
         if args.out:
             opened = open(args.out, "w", encoding="ascii")
             out = opened

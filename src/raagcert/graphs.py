@@ -515,27 +515,21 @@ def from_graph6(text: str) -> Graph:
             f"graph6 body has {len(body)} bytes, expected {need}, at offset {body_off}"
         )
     rows = [0] * n
-    idx = 0
+    # pairs run (0,1),(0,2),(1,2),(0,3),... column by column
+    i, j = 0, 1
     for pos, byte in enumerate(body):
         val = byte - 63
         for bit in range(5, -1, -1):
-            if idx < npairs:
+            if j < n:
                 if val >> bit & 1:
-                    i, j = _pair_from_index(idx)
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-                idx += 1
+                i += 1
+                if i == j:
+                    i, j = 0, j + 1
             elif val >> bit & 1:
                 raise InputError(f"nonzero graph6 padding at offset {body_off + pos}")
     return Graph(n, tuple(rows))
-
-
-def _pair_from_index(idx: int) -> tuple[int, int]:
-    # pairs enumerated (0,1),(0,2),(1,2),(0,3),... column by column
-    j = 1
-    while j * (j - 1) // 2 + j <= idx:
-        j += 1
-    return idx - j * (j - 1) // 2, j
 
 
 def to_edge_list(g: Graph) -> str:

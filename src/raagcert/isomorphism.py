@@ -1,8 +1,15 @@
 """Automorphisms, canonical forms and isomorphism-class enumeration of small graphs.
 
-All three are backtracking searches over vertex orderings, pruned by an
-iterated degree/neighbour-colour refinement.  The sizes this package targets
-(at most 8 to 10 vertices) keep the searches comfortably small, so no external
+All three are backtracking searches over vertex orderings.  The automorphism
+search maps each vertex only into its class under an iterated
+degree/neighbour-colour refinement.  The canonical ordering is the one with
+the lexicographically least upper-triangle bit string; its search is pruned
+exactly (the result never changes) by branching only on the least columns, by
+trying one vertex per twin class, and by skipping candidates in the orbit of
+an explored sibling under the automorphisms met at equal leaves.  Enumeration
+extends each class representative by one new vertex per orbit of its
+automorphism group on neighbourhood masks.  The sizes this package targets (at
+most 8 to 10 vertices) keep the searches small, so no external
 canonical-labelling machinery is used.
 """
 
@@ -105,42 +112,96 @@ def _canonical_order(g: Graph) -> VertexPermutation:
 
     Position p of the order contributes the column of bits joining it to the
     positions before it; columns are compared as fixed-width integers, which
-    matches the graph6 bit ordering.
+    matches the graph6 bit ordering.  Among the minimal orderings the one
+    that is least as a vertex sequence is returned.
+
+    Each unused vertex's column is kept incrementally, and three exact prunes
+    keep the depth-first search small without changing its result:
+
+    1. a position branches only on the unused vertices whose column is least,
+       since a larger column loses at that very position;
+    2. of unused twins (vertices with the same neighbours apart from each
+       other) only the least is tried, since swapping them is an automorphism
+       fixing the prefix;
+    3. two leaves with equal strings give an automorphism, and a candidate in
+       the orbit of an explored sibling, under the automorphisms found so far
+       that fix the prefix pointwise, is skipped.
+
+    Prunes 2 and 3 drop only orderings that some automorphism maps to an
+    equally good ordering that is smaller as a vertex sequence and is
+    explored instead.
     """
     n = g.n
     rows = g.rows
+    smaller_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+                smaller_twins[v] |= 1 << u
     best_cols: list[int] | None = None
-    best_order: list[int] | None = None
+    best_order: list[int] = []
+    found: list[VertexPermutation] = []
     order: list[int] = []
     cols: list[int] = []
-    used = [False] * n
 
-    def extend(p: int) -> None:
+    def leaf() -> None:
         nonlocal best_cols, best_order
-        if p == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols.copy()
-                best_order = order.copy()
-            return
-        for u in range(n):
-            if used[u]:
-                continue
-            col = 0
-            for w in order:
-                col = col << 1 | (rows[u] >> w & 1)
-            cols.append(col)
-            if best_cols is None or cols <= best_cols[: len(cols)]:
-                used[u] = True
-                order.append(u)
-                extend(p + 1)
-                order.pop()
-                used[u] = False
-            cols.pop()
+        if best_cols is None or cols < best_cols:
+            best_cols, best_order = cols.copy(), order.copy()
+        elif cols == best_cols:
+            image = [0] * n
+            for old, new in zip(best_order, order):
+                image[old] = new
+            found.append(tuple(image))
 
-    extend(0)
-    assert best_order is not None
+    def extend(unused: int, col: dict[int, int]) -> None:
+        # col maps each unused vertex, in increasing order, to its column
+        least = min(col.values())
+        cols.append(least)
+        if best_cols is None or cols <= best_cols[: len(cols)]:
+            if len(col) == 1:
+                order.extend(col)
+                leaf()
+                order.pop()
+            else:
+                explored: list[int] = []
+                orbit: list[int] = []
+                known = 0
+                for u, c in col.items():
+                    if c != least or smaller_twins[u] & unused:
+                        continue
+                    if explored and len(found) > known:
+                        known = len(found)
+                        orbit = _orbit_roots(n, [a for a in found if all(a[v] == v for v in order)])
+                    if orbit and any(orbit[u] == orbit[e] for e in explored):
+                        continue
+                    order.append(u)
+                    extend(unused & ~(1 << u),
+                           {v: d << 1 | (rows[v] >> u & 1) for v, d in col.items() if v != u})
+                    order.pop()
+                    explored.append(u)
+        cols.pop()
+
+    extend((1 << n) - 1, dict.fromkeys(range(n), 0))
     # best_order[p] is the old vertex placed at position p; relabel wants old -> new
     return invert_permutation(best_order)
+
+
+def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
+    """Least vertex of each vertex's orbit under the group the generators generate."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a in generators:
+        for v in range(n):
+            x, y = find(v), find(a[v])
+            if x != y:
+                root[max(x, y)] = min(x, y)
+    return [find(v) for v in range(n)]
 
 
 def canonical_relabelled(g: Graph) -> Graph:
@@ -165,33 +226,65 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _extensions(g: Graph) -> Iterator[Graph]:
-    """All graphs obtained by appending one vertex with an arbitrary neighbourhood."""
-    n = g.n + 1
-    for mask in range(1 << g.n):
-        rows = [row | ((mask >> v & 1) << (n - 1)) for v, row in enumerate(g.rows)]
-        rows.append(mask)
-        yield Graph(n, tuple(rows))
+def _orbit_least_masks(h: Graph) -> Iterator[int]:
+    """Neighbourhood masks for a new vertex joined to ``h``, one per orbit of Aut(h).
 
-
-def enumerate_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of graphs on ``n`` vertices.
-
-    Classes are produced by extending the (n-1)-vertex representatives one
-    vertex at a time and deduplicating by canonical form; the result comes
-    back sorted by canonical form.
+    Each mask yielded is the least of its orbit, so a mask that some
+    automorphism maps to a smaller one, and that would only give an isomorphic
+    copy of an extension already seen, is never yielded.
     """
-    if n < 1:
+    bit_images = [[1 << v for v in a] for a in automorphisms(h)]
+    covered = bytearray(1 << h.n)
+    for mask in range(1 << h.n):
+        if covered[mask]:
+            continue
+        yield mask
+        members = [v for v in range(h.n) if mask >> v & 1]
+        for images in bit_images:
+            image = 0
+            for v in members:
+                image |= images[v]
+            covered[image] = 1
+
+
+def _extension(h: Graph, mask: int) -> Graph:
+    """``h`` with one more vertex, joined to the vertices in ``mask``."""
+    n = h.n + 1
+    rows = [row | ((mask >> v & 1) << (n - 1)) for v, row in enumerate(h.rows)]
+    rows.append(mask)
+    return Graph(n, tuple(rows))
+
+
+def enumerate_levels(max_n: int) -> Iterator[list[Graph]]:
+    """Yield the class representatives on 1, 2, ..., ``max_n`` vertices in turn.
+
+    Each level comes from extending the previous level's representatives by
+    one vertex, once per orbit of neighbourhood masks, and deduplicating by
+    canonical form; the level comes back sorted by canonical form, and each
+    class is represented by its first extension in (parent, mask) order.
+    Bad ``max_n`` raises when the first level is requested.
+    """
+    if max_n < 1:
         raise InputError("enumeration needs at least one vertex")
-    if n > ENUMERATE_MAX_N:
+    if max_n > ENUMERATE_MAX_N:
         raise ResourceError(f"enumeration capped at {ENUMERATE_MAX_N} vertices")
     level = [from_edges(1, [])]
-    for m in range(2, n + 1):
+    yield level
+    for _ in range(2, max_n + 1):
         seen: dict[bytes, Graph] = {}
         for h in level:
-            for cand in _extensions(h):
+            for mask in _orbit_least_masks(h):
+                cand = _extension(h, mask)
                 key = canonical_form(cand)
                 if key not in seen:
                     seen[key] = cand
         level = [seen[key] for key in sorted(seen)]
+        yield level
+
+
+def enumerate_graphs(n: int) -> list[Graph]:
+    """One representative per isomorphism class of graphs on ``n`` vertices,
+    sorted by canonical form: the last level of :func:`enumerate_levels`."""
+    for level in enumerate_levels(n):
+        pass
     return level

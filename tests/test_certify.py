@@ -292,7 +292,6 @@ def test_certificates_byte_identical_up_to_six_vertices():
         "080b78a013a9708adbd78a29e902c66d32b030dc02ec8f8819058dea61b5d0b2")
 
 
-@pytest.mark.slow
 def test_certificates_byte_identical_up_to_seven_vertices():
     assert _certificate_digest(7) == (
         "d2e73242c761bc7eecbbc18febae10bf9ec0438dfae995e38b591b7e3010c2be")

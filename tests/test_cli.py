@@ -134,3 +134,47 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text().strip())
     assert payload["certificate"]["verdict"] == "RINF"
+
+
+class _RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr("raagcert.cli.Pool", _RecordingPool)
+    monkeypatch.setattr("raagcert.cli.os.cpu_count", lambda: 3)
+    argv = ["certify", "--builtin", "cycle:5", "--builtin", "petersen"]
+    code, seq, _ = run_cli(capsys, *argv)
+    assert code == 0 and _RecordingPool.sizes == []
+    code, par, _ = run_cli(capsys, *argv, "--jobs", "1000")
+    assert code == 0 and par == seq
+    assert _RecordingPool.sizes == [3]
+    monkeypatch.setattr("raagcert.cli.os.cpu_count", lambda: None)
+    code, par, _ = run_cli(capsys, *argv, "--jobs", "8")
+    assert code == 0 and par == seq
+    assert _RecordingPool.sizes == [3]  # an unknown core count runs in-process
+
+
+def test_jobs_below_one_rejected(monkeypatch, capsys):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr("raagcert.cli.Pool", _RecordingPool)
+    for argv in (("certify", "--builtin", "cycle:5"), ("enumerate", "--max-n", "3")):
+        for jobs in ("0", "-2"):
+            code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+            assert code == 1 and out == "" and "--jobs" in err
+    assert _RecordingPool.sizes == []

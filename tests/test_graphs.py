@@ -237,6 +237,18 @@ def test_graph6_roundtrip_against_networkx():
         assert from_graph6(ours) == g
 
 
+def test_graph6_roundtrip_at_the_header_boundary():
+    # 62 vertices fit the one-byte header, 63 and 64 need the four-byte one
+    rng = random.Random(64)
+    for n, p in ((62, 0.3), (63, 0.7), (64, 0.5)):
+        g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < p])
+        theirs = nx.to_graph6_bytes(_to_networkx(g), header=False).decode().strip()
+        assert to_graph6(g) == theirs
+        assert from_graph6(theirs) == g
+        assert len(theirs) == (1 if n <= 62 else 4) + (n * (n - 1) // 2 + 5) // 6
+
+
 def _to_networkx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))

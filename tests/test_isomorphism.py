@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,10 +7,12 @@ import networkx as nx
 import pytest
 
 from raagcert import (
+    Graph,
     InputError,
     ResourceError,
     complement,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     edgeless_graph,
     from_edges,
@@ -17,6 +20,7 @@ from raagcert import (
     path_graph,
     petersen_graph,
     srg_parameters,
+    to_graph6,
 )
 from raagcert.isomorphism import (
     are_isomorphic,
@@ -25,9 +29,11 @@ from raagcert.isomorphism import (
     canonical_relabelled,
     compose_permutations,
     enumerate_graphs,
+    enumerate_levels,
     invert_permutation,
     is_automorphism,
 )
+from raagcert.isomorphism import _extension, _orbit_least_masks
 
 from conftest import classes, random_graph
 
@@ -143,6 +149,149 @@ def test_complement_preserves_automorphism_count():
     for n in range(2, 7):
         for g in classes(n):
             assert len(automorphisms(g)) == len(automorphisms(complement(g)))
+
+
+def _lexmin_order_oracle(g: Graph) -> tuple[int, ...]:
+    """Unpruned search for the canonical ordering: every vertex at every
+    position, cut only where the column prefix already exceeds the best."""
+    n = g.n
+    rows = g.rows
+    best_cols = None
+    best_order = None
+    order = []
+    cols = []
+    used = [False] * n
+
+    def extend(p):
+        nonlocal best_cols, best_order
+        if p == n:
+            if best_cols is None or cols < best_cols:
+                best_cols = cols.copy()
+                best_order = order.copy()
+            return
+        for u in range(n):
+            if used[u]:
+                continue
+            col = 0
+            for w in order:
+                col = col << 1 | (rows[u] >> w & 1)
+            cols.append(col)
+            if best_cols is None or cols <= best_cols[: len(cols)]:
+                used[u] = True
+                order.append(u)
+                extend(p + 1)
+                order.pop()
+                used[u] = False
+            cols.pop()
+
+    extend(0)
+    return invert_permutation(best_order)
+
+
+def _assert_matches_oracle(g):
+    ours = canonical_relabelled(g)
+    theirs = g.relabel(_lexmin_order_oracle(g))
+    # equal labels pin the vertex ordering itself, not just the graph
+    assert ours == theirs and ours.labels == theirs.labels, g
+
+
+def _all_extensions(top):
+    for n in range(1, top + 1):
+        for h in classes(n):
+            for mask in range(1 << n):
+                yield _extension(h, mask)
+
+
+def test_canonical_order_matches_oracle_on_all_extensions():
+    count = 0
+    for g in _all_extensions(5):
+        _assert_matches_oracle(g)
+        count += 1
+    assert count == 1306
+
+
+@pytest.mark.slow
+def test_canonical_order_matches_oracle_on_all_seven_vertex_extensions():
+    count = 0
+    for g in _all_extensions(6):
+        _assert_matches_oracle(g)
+        count += 1
+    assert count == 11290
+
+
+def _circulant(n, steps):
+    return from_edges(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
+def test_canonical_order_matches_oracle_on_shuffled_families():
+    rng = random.Random(20261018)
+    pool = [petersen_graph(), complete_multipartite_graph([2, 2, 2, 2, 2])]
+    for n in (8, 9, 10):
+        pool.append(cycle_graph(n))
+        pool.append(_circulant(n, rng.sample(range(1, n // 2 + 1), 2)))
+        pool.append(_circulant(n, rng.sample(range(1, n // 2 + 1), 3)))
+        for p in (0.15, 0.3, 0.5, 0.7, 0.85):
+            for _ in range(3):
+                pool.append(from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < p]))
+    for g in pool:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        _assert_matches_oracle(g.relabel(perm))
+
+
+def test_canonical_form_of_large_twin_classes():
+    # each took 13-17 s under the unpruned search; the forms were checked
+    # against the oracle once
+    assert canonical_form(edgeless_graph(10)) == b"I????????"
+    assert canonical_form(complete_graph(10)) == b"I~~~~~~~w"
+    assert canonical_form(complete_multipartite_graph([5, 5])) == b"I?B~vrw}?"
+
+
+def test_orbit_least_masks_one_per_orbit():
+    for n in range(1, 6):
+        for h in classes(n):
+            auts = automorphisms(h)
+            masks = list(_orbit_least_masks(h))
+            # Burnside: the orbits on subsets average 2^(cycles) over the group
+            burnside = sum(2 ** _cycle_count(a) for a in auts) // len(auts)
+            assert len(masks) == burnside
+            for mask in masks:
+                for a in auts:
+                    assert sum(1 << a[v] for v in range(n) if mask >> v & 1) >= mask
+
+
+def _cycle_count(perm):
+    seen = set()
+    cycles = 0
+    for v in range(len(perm)):
+        if v not in seen:
+            cycles += 1
+            while v not in seen:
+                seen.add(v)
+                v = perm[v]
+    return cycles
+
+
+def test_enumerate_levels_match_enumerate_graphs():
+    levels = list(enumerate_levels(6))
+    assert [len(level) for level in levels] == [1, 2, 4, 11, 34, 156]
+    for n, level in enumerate(levels, start=1):
+        assert level == list(classes(n))
+    # the representatives and their order, graph6 per line, as first emitted
+    # when every mask of every parent was tried
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for g in classes(n):
+            digest.update((to_graph6(g) + "\n").encode("ascii"))
+    assert digest.hexdigest() == (
+        "f6c2c0432761b45390c08c30d49e3fce9bbc211f7c71eb606d908b75360f50a3")
+    # each level extends the previous one once per orbit of masks
+    assert sum(len(list(_orbit_least_masks(h))) for h in levels[5]) == 5096
+    with pytest.raises(ResourceError):
+        next(enumerate_levels(9))
+    with pytest.raises(InputError):
+        next(enumerate_levels(0))
 
 
 def test_budget_errors():
