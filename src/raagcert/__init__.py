@@ -65,7 +65,6 @@ from .isomorphism import (
     canonical_form,
     canonical_relabelled,
     enumerate_graphs,
-    enumerate_levels,
 )
 from .liering import (
     IntMatrix,

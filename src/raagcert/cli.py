@@ -34,7 +34,7 @@ from .graphs import (
     petersen_graph,
     to_graph6,
 )
-from .isomorphism import enumerate_levels
+from .isomorphism import enumerate_graphs
 from .liering import eigenvalue_witness_report
 from .lyndon import enumerate_lyndon
 
@@ -137,7 +137,8 @@ def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     status = 0
     tally: dict[str, int] = {}
     total = 0
-    for n, graphs in enumerate(enumerate_levels(args.max_n), start=1):
+    for n in range(1, args.max_n + 1):
+        graphs = enumerate_graphs(n)
         keys = [to_graph6(g) for g in graphs]
         if args.certify:
             certs = _map_jobs(args.jobs, _certify_one, keys)
@@ -196,8 +197,8 @@ def cmd_autcheck(args: argparse.Namespace, out: TextIO) -> int:
             raise InputError("--max-n must be between 1 and 7 for witness scans")
         graphs = [
             (to_graph6(g), g)
-            for level in enumerate_levels(args.max_n)
-            for g in level
+            for n in range(1, args.max_n + 1)
+            for g in enumerate_graphs(n)
             if not g.is_complete()
         ]
     else:

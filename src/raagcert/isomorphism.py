@@ -255,22 +255,21 @@ def _extension(h: Graph, mask: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def enumerate_levels(max_n: int) -> Iterator[list[Graph]]:
-    """Yield the class representatives on 1, 2, ..., ``max_n`` vertices in turn.
+def enumerate_graphs(n: int) -> list[Graph]:
+    """One representative per isomorphism class of graphs on ``n`` vertices.
 
-    Each level comes from extending the previous level's representatives by
-    one vertex, once per orbit of neighbourhood masks, and deduplicating by
-    canonical form; the level comes back sorted by canonical form, and each
-    class is represented by its first extension in (parent, mask) order.
-    Bad ``max_n`` raises when the first level is requested.
+    Classes are produced by extending the (n-1)-vertex representatives one
+    vertex at a time, once per orbit of neighbourhood masks, and
+    deduplicating by canonical form; the result comes back sorted by
+    canonical form, and each class is represented by its first extension in
+    (parent, mask) order.
     """
-    if max_n < 1:
+    if n < 1:
         raise InputError("enumeration needs at least one vertex")
-    if max_n > ENUMERATE_MAX_N:
+    if n > ENUMERATE_MAX_N:
         raise ResourceError(f"enumeration capped at {ENUMERATE_MAX_N} vertices")
     level = [from_edges(1, [])]
-    yield level
-    for _ in range(2, max_n + 1):
+    for m in range(2, n + 1):
         seen: dict[bytes, Graph] = {}
         for h in level:
             for mask in _orbit_least_masks(h):
@@ -279,12 +278,4 @@ def enumerate_levels(max_n: int) -> Iterator[list[Graph]]:
                 if key not in seen:
                     seen[key] = cand
         level = [seen[key] for key in sorted(seen)]
-        yield level
-
-
-def enumerate_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of graphs on ``n`` vertices,
-    sorted by canonical form: the last level of :func:`enumerate_levels`."""
-    for level in enumerate_levels(n):
-        pass
     return level
