@@ -1,50 +1,62 @@
 """
-Signed automorphisms and their exact graded matrices
-====================================================
+Signed automorphisms and their graded signed permutations
+=========================================================
 
 Automorphisms built from graph symmetries and generator inversions act on
 the graded pieces of the lower central series by signed permutation
-matrices.  Eigenvalue 1 on any piece forces infinitely many twisted
-conjugacy classes, and det(I - M) over exact integers detects it.
+matrices, held as ``SignedAut`` objects on basis indices: column c carries
+``signs[c]`` in row ``perm[c]``.  Eigenvalue 1 on any piece forces infinitely
+many twisted conjugacy classes.  det(I - M) is the product over the cycles
+of M of (1 - the cycle's sign product), so eigenvalue 1 means some cycle has
+sign product +1.
 """
 
 from raagcert import (
-    IntMatrix,
     SignedAut,
     cycle_graph,
-    det_exact,
     edgeless_graph,
     eigenvalue_witness_report,
     has_eigenvalue_one,
     induced_matrix,
     l2_basis,
-    signed_cycle_matrix,
+    l3_sub_basis,
 )
+
+
+def show(label, m):
+    cycles = ", ".join(f"{cycle} sign {product:+d}" for cycle, product in m.cycles())
+    print(f"{label}: perm {m.perm} signs {m.signs}; cycles {cycles or 'none'};"
+          f" eigenvalue 1? {has_eigenvalue_one(m)}")
+
 
 g = edgeless_graph(2)
 swap = SignedAut((1, 0), (1, 1))
 
 # Level 1: the action on the abelianization; a plain swap fixes v0 + v1.
-m1 = induced_matrix(g, swap, 1)
-print("level-1 matrix of the swap:", m1.entries, "eigenvalue 1?", has_eigenvalue_one(m1))
+show("level 1, swap", induced_matrix(g, swap, 1))
 
 # Level 2: commutators of non-adjacent pairs; the swap reverses the bracket.
 print("level-2 basis:", l2_basis(g))
-print("level-2 matrix of the swap:", induced_matrix(g, swap, 2).entries)
+show("level 2, swap", induced_matrix(g, swap, 2))
 
 # Inverting both generators fixes the bracket on level 2.
 flip = SignedAut((0, 1), (-1, -1))
-m2 = induced_matrix(g, flip, 2)
-print("level-2 matrix after inverting both generators:", m2.entries,
-      "eigenvalue 1?", has_eigenvalue_one(m2))
+show("level 2, both inverted", induced_matrix(g, flip, 2))
 
-# The signed cyclic-shift determinant identity behind all of this.
-for signs in ((1,), (-1,), (-1, -1), (-1, 1, 1)):
-    p = signed_cycle_matrix(signs)
-    print("signs", signs, "det(I - P) =", det_exact(IntMatrix.identity(len(signs)) - p))
+# Level 3: the swap exchanges the shapes (i, j, i) and (i, j, j), each with a
+# sign -1, so the 2-cycle has sign product +1.
+print("level-3 basis:", l3_sub_basis(g))
+show("level 3, swap", induced_matrix(g, swap, 3))
+
+# A rotation of the 5-cycle with one inverted generator: a single 5-cycle of
+# sign -1 on level 1, no eigenvalue 1 there, so the scan looks higher up.
+c5 = cycle_graph(5)
+rotate = SignedAut((1, 2, 3, 4, 0), (-1, 1, 1, 1, 1))
+for level in (1, 2, 3):
+    show(f"C5 level {level}, inverted rotation", induced_matrix(c5, rotate, level))
 
 # Exhaustive scan: every signed automorphism of a non-complete graph has a
 # witness on level 1, 2 or 3.
-report = eigenvalue_witness_report(cycle_graph(5))
+report = eigenvalue_witness_report(c5)
 print("C5 scan:", report.total, "signed automorphisms, witnesses per level:",
       report.level_counts, "failures:", len(report.failures))

@@ -67,17 +67,14 @@ from .isomorphism import (
     enumerate_graphs,
 )
 from .liering import (
-    IntMatrix,
     SignedAut,
     WitnessReport,
-    det_exact,
     eigenvalue_witness_report,
     has_eigenvalue_one,
     induced_matrix,
     l2_basis,
     l3_sub_basis,
     signed_automorphisms,
-    signed_cycle_matrix,
 )
 from .lyndon import (
     BracketTree,

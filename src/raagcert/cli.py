@@ -34,9 +34,9 @@ from .graphs import (
     petersen_graph,
     to_graph6,
 )
-from .isomorphism import enumerate_graphs
-from .liering import eigenvalue_witness_report
-from .lyndon import enumerate_lyndon
+from .isomorphism import ENUMERATE_MAX_N, enumerate_graphs
+from .liering import SIGNED_AUT_MAX_N, eigenvalue_witness_report
+from .lyndon import LYNDON_MAX_LENGTH, enumerate_lyndon
 
 SCHEMA = 1
 
@@ -132,8 +132,8 @@ def cmd_certify(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
-    if not 1 <= args.max_n <= 8:
-        raise InputError("--max-n must be between 1 and 8")
+    if not 1 <= args.max_n <= ENUMERATE_MAX_N:
+        raise InputError(f"--max-n must be between 1 and {ENUMERATE_MAX_N}")
     status = 0
     tally: dict[str, int] = {}
     total = 0
@@ -180,8 +180,8 @@ def cmd_lyndon(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_ranks(args: argparse.Namespace, out: TextIO) -> int:
-    if not 1 <= args.upto <= 6:
-        raise InputError("--upto must be between 1 and 6")
+    if not 1 <= args.upto <= LYNDON_MAX_LENGTH:
+        raise InputError(f"--upto must be between 1 and {LYNDON_MAX_LENGTH}")
     graphs = read_graphs(args)
     for name, g in graphs:
         ranks = [len(enumerate_lyndon(g, length)) for length in range(1, args.upto + 1)]
@@ -193,8 +193,9 @@ def cmd_ranks(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_autcheck(args: argparse.Namespace, out: TextIO) -> int:
     if args.max_n is not None:
-        if not 1 <= args.max_n <= 7:
-            raise InputError("--max-n must be between 1 and 7 for witness scans")
+        if not 1 <= args.max_n <= SIGNED_AUT_MAX_N:
+            raise InputError(
+                f"--max-n must be between 1 and {SIGNED_AUT_MAX_N} for witness scans")
         graphs = [
             (to_graph6(g), g)
             for n in range(1, args.max_n + 1)

@@ -1,11 +1,11 @@
-"""Signed graph automorphisms and their exact matrices on the first three
+"""Signed graph automorphisms and their exact action on the first three
 graded pieces of the lower central series of the associated group.
 
 An automorphism generated by graph symmetries and generator inversions sends
 generator i to the image of i under a graph automorphism, raised to a sign.
 Partial conjugations act trivially on the associated graded Lie ring, so this
-family captures the whole action.  On the graded pieces the matrices are
-signed permutation matrices over these bases:
+family captures the whole action.  On the graded pieces it acts by signed
+permutation matrices over these bases:
 
 * level 1: the generators themselves;
 * level 2: the commutators of non-adjacent increasing pairs (i, j);
@@ -13,14 +13,17 @@ signed permutation matrices over these bases:
 
 Brackets are stored with strictly increasing first two indices; swapping the
 first two slots of a triple costs a factor -1 and exchanges the two shapes.
-Eigenvalue 1 is detected as det(I - M) = 0 over exact integers, never floats.
+Each matrix is held as a ``SignedAut`` on basis indices, and eigenvalue 1 is
+read off its cycles: det(I - M) is the product over the cycles of (1 - the
+cycle's sign product), so no matrix is built and no float appears.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import InputError, ResourceError
 from .graphs import Graph
@@ -32,7 +35,9 @@ WITNESS_LEVELS = (1, 2, 3)
 
 @dataclass(frozen=True)
 class SignedAut:
-    """A graph automorphism together with a sign per vertex."""
+    """A permutation together with a sign per point: a graph automorphism with
+    a sign per vertex, or the signed permutation matrix whose column ``c``
+    holds ``signs[c]`` in row ``perm[c]``."""
 
     perm: VertexPermutation
     signs: tuple[int, ...]
@@ -42,6 +47,8 @@ class SignedAut:
             raise InputError("need one sign per vertex")
         if any(s not in (-1, 1) for s in self.signs):
             raise InputError("signs must be +1 or -1")
+        if sorted(self.perm) != list(range(len(self.perm))):
+            raise InputError("perm must be a permutation of 0..n-1")
 
     @classmethod
     def identity(cls, n: int) -> "SignedAut":
@@ -62,106 +69,28 @@ class SignedAut:
         signs = tuple(self.signs[inv[i]] for i in range(n))
         return SignedAut(tuple(inv), signs)
 
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense exact-integer matrix; square ones support exact determinants."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise InputError("matrix rows must have equal length")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise InputError("matrix shapes differ")
-        return IntMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise InputError("matrix shapes do not compose")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
+    def cycles(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Each cycle of ``perm`` from its least point, with its sign product."""
+        seen: set[int] = set()
+        for start in range(len(self.perm)):
+            cycle = []
+            point = start
+            while point not in seen:
+                seen.add(point)
+                cycle.append(point)
+                point = self.perm[point]
+            if cycle:
+                yield tuple(cycle), math.prod(self.signs[p] for p in cycle)
 
 
-def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination; arbitrary precision."""
-    if m.nrows != m.ncols:
-        raise InputError("determinant needs a square matrix")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def has_eigenvalue_one(m: SignedAut) -> bool:
+    """Whether the signed permutation matrix ``m`` has eigenvalue 1.
 
-
-def signed_cycle_matrix(signs: Sequence[int]) -> IntMatrix:
-    """k x k cyclic shift with signed entries: position (i+1, i) carries the i-th
-    sign and position (0, k-1) the last; det(I - P) = 1 - product of the signs."""
-    k = len(signs)
-    if k < 1:
-        raise InputError("need at least one sign")
-    if any(s not in (-1, 1) for s in signs):
-        raise InputError("signs must be +1 or -1")
-    rows = [[0] * k for _ in range(k)]
-    if k == 1:
-        rows[0][0] = signs[0]
-    else:
-        for i in range(k - 1):
-            rows[i + 1][i] = signs[i]
-        rows[0][k - 1] = signs[k - 1]
-    return IntMatrix.from_rows(rows)
-
-
-def has_eigenvalue_one(m: IntMatrix) -> bool:
-    """Exact test det(I - M) = 0."""
-    if m.nrows != m.ncols:
-        raise InputError("eigenvalue test needs a square matrix")
-    return det_exact(IntMatrix.identity(m.nrows) - m) == 0
+    det(I - M) is the product, over the cycles of ``m.perm``, of (1 - the
+    cycle's sign product), so it vanishes exactly when some cycle has sign
+    product +1.  An empty basis has no such cycle: the 0 x 0 determinant is 1.
+    """
+    return any(product == 1 for _, product in m.cycles())
 
 
 def signed_automorphisms(g: Graph) -> Iterator[SignedAut]:
@@ -200,39 +129,34 @@ def _check_signed_aut(g: Graph, a: SignedAut) -> None:
         raise InputError("permutation is not a graph automorphism")
 
 
-def induced_matrix(g: Graph, a: SignedAut, level: int) -> IntMatrix:
-    """Matrix of the signed automorphism on the chosen graded piece.
+def induced_matrix(g: Graph, a: SignedAut, level: int) -> SignedAut:
+    """Signed permutation matrix of the signed automorphism on the chosen graded
+    piece, as a ``SignedAut`` on basis indices: column ``c`` holds ``signs[c]``
+    in row ``perm[c]``, level 1 is ``a`` itself, and matrix products are
+    ``SignedAut.compose``.
 
-    Columns follow the basis order; every matrix is a signed permutation
-    matrix.  On level 2 the pair (i, j) maps to the reordered image pair with
+    On level 2 the pair (i, j) maps to the reordered image pair with
     sign e_i * e_j, negated when the permutation swaps the order.  On level 3
     the triple (i, j, i) picks up e_j and (i, j, j) picks up e_i, with a
     further -1 and a shape exchange when the image pair needs reordering.
     """
     _check_signed_aut(g, a)
-    perm, signs = a.perm, a.signs
     if level == 1:
-        rows = [[0] * g.n for _ in range(g.n)]
-        for i in range(g.n):
-            rows[perm[i]][i] = signs[i]
-        return IntMatrix.from_rows(rows)
+        return a
+    perm, signs = a.perm, a.signs
+    images = []
     if level == 2:
         basis = l2_basis(g)
-        index = {pair: c for c, pair in enumerate(basis)}
-        rows = [[0] * len(basis) for _ in range(len(basis))]
-        for c, (i, j) in enumerate(basis):
+        for i, j in basis:
             p, q = perm[i], perm[j]
             sign = signs[i] * signs[j]
             if p > q:
                 p, q = q, p
                 sign = -sign
-            rows[index[(p, q)]][c] = sign
-        return IntMatrix.from_rows(rows)
-    if level == 3:
+            images.append(((p, q), sign))
+    elif level == 3:
         basis = l3_sub_basis(g)
-        index = {triple: c for c, triple in enumerate(basis)}
-        rows = [[0] * len(basis) for _ in range(len(basis))]
-        for c, (i, j, rep) in enumerate(basis):
+        for i, j, rep in basis:
             p, q = perm[i], perm[j]
             sign = signs[j] if rep == i else signs[i]
             if p > q:
@@ -240,9 +164,11 @@ def induced_matrix(g: Graph, a: SignedAut, level: int) -> IntMatrix:
                 # the third slot is never reordered
                 p, q = q, p
                 sign = -sign
-            rows[index[(p, q, perm[rep])]][c] = sign
-        return IntMatrix.from_rows(rows)
-    raise InputError("level must be 1, 2 or 3")
+            images.append(((p, q, perm[rep]), sign))
+    else:
+        raise InputError("level must be 1, 2 or 3")
+    index = {element: c for c, element in enumerate(basis)}
+    return SignedAut(tuple(index[x] for x, _ in images), tuple(s for _, s in images))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Words are tuples of vertex indices.  Two letters commute exactly when they are
 joined by an edge, and a trace is the equivalence class of a word under
 swapping adjacent commuting letters.  Classes are materialised by breadth-first
 closure over single swaps, which is exponential in the worst case but entirely
-adequate under the length budget of 6 that this package enforces.
+adequate under the budgets this package enforces: length at most 6 and at
+most 10**5 words of that length.
 
 The word order is index-lexicographic with the empty word smallest, so tuple
 comparison implements it directly.  The standard representative of a trace is
@@ -28,6 +29,8 @@ from .graphs import Graph
 TraceWord = tuple[int, ...]
 
 LYNDON_MAX_LENGTH = 6
+# enumerate_lyndon walks all n**length words; 10**5 words take a few seconds
+LYNDON_MAX_WORDS = 100_000
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +144,10 @@ def enumerate_lyndon(g: Graph, length: int) -> list[TraceClass]:
         raise InputError("length must be positive")
     if length > LYNDON_MAX_LENGTH:
         raise ResourceError(f"Lyndon enumeration capped at length {LYNDON_MAX_LENGTH}")
+    if g.n**length > LYNDON_MAX_WORDS:
+        raise ResourceError(
+            f"Lyndon enumeration capped at {LYNDON_MAX_WORDS} words; "
+            f"{g.n} letters at length {length} give {g.n**length}")
     seen: set[TraceWord] = set()
     found: list[TraceClass] = []
     for word in itertools.product(range(g.n), repeat=length):

@@ -1,0 +1,84 @@
+"""Dense exact-integer matrices, kept only as an oracle for the signed
+permutations of ``raagcert.liering``.
+
+Matrices are tuples of rows of Python integers.  ``det_exact`` is fraction-free
+(Bareiss) elimination and ``det_by_cofactors`` the Laplace expansion it is
+checked against; neither uses floats.
+"""
+
+from raagcert import SignedAut
+
+
+def dense(m: SignedAut) -> tuple[tuple[int, ...], ...]:
+    """Rows of the matrix whose column c holds ``m.signs[c]`` in row ``m.perm[c]``."""
+    rows = [[0] * len(m.perm) for _ in m.perm]
+    for c, (r, sign) in enumerate(zip(m.perm, m.signs)):
+        rows[r][c] = sign
+    return tuple(tuple(row) for row in rows)
+
+
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def subtract(a, b) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def cyclic_shift(signs) -> SignedAut:
+    """k x k cyclic shift whose column i carries the i-th sign in row i + 1
+    (mod k); det(I - P) = 1 - product of the signs."""
+    k = len(signs)
+    return SignedAut(tuple((i + 1) % k for i in range(k)), tuple(signs))
+
+
+def det_exact(rows) -> int:
+    """Exact determinant by fraction-free elimination; arbitrary precision."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def det_by_cofactors(rows) -> int:
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+        total += (-1) ** j * rows[0][j] * det_by_cofactors(minor)
+    return total
+
+
+def det_identity_minus(m: SignedAut) -> int:
+    """det(I - M) for the dense form of ``m``."""
+    return det_exact(subtract(identity(len(m.perm)), dense(m)))

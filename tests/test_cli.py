@@ -105,6 +105,10 @@ def test_lyndon_and_ranks(capsys):
     code, _, err = run_cli(capsys, "ranks", "--upto", "9", "--builtin", "edgeless:2")
     assert code == 1 and "--upto" in err
 
+    # 64**6 words exceed the Lyndon word budget, so this exits before enumerating
+    code, out, err = run_cli(capsys, "lyndon", "--length", "6", "--builtin", "cycle:64")
+    assert code == 1 and out == "" and "words" in err
+
 
 def test_autcheck(capsys):
     code, out, _ = run_cli(capsys, "autcheck", "--builtin", "cycle:5")
@@ -118,6 +122,9 @@ def test_autcheck(capsys):
 
     code, _, err = run_cli(capsys, "autcheck", "--builtin", "complete:3")
     assert code == 1 and "non-complete" in err
+
+    code, _, err = run_cli(capsys, "autcheck", "--max-n", "8")
+    assert code == 1 and "--max-n" in err
 
 
 def test_simplify(capsys):

@@ -5,12 +5,10 @@ import pytest
 
 from raagcert import (
     InputError,
-    IntMatrix,
     ResourceError,
     SignedAut,
     complete_graph,
     cycle_graph,
-    det_exact,
     edgeless_graph,
     eigenvalue_witness_report,
     enumerate_lyndon,
@@ -19,10 +17,18 @@ from raagcert import (
     l2_basis,
     l3_sub_basis,
     signed_automorphisms,
-    signed_cycle_matrix,
 )
 
 from conftest import classes, random_graph
+from matrix_oracle import (
+    cyclic_shift,
+    dense,
+    det_by_cofactors,
+    det_exact,
+    det_identity_minus,
+    identity,
+    matmul,
+)
 
 
 def test_signed_aut_compose_inverse():
@@ -38,6 +44,9 @@ def test_signed_aut_compose_inverse():
     assert a.inverse().compose(a) == ident
     with pytest.raises(InputError):
         SignedAut((0, 1), (1, 2))
+    for not_a_permutation in ((0, 0), (1, 2), (-1, 0)):
+        with pytest.raises(InputError):
+            SignedAut(not_a_permutation, (1, 1))
 
 
 def test_signed_automorphism_stream():
@@ -61,22 +70,21 @@ def test_induced_matrix_level1():
     g = edgeless_graph(2)
     swap = SignedAut((1, 0), (1, 1))
     m = induced_matrix(g, swap, 1)
-    assert m.entries == ((0, 1), (1, 0))
+    assert m == SignedAut((1, 0), (1, 1))
+    assert dense(m) == ((0, 1), (1, 0))
     assert has_eigenvalue_one(m)
     ident = induced_matrix(g, SignedAut.identity(2), 1)
-    assert ident == IntMatrix.identity(2)
+    assert ident == SignedAut.identity(2)
 
 
 def test_induced_matrix_level2_signs():
     g = edgeless_graph(2)
     swap = SignedAut((1, 0), (1, 1))
-    assert induced_matrix(g, swap, 2).entries == ((-1,),)
+    assert induced_matrix(g, swap, 2) == SignedAut((0,), (-1,))
     all_inverted = SignedAut((0, 1), (-1, -1))
-    assert induced_matrix(g, all_inverted, 2).entries == ((1,),)
-    for level in (1, 2, 3):
-        assert induced_matrix(g, SignedAut.identity(2), level) == IntMatrix.identity(
-            induced_matrix(g, SignedAut.identity(2), level).nrows
-        )
+    assert induced_matrix(g, all_inverted, 2) == SignedAut((0,), (1,))
+    for level, dim in ((1, 2), (2, 1), (3, 2)):
+        assert induced_matrix(g, SignedAut.identity(2), level) == SignedAut.identity(dim)
     with pytest.raises(InputError):
         induced_matrix(g, swap, 4)
     with pytest.raises(InputError):
@@ -88,7 +96,11 @@ def test_induced_matrix_level3_shape_exchange():
     swap = SignedAut((1, 0), (1, 1))
     m = induced_matrix(g, swap, 3)
     # basis (0,1,0), (0,1,1): the swap sends each shape to minus the other
-    assert m.entries == ((0, -1), (-1, 0))
+    assert m == SignedAut((1, 0), (-1, -1))
+    assert dense(m) == ((0, -1), (-1, 0))
+    # inverting v0 alone: [[v0, v1], v0] picks up e0 * e1 * e0 = e1 = +1 and
+    # [[v0, v1], v1] picks up e0 * e1 * e1 = e0 = -1
+    assert induced_matrix(g, SignedAut((0, 1), (-1, 1)), 3) == SignedAut((0, 1), (1, -1))
 
 
 def test_matrices_are_signed_permutations():
@@ -97,59 +109,50 @@ def test_matrices_are_signed_permutations():
         g = random_graph(rng, 5)
         sa = list(signed_automorphisms(g))
         for a in rng.sample(sa, min(6, len(sa))):
-            for level in (1, 2, 3):
+            for level, basis in ((1, range(g.n)), (2, l2_basis(g)), (3, l3_sub_basis(g))):
                 m = induced_matrix(g, a, level)
-                for row in m.entries:
-                    assert sum(abs(x) for x in row) == (1 if row else 0)
-                for col in zip(*m.entries):
+                assert len(m.perm) == len(basis)
+                rows = dense(m)
+                for row in rows:
+                    assert sum(abs(x) for x in row) == 1
+                for col in zip(*rows):
                     assert sum(abs(x) for x in col) == 1
 
 
-def _det_by_cofactors(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        total += (-1) ** j * rows[0][j] * _det_by_cofactors(minor)
-    return total
-
-
 def test_det_exact():
-    assert det_exact(IntMatrix.identity(5)) == 1
-    assert det_exact(IntMatrix.from_rows([[2, 1], [1, 1]])) == 1
-    p = signed_cycle_matrix([-1, 1, 1])
-    assert det_exact(IntMatrix.identity(3) - p) == 2
+    assert det_exact(identity(5)) == 1
+    assert det_exact(((2, 1), (1, 1))) == 1
+    assert det_identity_minus(cyclic_shift([-1, 1, 1])) == 2
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert det_exact(IntMatrix.from_rows(rows)) == _det_by_cofactors(rows)
-    with pytest.raises(InputError):
-        det_exact(IntMatrix.from_rows([[1, 2]]))
+        assert det_exact(rows) == det_by_cofactors(rows)
+    with pytest.raises(ValueError):
+        det_exact(((1, 2),))
 
 
 def test_signed_cycle_matrix():
-    assert signed_cycle_matrix([1]).entries == ((1,),)
-    assert det_exact(IntMatrix.identity(1) - signed_cycle_matrix([1])) == 0
-    assert det_exact(IntMatrix.identity(1) - signed_cycle_matrix([-1])) == 2
-    assert det_exact(IntMatrix.identity(2) - signed_cycle_matrix([-1, -1])) == 0
+    assert dense(cyclic_shift([1])) == ((1,),)
+    assert dense(cyclic_shift([1, -1, 1])) == ((0, 0, 1), (1, 0, 0), (0, -1, 0))
+    assert det_identity_minus(cyclic_shift([1])) == 0
+    assert det_identity_minus(cyclic_shift([-1])) == 2
+    assert det_identity_minus(cyclic_shift([-1, -1])) == 0
+    assert list(cyclic_shift([1, -1, 1]).cycles()) == [((0, 1, 2), -1)]
     with pytest.raises(InputError):
-        signed_cycle_matrix([])
-    with pytest.raises(InputError):
-        signed_cycle_matrix([2])
+        cyclic_shift([2])
 
 
 def test_has_eigenvalue_one():
-    assert has_eigenvalue_one(IntMatrix.identity(3))
-    assert not has_eigenvalue_one(IntMatrix.from_rows([[-1]]))
-    with pytest.raises(InputError):
-        has_eigenvalue_one(IntMatrix.from_rows([[1, 0]]))
+    assert has_eigenvalue_one(SignedAut.identity(3))
+    assert not has_eigenvalue_one(SignedAut((0,), (-1,)))
+    # det of the 0 x 0 matrix I - M is 1
+    assert not has_eigenvalue_one(SignedAut((), ()))
+    # cycles (0 2) with signs -1, -1 and (1) with sign -1: the first gives the witness
+    m = SignedAut((2, 1, 0), (-1, -1, -1))
+    assert list(m.cycles()) == [((0, 2), 1), ((1,), -1)]
+    assert has_eigenvalue_one(m)
+    assert not has_eigenvalue_one(SignedAut((2, 1, 0), (1, -1, -1)))
 
 
 def test_functoriality_exhaustive_small():
@@ -164,7 +167,7 @@ def test_functoriality_exhaustive_small():
             for a, b in itertools.product(sa, repeat=2):
                 ab = a.compose(b)
                 for level in (1, 2, 3):
-                    assert mats[(ab, level)] == mats[(a, level)] @ mats[(b, level)]
+                    assert mats[(ab, level)] == mats[(a, level)].compose(mats[(b, level)])
 
 
 def test_functoriality_sampled_n4():
@@ -176,8 +179,10 @@ def test_functoriality_sampled_n4():
             ab = a.compose(b)
             for level in (1, 2, 3):
                 lhs = induced_matrix(g, ab, level)
-                rhs = induced_matrix(g, a, level) @ induced_matrix(g, b, level)
-                assert lhs == rhs
+                ma, mb = induced_matrix(g, a, level), induced_matrix(g, b, level)
+                assert lhs == ma.compose(mb)
+                # compose is the matrix product of the dense forms
+                assert dense(lhs) == matmul(dense(ma), dense(mb))
 
 
 def test_witness_level_is_conjugation_invariant():
@@ -219,5 +224,18 @@ def test_complete_graph_all_inversions_has_no_level1_witness():
         g = complete_graph(n)
         flip = SignedAut(tuple(range(n)), (-1,) * n)
         m = induced_matrix(g, flip, 1)
-        assert det_exact(IntMatrix.identity(n) - m) == 2**n
+        assert det_identity_minus(m) == 2**n
         assert not has_eigenvalue_one(m)
+
+
+@pytest.mark.parametrize("max_n", [4, pytest.param(5, marks=pytest.mark.slow)])
+def test_eigenvalue_one_matches_determinant_oracle(max_n):
+    cases = 0
+    for n in range(1, max_n + 1):
+        for g in classes(n):
+            for a in signed_automorphisms(g):
+                for level in (1, 2, 3):
+                    m = induced_matrix(g, a, level)
+                    assert has_eigenvalue_one(m) == (det_identity_minus(m) == 0)
+                    cases += 1
+    assert cases == {4: 4_758, 5: 48_918}[max_n]

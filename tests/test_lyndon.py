@@ -78,7 +78,7 @@ def test_is_lyndon_examples():
         is_lyndon(trace_class(g2, ()))
 
 
-def test_enumerate_lyndon_small():
+def test_enumerate_lyndon_small(monkeypatch):
     g = from_edges(4, [(0, 1), (2, 3)])
     pairs = [(i, j) for i, j in itertools.combinations(range(4), 2) if not g.adjacent(i, j)]
     assert [m.std for m in enumerate_lyndon(g, 2)] == pairs
@@ -89,6 +89,12 @@ def test_enumerate_lyndon_small():
         enumerate_lyndon(edgeless_graph(2), 7)
     with pytest.raises(InputError):
         enumerate_lyndon(edgeless_graph(2), 0)
+
+    # the word budget bounds n**length, inclusive
+    monkeypatch.setattr("raagcert.lyndon.LYNDON_MAX_WORDS", 8)
+    assert len(enumerate_lyndon(edgeless_graph(2), 3)) == 2  # exactly 2**3 words
+    with pytest.raises(ResourceError):
+        enumerate_lyndon(edgeless_graph(3), 2)
 
 
 def test_closed_form_matches_enumeration_small(mixed_graph):
