@@ -31,6 +31,7 @@ from .closures import (
     characteristic_closure,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
+    mba_characteristic_sets,
     transvection_free_vertices,
 )
 from .errors import InputError, ResourceError
@@ -250,7 +251,7 @@ def _mba_links(g: Graph, low: int) -> Optional[list[int]]:
 
 
 def _links_partition(g: Graph, lk1: int, lk2: int) -> bool:
-    return lk1 & lk2 == 0 and lk1 | lk2 == (1 << g.n) - 1
+    return lk1 ^ lk2 == (1 << g.n) - 1
 
 
 def _add_cross_edges(g: Graph, side1: int, side2: int) -> Graph:
@@ -260,14 +261,13 @@ def _add_cross_edges(g: Graph, side1: int, side2: int) -> Graph:
             rows[v] |= side2
         elif side2 >> v & 1:
             rows[v] |= side1
-    return Graph(g.n, tuple(rows), g.labels)
+    return Graph(g.n, tuple(rows))
 
 
 def _mba_k_n1(g: Graph) -> Iterator[Reduction]:
-    links = _mba_links(g, 1)
-    if links is not None:
+    if _mba_links(g, 1) is not None:
         yield from _deletion(
-            g, VertexSet(links[0], g.n),
+            g, mba_characteristic_sets(g).link_intersection,
             "one vertex of non-maximal degree: quotient by the normal closure of its "
             "link is characteristic and leaves a disconnected graph",
         )
@@ -288,10 +288,9 @@ def _mba_k_n2_quotient(g: Graph) -> Iterator[Reduction]:
     links = _mba_links(g, 2)
     if links is None or _links_partition(g, *links):
         return
-    lk1, lk2 = links
-    mask = lk1 & lk2 or structure_flags(g).max_degree_vertices.mask & (lk1 | lk2)
+    sets = mba_characteristic_sets(g)
     yield from _deletion(
-        g, VertexSet(mask, g.n),
+        g, sets.link_intersection or sets.max_degree_linked,
         "two non-maximal vertices: quotient by the intersection of their links, or by "
         "the maximal-degree vertices their links cover, leaves a smaller non-complete "
         "graph",

@@ -102,8 +102,8 @@ def _emit(out: TextIO, payload: dict, as_json: bool, text: str) -> None:
     out.write(json.dumps(payload) + "\n" if as_json else text + "\n")
 
 
-def _certify_one(graph6: str) -> dict:
-    return certify(from_graph6(graph6)).to_dict()
+def _certify_one(g: Graph) -> dict:
+    return certify(g).to_dict()
 
 
 def _map_jobs(jobs: int, func, items: Sequence):
@@ -116,8 +116,7 @@ def _map_jobs(jobs: int, func, items: Sequence):
 
 def cmd_certify(args: argparse.Namespace, out: TextIO) -> int:
     graphs = read_graphs(args)
-    keys = [to_graph6(g) for _, g in graphs]
-    certs = _map_jobs(args.jobs, _certify_one, keys)
+    certs = _map_jobs(args.jobs, _certify_one, [g for _, g in graphs])
     status = 0
     for (name, _), cert in zip(graphs, certs):
         problems = audit_certificate(cert)
@@ -141,7 +140,7 @@ def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
         graphs = enumerate_graphs(n)
         keys = [to_graph6(g) for g in graphs]
         if args.certify:
-            certs = _map_jobs(args.jobs, _certify_one, keys)
+            certs = _map_jobs(args.jobs, _certify_one, graphs)
         else:
             certs = [None] * len(keys)
         for key, cert in zip(keys, certs):
@@ -171,7 +170,7 @@ def cmd_lyndon(args: argparse.Namespace, out: TextIO) -> int:
     for name, g in graphs:
         classes = enumerate_lyndon(g, args.length)
         words = [list(m.std) for m in classes]
-        rendered = [".".join(g.labels[v] for v in m.std) for m in classes]
+        rendered = [".".join(f"v{v}" for v in m.std) for m in classes]
         _emit(out, {"schema": SCHEMA, "input": name, "length": args.length,
                     "count": len(classes), "standard_words": words},
               args.format == "json",
@@ -184,7 +183,8 @@ def cmd_ranks(args: argparse.Namespace, out: TextIO) -> int:
         raise InputError(f"--upto must be between 1 and {LYNDON_MAX_LENGTH}")
     graphs = read_graphs(args)
     for name, g in graphs:
-        ranks = [len(enumerate_lyndon(g, length)) for length in range(1, args.upto + 1)]
+        # longest first, so a length over the word budget fails before any work
+        ranks = [len(enumerate_lyndon(g, length)) for length in range(args.upto, 0, -1)][::-1]
         _emit(out, {"schema": SCHEMA, "input": name, "ranks": ranks},
               args.format == "json",
               f"{name}\tranks " + " ".join(str(r) for r in ranks))

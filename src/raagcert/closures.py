@@ -3,7 +3,12 @@
 A vertex set generates a characteristic normal vertex-subgroup of the
 right-angled Artin group exactly when it is a union of characteristic
 closures, where the closure of a vertex is its domination closure swept
-through the graph's automorphism group.
+through the graph's automorphism group.  Domination (w dominates v when
+lk(v) lies in st(w)) is a preorder, so the domination closure of v is v with
+every vertex dominating it: the intersection of st(x) over the neighbours x
+of v, which is every vertex when v is isolated.  A vertex is transvection-free
+exactly when its closure is itself, and a set is characteristic exactly when
+it contains each member's closure and every automorphism maps it onto itself.
 """
 
 from __future__ import annotations
@@ -11,30 +16,22 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError
-from .graphs import Graph, VertexSet, dominates, structure_flags
+from .graphs import Graph, VertexSet, structure_flags
 from .isomorphism import VertexPermutation, automorphisms
+
+
+def _closure_mask(g: Graph, v: int) -> int:
+    """Bit mask of the domination closure of ``v``: the AND of its neighbours' stars."""
+    closure = (1 << g.n) - 1
+    for x in g.link(v):
+        closure &= g.rows[x] | 1 << x
+    return closure
 
 
 def domination_closure(g: Graph, v: int) -> VertexSet:
     """Least vertex set containing ``v`` and closed under taking dominating vertices."""
     g.check_vertex(v)
-    closure = 1 << v
-    changed = True
-    while changed:
-        changed = False
-        for w in range(g.n):
-            if closure >> w & 1:
-                continue
-            member = closure
-            while member:
-                low = member & -member
-                u = low.bit_length() - 1
-                member ^= low
-                if dominates(g, u, w):
-                    closure |= 1 << w
-                    changed = True
-                    break
-    return VertexSet(closure, g.n)
+    return VertexSet(_closure_mask(g, v), g.n)
 
 
 def characteristic_closure(
@@ -55,11 +52,7 @@ def transvection_free_vertices(g: Graph) -> VertexSet:
     """Vertices dominated by no other vertex."""
     if g.n < 1:
         raise InputError("need at least one vertex")
-    mask = 0
-    for v in range(g.n):
-        if not any(w != v and dominates(g, v, w) for w in range(g.n)):
-            mask |= 1 << v
-    return VertexSet(mask, g.n)
+    return VertexSet.of((v for v in range(g.n) if _closure_mask(g, v) == 1 << v), g.n)
 
 
 def transvection_admitting_vertices(g: Graph) -> VertexSet:
@@ -76,14 +69,17 @@ def is_transvection_free_graph(g: Graph) -> bool:
 
 
 def is_characteristic_vertex_set(g: Graph, s: VertexSet) -> bool:
-    """True iff ``s`` equals the union of the characteristic closures of its members."""
+    """True iff ``s`` equals the union of the characteristic closures of its members.
+
+    Equivalently, ``s`` contains the domination closure of each member and
+    every automorphism maps ``s`` onto itself.
+    """
     if s.n != g.n:
         raise InputError("vertex set belongs to a different graph")
     auts = automorphisms(g)
-    mask = 0
-    for v in s:
-        mask |= characteristic_closure(g, v, auts).mask
-    return mask == s.mask
+    if any(_closure_mask(g, v) & ~s.mask for v in s):
+        return False
+    return all(all(s.mask >> perm[v] & 1 for v in s) for perm in auts)
 
 
 class MbaCharacteristicSets(NamedTuple):

@@ -1,7 +1,7 @@
 """Finite simple graphs and the structural queries the certification rules consume.
 
-Graphs are immutable, carry an ordered vertex labelling, and store adjacency as
-one bit-row per vertex, so every set-valued query is a couple of mask operations.
+Graphs are immutable, have vertices 0..n-1, and store adjacency as one bit-row
+per vertex, so every set-valued query is a couple of mask operations.
 The public boundary caps graphs at 64 vertices; the empty graph can only arise
 internally as a quotient result and is rejected by every parser and builder.
 """
@@ -9,7 +9,7 @@ internally as a quotient result and is rejected by every parser and builder.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError
@@ -95,16 +95,14 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable finite simple graph with an ordered vertex labelling.
+    """Immutable finite simple graph on the vertices 0..n-1.
 
-    ``rows[v]`` is the adjacency bit mask of vertex ``v``.  Equality and hashing
-    ignore the display labels, so two graphs compare equal iff they agree as
-    labelled-by-position adjacency structures.
+    ``rows[v]`` is the adjacency bit mask of vertex ``v``, so two graphs compare
+    equal iff they have the same adjacency on the same vertex positions.
     """
 
     n: int
     rows: tuple[int, ...]
-    labels: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -121,10 +119,6 @@ class Graph:
             for w in range(v + 1, self.n):
                 if (self.rows[v] >> w & 1) != (self.rows[w] >> v & 1):
                     raise InputError(f"adjacency is not symmetric at ({v}, {w})")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"v{i}" for i in range(self.n)))
-        elif len(self.labels) != self.n:
-            raise InputError("need one label per vertex")
 
     # -- basic queries ------------------------------------------------------
 
@@ -214,16 +208,13 @@ class Graph:
                 new |= 1 << perm[low.bit_length() - 1]
                 row ^= low
             rows[perm[v]] = new
-        labels = [""] * self.n
-        for v in range(self.n):
-            labels[perm[v]] = self.labels[v]
-        return Graph(self.n, tuple(rows), tuple(labels))
+        return Graph(self.n, tuple(rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]], labels: Optional[Sequence[str]] = None) -> Graph:
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Public graph builder; rejects empty and oversized graphs.
 
     >>> from_edges(3, [(0, 1), (1, 2)]).degree(1)
@@ -241,7 +232,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], labels: Optional[Sequen
             raise InputError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows), tuple(labels) if labels is not None else ())
+    return Graph(n, tuple(rows))
 
 
 # -- named constructions ----------------------------------------------------
@@ -315,7 +306,7 @@ def dominates(g: Graph, v: int, w: int) -> bool:
 
 
 def compose(a: Graph, b: Graph, mode: str) -> Graph:
-    """Disjoint union or simplicial join of two graphs, labels a-then-b."""
+    """Disjoint union or simplicial join of two graphs, vertices of a first."""
     if mode not in ("disjoint_union", "simplicial_join"):
         raise InputError(f"unknown composition mode {mode!r}")
     n = a.n + b.n
@@ -329,14 +320,14 @@ def compose(a: Graph, b: Graph, mode: str) -> Graph:
             rows[v] |= bmask
         for v in range(a.n, n):
             rows[v] |= amask
-    return Graph(n, tuple(rows), a.labels + b.labels)
+    return Graph(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     """Same vertices, edge iff distinct and not an edge before."""
     full = (1 << g.n) - 1
     rows = tuple(~row & full & ~(1 << v) for v, row in enumerate(g.rows))
-    return Graph(g.n, rows, g.labels)
+    return Graph(g.n, rows)
 
 
 def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
@@ -361,7 +352,7 @@ def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
                 new |= 1 << index[w]
             row ^= low
         rows[index[v]] = new
-    return Graph(len(kept), tuple(rows), tuple(g.labels[v] for v in kept))
+    return Graph(len(kept), tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,19 @@ def invert_permutation(p: Sequence[int]) -> VertexPermutation:
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
+    """True iff ``perm`` permutes the vertices and maps each bit row onto the
+    row of the image vertex."""
     if sorted(perm) != list(range(g.n)):
         return False
-    return all(
-        g.adjacent(u, v) == g.adjacent(perm[u], perm[v])
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-    )
+    for u, row in enumerate(g.rows):
+        image = 0
+        while row:
+            low = row & -row
+            image |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        if image != g.rows[perm[u]]:
+            return False
+    return True
 
 
 def _refined_colors(g: Graph) -> tuple[int, ...]:

@@ -79,7 +79,7 @@ class TraceClass:
         return self.std <= other.std
 
     def __repr__(self) -> str:
-        body = ".".join(self.graph.labels[v] for v in self.std)
+        body = ".".join(f"v{v}" for v in self.std)
         return f"TraceClass({body or '1'})"
 
 
@@ -242,11 +242,11 @@ class BracketTree:
         assert self.left is not None and self.right is not None
         return self.left.leaves() + self.right.leaves()
 
-    def render(self, labels: Optional[Sequence[str]] = None) -> str:
+    def render(self) -> str:
         if self.vertex is not None:
-            return labels[self.vertex] if labels else f"v{self.vertex}"
+            return f"v{self.vertex}"
         assert self.left is not None and self.right is not None
-        return f"[{self.left.render(labels)},{self.right.render(labels)}]"
+        return f"[{self.left.render()},{self.right.render()}]"
 
     def __str__(self) -> str:
         return self.render()

@@ -4,6 +4,7 @@ import pytest
 
 from raagcert import from_graph6, to_graph6, cycle_graph
 from raagcert.cli import main, parse_builtin
+from raagcert.lyndon import enumerate_lyndon
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,25 @@ def test_lyndon_and_ranks(capsys):
     # 64**6 words exceed the Lyndon word budget, so this exits before enumerating
     code, out, err = run_cli(capsys, "lyndon", "--length", "6", "--builtin", "cycle:64")
     assert code == 1 and out == "" and "words" in err
+
+
+def test_ranks_refuses_an_over_budget_length_first(monkeypatch, capsys):
+    calls = []
+
+    def counting(g, length):
+        calls.append(length)
+        return enumerate_lyndon(g, length)
+
+    monkeypatch.setattr("raagcert.cli.enumerate_lyndon", counting)
+    # 8**6 words exceed the Lyndon word budget, 8**5 do not
+    code, out, err = run_cli(capsys, "ranks", "--upto", "6", "--builtin", "cycle:8")
+    assert code == 1 and out == "" and "words" in err
+    assert calls == [6]
+
+    calls.clear()
+    code, out, _ = run_cli(capsys, "ranks", "--upto", "3", "--builtin", "edgeless:2")
+    assert code == 0 and json_lines(out)[0]["ranks"] == [2, 1, 2]
+    assert calls == [3, 2, 1]
 
 
 def test_autcheck(capsys):

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from raagcert import (
+    Graph,
     InputError,
     VertexSet,
     characteristic_closure,
@@ -14,9 +16,11 @@ from raagcert import (
     cycle_graph,
     dominates,
     domination_closure,
+    from_edges,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
     mba_characteristic_sets,
+    mba_parameters,
     path_graph,
     petersen_graph,
     srg_parameters,
@@ -24,8 +28,10 @@ from raagcert import (
     transvection_admitting_vertices,
     transvection_free_vertices,
 )
+from raagcert.certify import RULES_BY_NAME
 from raagcert.isomorphism import automorphisms
 
+import closure_oracle as oracle
 from conftest import classes, random_graph
 
 
@@ -149,8 +155,6 @@ def test_mba_sets_are_characteristic_and_bounded():
             sets = mba_characteristic_sets(g)
             assert is_characteristic_vertex_set(g, sets.link_intersection)
             assert is_characteristic_vertex_set(g, sets.max_degree_linked)
-            from raagcert import mba_parameters
-
             if mba_parameters(g) is not None:
                 assert sets.link_intersection.mask != flags.max_degree_vertices.mask
                 assert sets.link_intersection.issubset(flags.max_degree_vertices)
@@ -164,3 +168,126 @@ def test_transvection_freeness_closure_small():
         assert is_transvection_free_graph(compose(a, b, "simplicial_join"))
     assert is_transvection_free_graph(complement(c5))
     assert is_transvection_free_graph(complement(c6))
+
+
+def test_mba_reductions_delete_the_mba_sets(fig_mba_5_4_3, fig_mba_7_5_4):
+    (lone,) = RULES_BY_NAME["MBA_K_N1"].reductions(fig_mba_5_4_3)
+    assert lone.deleted == mba_characteristic_sets(fig_mba_5_4_3).link_intersection
+    assert lone.deleted == fig_mba_5_4_3.link(0)
+    (pair,) = RULES_BY_NAME["MBA_K_N2_QUOTIENT"].reductions(fig_mba_7_5_4)
+    assert pair.deleted == mba_characteristic_sets(fig_mba_7_5_4).link_intersection
+    assert list(pair.deleted) == [2]
+
+
+# -- the closed forms against the searches they replaced ------------------------
+
+
+def _assert_closures_match_oracle(g):
+    for v in range(g.n):
+        assert domination_closure(g, v) == oracle.domination_closure(g, v), (g, v)
+    assert transvection_free_vertices(g) == oracle.transvection_free_vertices(g), g
+
+
+def test_closures_match_oracle_on_small_classes():
+    for n in range(1, 7):
+        for g in classes(n):
+            _assert_closures_match_oracle(g)
+
+
+@pytest.mark.slow
+def test_closures_match_oracle_on_seven_vertex_classes():
+    for g in classes(7):
+        _assert_closures_match_oracle(g)
+
+
+def _gnp(rng, n, p):
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _threshold(rng, n):
+    """Each new vertex is isolated or joined to every earlier vertex."""
+    rows = [0]
+    for v in range(1, n):
+        if rng.random() < 0.5:
+            rows = [row | 1 << v for row in rows] + [(1 << v) - 1]
+        else:
+            rows.append(0)
+    return Graph(n, tuple(rows))
+
+
+def _max_by_abelian(rng, n, low):
+    """Max-by-abelian graph with ``low`` (1 or 2) adjacent vertices of
+    non-maximal degree, n - low and n - low + 1: the m = n - low high vertices
+    form a complete graph from which, for each low vertex, a perfect matching
+    on that vertex's (even-sized) link is removed, so every high vertex keeps
+    degree m - 1."""
+    m = n - low
+    while True:
+        links = [rng.sample(range(m), 2 * rng.randint(1, (m - 3) // 2)) for _ in range(low)]
+        matchings = [{frozenset(link[i:i + 2]) for i in range(0, len(link), 2)} for link in links]
+        if low == 1 or not matchings[0] & matchings[1]:
+            break
+    removed = set().union(*matchings)
+    edges = [(u, v) for u, v in itertools.combinations(range(m), 2)
+             if frozenset((u, v)) not in removed]
+    for i, link in enumerate(links):
+        edges += [(m + i, u) for u in link]
+    if low == 2:
+        edges.append((m, m + 1))
+    return from_edges(n, edges)
+
+
+def _sixty_four_vertex_families(rng):
+    def parts():
+        out = []
+        while sum(out) < 64:
+            out.append(min(rng.randint(1, 12), 64 - sum(out)))
+        return out
+
+    for _ in range(2):
+        a = rng.randint(1, 63)
+        yield compose(_gnp(rng, a, 0.5), _gnp(rng, 64 - a, 0.5), "simplicial_join")
+        yield compose(_gnp(rng, a, 0.5), _gnp(rng, 64 - a, 0.5), "disjoint_union")
+        yield _shuffled(rng, _threshold(rng, 64))
+        yield _shuffled(rng, complete_multipartite_graph(parts()))
+        for low in (1, 2):
+            g = _max_by_abelian(rng, 64, low)
+            assert mba_parameters(g) == (64, 64 - low, 63 - low)
+            yield _shuffled(rng, g)
+        for p in (0.05, 0.5, 0.95):
+            yield _gnp(rng, 64, p)
+
+
+def test_closures_match_oracle_on_64_vertex_families():
+    for g in _sixty_four_vertex_families(random.Random(20261018)):
+        _assert_closures_match_oracle(g)
+
+
+def _assert_characteristic_test_matches_oracle(monkeypatch, sizes):
+    # one automorphism search per graph, shared by the code under test and the oracle
+    cached = functools.lru_cache(maxsize=None)(automorphisms)
+    monkeypatch.setattr("raagcert.closures.automorphisms", cached)
+    pairs = 0
+    for n in sizes:
+        for g in classes(n):
+            for mask in range(1 << n):
+                s = VertexSet(mask, n)
+                expected = oracle.is_characteristic_vertex_set(g, s, cached(g))
+                assert is_characteristic_vertex_set(g, s) == expected, (g, s)
+                pairs += 1
+    return pairs
+
+
+def test_characteristic_test_matches_oracle_on_every_small_subset(monkeypatch):
+    assert _assert_characteristic_test_matches_oracle(monkeypatch, range(1, 6)) == 1306
+
+
+@pytest.mark.slow
+def test_characteristic_test_matches_oracle_on_every_seven_vertex_subset(monkeypatch):
+    assert _assert_characteristic_test_matches_oracle(monkeypatch, range(1, 8)) == 144922

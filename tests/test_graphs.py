@@ -123,7 +123,8 @@ def test_induced():
     assert induced(c4, VertexSet.of([0, 1], 4)) == complete_graph(2)
     assert induced(c4, VertexSet.full(4)) == c4
     assert induced(c4, VertexSet.empty(4)).n == 0
-    assert induced(c4, [3, 0]).labels == ("v0", "v3")
+    # kept vertices stay in increasing order: old 2 becomes the middle of the path
+    assert induced(path_graph(4), [3, 1, 2]) == path_graph(3)
 
 
 def test_structure_flags():
