@@ -65,6 +65,7 @@ from .isomorphism import (
     canonical_form,
     canonical_relabelled,
     enumerate_graphs,
+    vertex_orbits,
 )
 from .liering import (
     SignedAut,
@@ -88,7 +89,6 @@ from .lyndon import (
     standard_factorization,
     support,
     trace_class,
-    trace_less,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,9 +15,9 @@ table and ``audit_certificate`` checks a serialized tree against the same
 table, re-deriving every node from its graph6 string alone.  The auditor fails
 closed: a node it cannot re-derive within the search budgets is a problem, and
 so are malformed JSON values, which it reports instead of raising.  In
-particular ``CHAR_CLOSURE_GENERIC`` needs the full automorphism group, so
-``certify`` never emits it above ``AUTOMORPHISM_MAX_N`` (10) vertices and the
-auditor rejects it there.  The certificate JSON shape is unchanged by this
+particular ``CHAR_CLOSURE_GENERIC`` needs the vertex orbits, so ``certify``
+never emits it above ``CANONICAL_MAX_N`` (10) vertices and the auditor rejects
+it there.  The certificate JSON shape is unchanged by this
 design, and so is the CLI's ``SCHEMA`` number.
 """
 
@@ -46,12 +46,9 @@ from .graphs import (
     structure_flags,
     to_graph6,
 )
-from .isomorphism import (
-    AUTOMORPHISM_MAX_N,
-    CANONICAL_MAX_N,
-    automorphisms,
-    canonical_relabelled,
-)
+from .isomorphism import CANONICAL_MAX_N, canonical_relabelled
+# unused: benchmarks/tests/test_bench_trace.py reads raagcert.certify.automorphisms
+from .isomorphism import automorphisms  # noqa: F401
 
 
 def _serial6(g: Graph) -> str:
@@ -298,12 +295,7 @@ def _mba_k_n2_quotient(g: Graph) -> Iterator[Reduction]:
 
 
 def _char_closure(g: Graph) -> Iterator[Reduction]:
-    # every quotient of a complete graph is complete; returning early also
-    # spares the auditor the n! automorphisms of a forged complete node
-    if g.is_complete():
-        return
-    auts = automorphisms(g)
-    masks = {characteristic_closure(g, v, auts).mask: None for v in range(g.n)}
+    masks = {characteristic_closure(g, v).mask: None for v in range(g.n)}
     masks.setdefault(transvection_free_vertices(g).mask)
     for mask in masks:
         yield from _deletion(
@@ -408,7 +400,7 @@ def _rule_problem(node: dict) -> Optional[str]:
         return "no child has R-infinity"
     if any((h.n, h.non_edge_count) >= (g.n, g.non_edge_count) for h in graphs):
         return "a child does not decrease the (n, non-edges) measure"
-    if (deleted is not None and g.n <= AUTOMORPHISM_MAX_N
+    if (deleted is not None and g.n <= CANONICAL_MAX_N
             and not is_characteristic_vertex_set(g, deleted)):
         return "deleted vertex set fails the characteristic-set test"
     return None

@@ -242,7 +242,6 @@ def _add_io_arguments(sub: argparse.ArgumentParser, with_inputs: bool = True) ->
                          help="named graph, e.g. cycle:5 (repeatable)")
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,12 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("certify", help="emit one certificate per input graph")
     _add_io_arguments(sub)
+    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sub.set_defaults(func=cmd_certify)
 
     sub = commands.add_parser("enumerate", help="sweep isomorphism classes up to --max-n")
     sub.add_argument("--max-n", type=int, required=True)
     sub.add_argument("--certify", action="store_true", help="certify every class")
     _add_io_arguments(sub, with_inputs=False)
+    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sub.set_defaults(func=cmd_enumerate)
 
     sub = commands.add_parser("lyndon", help="list Lyndon traces of a given length")
@@ -290,7 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = sys.stdout
     opened: Optional[TextIO] = None
     try:
-        if args.jobs < 1:
+        if "jobs" in args and args.jobs < 1:
             raise InputError("--jobs must be at least 1")
         if args.out:
             opened = open(args.out, "w", encoding="ascii")

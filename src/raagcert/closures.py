@@ -3,21 +3,23 @@
 A vertex set generates a characteristic normal vertex-subgroup of the
 right-angled Artin group exactly when it is a union of characteristic
 closures, where the closure of a vertex is its domination closure swept
-through the graph's automorphism group.  Domination (w dominates v when
-lk(v) lies in st(w)) is a preorder, so the domination closure of v is v with
-every vertex dominating it: the intersection of st(x) over the neighbours x
-of v, which is every vertex when v is isolated.  A vertex is transvection-free
-exactly when its closure is itself, and a set is characteristic exactly when
-it contains each member's closure and every automorphism maps it onto itself.
+through the graph's automorphism group, that is, the union of the orbits of
+the domination closure's members.  Domination (w dominates v when lk(v) lies
+in st(w)) is a preorder, so the domination closure of v is v with every vertex
+dominating it: the intersection of st(x) over the neighbours x of v, which is
+every vertex when v is isolated.  A vertex is transvection-free exactly when
+its closure is itself, and a set is characteristic exactly when it contains
+each member's domination closure and orbit.  The orbits come from
+``isomorphism.vertex_orbits``; no automorphism list is built.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .errors import InputError
 from .graphs import Graph, VertexSet, structure_flags
-from .isomorphism import VertexPermutation, automorphisms
+from .isomorphism import vertex_orbits
 
 
 def _closure_mask(g: Graph, v: int) -> int:
@@ -34,17 +36,14 @@ def domination_closure(g: Graph, v: int) -> VertexSet:
     return VertexSet(_closure_mask(g, v), g.n)
 
 
-def characteristic_closure(
-    g: Graph, v: int, auts: Optional[Sequence[VertexPermutation]] = None
-) -> VertexSet:
-    """Union of the automorphism images of the domination closure of ``v``."""
+def characteristic_closure(g: Graph, v: int) -> VertexSet:
+    """Union of the automorphism images of the domination closure of ``v``:
+    the union of its members' orbits."""
     omega = domination_closure(g, v)
-    if auts is None:
-        auts = automorphisms(g)
+    orbits = vertex_orbits(g)
     mask = 0
-    for perm in auts:
-        for u in omega:
-            mask |= 1 << perm[u]
+    for u in omega:
+        mask |= orbits[u]
     return VertexSet(mask, g.n)
 
 
@@ -71,15 +70,13 @@ def is_transvection_free_graph(g: Graph) -> bool:
 def is_characteristic_vertex_set(g: Graph, s: VertexSet) -> bool:
     """True iff ``s`` equals the union of the characteristic closures of its members.
 
-    Equivalently, ``s`` contains the domination closure of each member and
-    every automorphism maps ``s`` onto itself.
+    Equivalently, ``s`` contains the domination closure and the orbit of each
+    member.
     """
     if s.n != g.n:
         raise InputError("vertex set belongs to a different graph")
-    auts = automorphisms(g)
-    if any(_closure_mask(g, v) & ~s.mask for v in s):
-        return False
-    return all(all(s.mask >> perm[v] & 1 for v in s) for perm in auts)
+    orbits = vertex_orbits(g)
+    return not any((_closure_mask(g, v) | orbits[v]) & ~s.mask for v in s)
 
 
 class MbaCharacteristicSets(NamedTuple):

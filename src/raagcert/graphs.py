@@ -75,10 +75,6 @@ class VertexSet:
         self._check_same(other)
         return VertexSet(self.mask & other.mask, self.n)
 
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check_same(other)
-        return VertexSet(self.mask & ~other.mask, self.n)
-
     def complement(self) -> "VertexSet":
         return VertexSet(~self.mask & ((1 << self.n) - 1), self.n)
 

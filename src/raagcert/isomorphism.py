@@ -1,21 +1,23 @@
-"""Automorphisms, canonical forms and isomorphism-class enumeration of small graphs.
+"""Canonical forms, automorphism groups, vertex orbits and isomorphism-class
+enumeration of small graphs.
 
-All three are backtracking searches over vertex orderings.  The automorphism
-search maps each vertex only into its class under an iterated
-degree/neighbour-colour refinement.  The canonical ordering is the one with
-the lexicographically least upper-triangle bit string; its search is pruned
+One backtracking search over vertex orderings does all of it.  It finds the
+ordering with the lexicographically least upper-triangle bit string, pruned
 exactly (the result never changes) by branching only on the least columns, by
 trying one vertex per twin class, and by skipping candidates in the orbit of
-an explored sibling under the automorphisms met at equal leaves.  Enumeration
-extends each class representative by one new vertex per orbit of its
-automorphism group on neighbourhood masks.  The sizes this package targets (at
-most 8 to 10 vertices) keep the searches small, so no external
-canonical-labelling machinery is used.
+an explored sibling under the automorphisms met at equal leaves.  Those
+automorphisms, with the transpositions of twins, generate the automorphism
+group, so the full group, the vertex orbits and the orbits on vertex masks are
+all derived from the search's generators.  Enumeration extends each class
+representative by one new vertex per orbit of its automorphism group on
+neighbourhood masks, taking the generators from the search that admitted the
+representative.  The sizes this package targets (at most 8 to 10 vertices)
+keep the search small, so no external canonical-labelling machinery is used.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InputError, ResourceError
 from .graphs import Graph, from_edges, to_graph6
@@ -61,65 +63,15 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     return True
 
 
-def _refined_colors(g: Graph) -> tuple[int, ...]:
-    """Stable vertex colouring: start from degrees, refine by neighbour colour multisets."""
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        keys = []
-        for v in range(g.n):
-            neigh = sorted(colors[w] for w in g.link(v))
-            keys.append((colors[v], tuple(neigh)))
-        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [ranking[key] for key in keys]
-        if new == colors:
-            return tuple(colors)
-        colors = new
+def _canonical_search(g: Graph) -> tuple[VertexPermutation, list[VertexPermutation]]:
+    """Canonical vertex ordering of ``g`` and a generating set of Aut(g).
 
-
-def automorphisms(g: Graph) -> list[VertexPermutation]:
-    """All adjacency-preserving vertex bijections, sorted by image tuple."""
-    if g.n < 1:
-        raise InputError("automorphisms need at least one vertex")
-    if g.n > AUTOMORPHISM_MAX_N:
-        raise ResourceError(f"automorphism search capped at {AUTOMORPHISM_MAX_N} vertices")
-    n = g.n
-    colors = _refined_colors(g)
-    rows = g.rows
-    image = [-1] * n
-    used = [False] * n
-    found: list[VertexPermutation] = []
-
-    def extend(v: int) -> None:
-        if v == n:
-            found.append(tuple(image))
-            return
-        for u in range(n):
-            if used[u] or colors[u] != colors[v]:
-                continue
-            ok = True
-            for w in range(v):
-                if (rows[v] >> w & 1) != (rows[u] >> image[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used[u] = True
-                extend(v + 1)
-                used[u] = False
-        image[v] = -1
-
-    extend(0)
-    found.sort()
-    return found
-
-
-def _canonical_order(g: Graph) -> VertexPermutation:
-    """Vertex ordering whose upper-triangle bit string is lexicographically minimal.
-
-    Position p of the order contributes the column of bits joining it to the
-    positions before it; columns are compared as fixed-width integers, which
-    matches the graph6 bit ordering.  Among the minimal orderings the one
-    that is least as a vertex sequence is returned.
+    The ordering (old vertex -> new position) is the one whose upper-triangle
+    bit string is lexicographically minimal.  Position p of the order
+    contributes the column of bits joining it to the positions before it;
+    columns are compared as fixed-width integers, which matches the graph6
+    bit ordering.  Among the minimal orderings the one that is least as a
+    vertex sequence is returned.
 
     Each unused vertex's column is kept incrementally, and three exact prunes
     keep the depth-first search small without changing its result:
@@ -136,6 +88,21 @@ def _canonical_order(g: Graph) -> VertexPermutation:
     Prunes 2 and 3 drop only orderings that some automorphism maps to an
     equally good ordering that is smaller as a vertex sequence and is
     explored instead.
+
+    The generators are the automorphisms met at equal leaves, plus, for each
+    vertex with a smaller twin, its transposition with its least twin.  They
+    generate Aut(g), because Aut(g) maps the minimal orderings onto each
+    other, each onto each by exactly one automorphism, and the search relates
+    every minimal ordering to the first one it reaches through generators:
+
+    - prune 1, and the cut of prefixes already worse than the best leaf, keep
+      every minimal ordering;
+    - prunes 2 and 3 skip only orderings that a known generator, or a product
+      of known generators fixing the prefix, maps onto an explored one, and
+      every explored minimal leaf is a generator away from the first;
+    - twinhood is an equivalence relation, so the transpositions of each
+      vertex with its least twin generate the symmetric group of each twin
+      class, and with it every swap prune 2 relies on.
     """
     n = g.n
     rows = g.rows
@@ -189,12 +156,19 @@ def _canonical_order(g: Graph) -> VertexPermutation:
         cols.pop()
 
     extend((1 << n) - 1, dict.fromkeys(range(n), 0))
+    for v, twins in enumerate(smaller_twins):
+        if twins:
+            swap = list(range(n))
+            least = (twins & -twins).bit_length() - 1
+            swap[least], swap[v] = v, least
+            found.append(tuple(swap))
     # best_order[p] is the old vertex placed at position p; relabel wants old -> new
-    return invert_permutation(best_order)
+    return invert_permutation(best_order), found
 
 
 def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
-    """Least vertex of each vertex's orbit under the group the generators generate."""
+    """Least point of each point's orbit under the group that permutations of
+    {0..n-1} generate."""
     root = list(range(n))
 
     def find(v: int) -> int:
@@ -210,13 +184,46 @@ def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
+def _search_within(
+    g: Graph, cap: int, what: str
+) -> tuple[VertexPermutation, list[VertexPermutation]]:
+    if g.n < 1:
+        raise InputError(f"{what} needs at least one vertex")
+    if g.n > cap:
+        raise ResourceError(f"{what} capped at {cap} vertices")
+    return _canonical_search(g)
+
+
+def automorphisms(g: Graph) -> list[VertexPermutation]:
+    """All adjacency-preserving vertex bijections, sorted by image tuple: the
+    group the canonical search's generators generate."""
+    _, generators = _search_within(g, AUTOMORPHISM_MAX_N, "the automorphism search")
+    group = {identity_permutation(g.n)}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for s in generators:
+            b = compose_permutations(s, a)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return sorted(group)
+
+
+def vertex_orbits(g: Graph) -> tuple[int, ...]:
+    """Bit mask of each vertex's orbit under Aut(g)."""
+    _, generators = _search_within(g, CANONICAL_MAX_N, "the orbit search")
+    roots = _orbit_roots(g.n, generators)
+    masks = [0] * g.n
+    for v, root in enumerate(roots):
+        masks[root] |= 1 << v
+    return tuple(masks[root] for root in roots)
+
+
 def canonical_relabelled(g: Graph) -> Graph:
     """Isomorphic copy of ``g`` in its canonical labelling."""
-    if g.n > CANONICAL_MAX_N:
-        raise ResourceError(f"canonical labelling capped at {CANONICAL_MAX_N} vertices")
-    if g.n == 0:
-        raise InputError("the empty graph has no canonical form")
-    return g.relabel(_canonical_order(g))
+    order, _ = _search_within(g, CANONICAL_MAX_N, "canonical labelling")
+    return g.relabel(order)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -232,25 +239,23 @@ def are_isomorphic(a: Graph, b: Graph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _orbit_least_masks(h: Graph) -> Iterator[int]:
-    """Neighbourhood masks for a new vertex joined to ``h``, one per orbit of Aut(h).
+def _orbit_least_masks(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
+    """Masks of vertices {0..n-1}, one per orbit of the group the generators
+    generate: the least mask of each orbit, ascending.
 
-    Each mask yielded is the least of its orbit, so a mask that some
-    automorphism maps to a smaller one, and that would only give an isomorphic
-    copy of an extension already seen, is never yielded.
+    A mask that some automorphism of a graph maps to a smaller one would, as
+    the neighbourhood of a new vertex, only give an isomorphic copy of an
+    extension already seen, so it is never returned.
     """
-    bit_images = [[1 << v for v in a] for a in automorphisms(h)]
-    covered = bytearray(1 << h.n)
-    for mask in range(1 << h.n):
-        if covered[mask]:
-            continue
-        yield mask
-        members = [v for v in range(h.n) if mask >> v & 1]
-        for images in bit_images:
-            image = 0
-            for v in members:
-                image |= images[v]
-            covered[image] = 1
+    # each generator acting on masks: image[mask] is one OR from a smaller entry
+    on_masks = []
+    for a in generators:
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << a[low.bit_length() - 1]
+        on_masks.append(image)
+    return [mask for mask, root in enumerate(_orbit_roots(1 << n, on_masks)) if root == mask]
 
 
 def _extension(h: Graph, mask: int) -> Graph:
@@ -274,14 +279,16 @@ def enumerate_graphs(n: int) -> list[Graph]:
         raise InputError("enumeration needs at least one vertex")
     if n > ENUMERATE_MAX_N:
         raise ResourceError(f"enumeration capped at {ENUMERATE_MAX_N} vertices")
-    level = [from_edges(1, [])]
+    # each representative with the generators of its automorphism group
+    level: list[tuple[Graph, list[VertexPermutation]]] = [(from_edges(1, []), [])]
     for m in range(2, n + 1):
-        seen: dict[bytes, Graph] = {}
-        for h in level:
-            for mask in _orbit_least_masks(h):
+        seen: dict[str, tuple[Graph, list[VertexPermutation]]] = {}
+        for h, generators in level:
+            for mask in _orbit_least_masks(h.n, generators):
                 cand = _extension(h, mask)
-                key = canonical_form(cand)
+                order, cand_generators = _canonical_search(cand)
+                key = to_graph6(cand.relabel(order))
                 if key not in seen:
-                    seen[key] = cand
+                    seen[key] = (cand, cand_generators)
         level = [seen[key] for key in sorted(seen)]
-    return level
+    return [h for h, _ in level]

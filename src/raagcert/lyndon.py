@@ -91,11 +91,6 @@ def trace_class(g: Graph, word: Sequence[int]) -> TraceClass:
     return TraceClass(g, max(_class_words(g, w)))
 
 
-def trace_less(a: TraceClass, b: TraceClass) -> bool:
-    """Strict total order on traces of one graph."""
-    return a < b
-
-
 def support(m: TraceClass) -> frozenset[int]:
     return frozenset(m.std)
 

@@ -4,11 +4,13 @@ oracles for them.
 ``domination_closure`` grows a vertex set until no vertex dominating a member
 is missing, ``transvection_free_vertices`` tries every ordered pair, and
 ``is_characteristic_vertex_set`` rebuilds the union of the members'
-characteristic closures; all three go through the checked ``dominates``.
+characteristic closures from the full automorphism list of
+``symmetry_oracle``; all three go through the checked ``dominates``.
 """
 
 from raagcert import Graph, VertexSet, dominates
-from raagcert.isomorphism import automorphisms
+
+from symmetry_oracle import automorphisms
 
 
 def domination_closure(g: Graph, v: int) -> VertexSet:

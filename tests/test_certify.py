@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 from functools import lru_cache
 
 import pytest
@@ -32,7 +33,7 @@ from raagcert import (
     to_graph6,
 )
 from raagcert.certify import FIELDS, RULES, RULES_BY_NAME, Reduction, Rule
-from raagcert.isomorphism import are_isomorphic, canonical_form
+from raagcert.isomorphism import are_isomorphic, automorphisms, canonical_form
 
 from conftest import classes, random_graph
 
@@ -307,6 +308,23 @@ def test_audit_rejects_char_closure_forgery_on_complete_graph(n):
     # the group of a complete graph is free abelian, not R-infinity
     problems = audit_certificate(_char_closure_forgery(complete_graph(n)))
     assert problems and problems[0].startswith("root: ")
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_audit_rejects_char_closure_forgery_without_listing_automorphisms(n, monkeypatch):
+    # the edgeless graph's 9! or 10! automorphisms are never listed: the
+    # closures are unions of vertex orbits
+    forgery = _char_closure_forgery(edgeless_graph(n))
+
+    def refuse(g):
+        raise AssertionError("automorphisms listed")
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "raagcert"
+                and getattr(module, "automorphisms", None) is automorphisms):
+            monkeypatch.setattr(module, "automorphisms", refuse)
+    assert audit_certificate(forgery) == [
+        "root: children match no reduction of rule CHAR_CLOSURE_GENERIC"]
 
 
 def test_audit_rejects_nodes_it_cannot_rederive():

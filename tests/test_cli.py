@@ -205,3 +205,13 @@ def test_jobs_below_one_rejected(monkeypatch, capsys):
             code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
             assert code == 1 and out == "" and "--jobs" in err
     assert _RecordingPool.sizes == []
+
+
+def test_jobs_only_where_read(capsys):
+    # ranks, lyndon, autcheck and simplify run in-process and take no --jobs
+    for argv in (("ranks", "--upto", "2"), ("lyndon", "--length", "2"),
+                 ("autcheck",), ("simplify",)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--builtin", "cycle:5", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -29,9 +29,10 @@ from raagcert import (
     transvection_free_vertices,
 )
 from raagcert.certify import RULES_BY_NAME
-from raagcert.isomorphism import automorphisms
+from raagcert.isomorphism import automorphisms, vertex_orbits
 
 import closure_oracle as oracle
+import symmetry_oracle
 from conftest import classes, random_graph
 
 
@@ -91,9 +92,8 @@ def test_is_characteristic_vertex_set():
 def test_every_closure_is_characteristic_on_small_classes():
     for n in range(1, 6):
         for g in classes(n):
-            auts = automorphisms(g)
             for v in range(g.n):
-                s = characteristic_closure(g, v, auts)
+                s = characteristic_closure(g, v)
                 assert is_characteristic_vertex_set(g, s)
 
 
@@ -101,9 +101,8 @@ def test_union_of_characteristic_sets_is_characteristic():
     rng = random.Random(5)
     for _ in range(10):
         g = random_graph(rng, 6)
-        auts = automorphisms(g)
-        s1 = characteristic_closure(g, rng.randrange(6), auts)
-        s2 = characteristic_closure(g, rng.randrange(6), auts)
+        s1 = characteristic_closure(g, rng.randrange(6))
+        s2 = characteristic_closure(g, rng.randrange(6))
         assert is_characteristic_vertex_set(g, s1.union(s2))
 
 
@@ -270,15 +269,17 @@ def test_closures_match_oracle_on_64_vertex_families():
 
 
 def _assert_characteristic_test_matches_oracle(monkeypatch, sizes):
-    # one automorphism search per graph, shared by the code under test and the oracle
-    cached = functools.lru_cache(maxsize=None)(automorphisms)
-    monkeypatch.setattr("raagcert.closures.automorphisms", cached)
+    # one orbit search per graph for the code under test, one automorphism
+    # list per graph for the oracle
+    monkeypatch.setattr("raagcert.closures.vertex_orbits",
+                        functools.lru_cache(maxsize=None)(vertex_orbits))
     pairs = 0
     for n in sizes:
         for g in classes(n):
+            auts = symmetry_oracle.automorphisms(g)
             for mask in range(1 << n):
                 s = VertexSet(mask, n)
-                expected = oracle.is_characteristic_vertex_set(g, s, cached(g))
+                expected = oracle.is_characteristic_vertex_set(g, s, auts)
                 assert is_characteristic_vertex_set(g, s) == expected, (g, s)
                 pairs += 1
     return pairs

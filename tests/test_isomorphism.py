@@ -31,9 +31,11 @@ from raagcert.isomorphism import (
     enumerate_graphs,
     invert_permutation,
     is_automorphism,
+    vertex_orbits,
 )
-from raagcert.isomorphism import _canonical_order, _extension, _orbit_least_masks
+from raagcert.isomorphism import _canonical_search, _extension, _orbit_least_masks
 
+import symmetry_oracle as oracle
 from conftest import classes, random_graph
 
 
@@ -207,7 +209,7 @@ def _lexmin_order_oracle(g: Graph) -> tuple[int, ...]:
 
 def _assert_matches_oracle(g):
     # the ordering itself, not just the relabelled graph
-    assert _canonical_order(g) == _lexmin_order_oracle(g), g
+    assert _canonical_search(g)[0] == _lexmin_order_oracle(g), g
 
 
 def _all_extensions(top):
@@ -238,7 +240,7 @@ def _circulant(n, steps):
     return from_edges(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
 
 
-def test_canonical_order_matches_oracle_on_shuffled_families():
+def _shuffled_families():
     rng = random.Random(20261018)
     pool = [petersen_graph(), complete_multipartite_graph([2, 2, 2, 2, 2])]
     for n in (8, 9, 10):
@@ -252,7 +254,12 @@ def test_canonical_order_matches_oracle_on_shuffled_families():
     for g in pool:
         perm = list(range(g.n))
         rng.shuffle(perm)
-        _assert_matches_oracle(g.relabel(perm))
+        yield g.relabel(perm)
+
+
+def test_canonical_order_matches_oracle_on_shuffled_families():
+    for g in _shuffled_families():
+        _assert_matches_oracle(g)
 
 
 def test_canonical_form_of_large_twin_classes():
@@ -266,8 +273,8 @@ def test_canonical_form_of_large_twin_classes():
 def test_orbit_least_masks_one_per_orbit():
     for n in range(1, 6):
         for h in classes(n):
-            auts = automorphisms(h)
-            masks = list(_orbit_least_masks(h))
+            auts = oracle.automorphisms(h)
+            masks = _orbit_least_masks(n, _canonical_search(h)[1])
             # Burnside: the orbits on subsets average 2^(cycles) over the group
             burnside = sum(2 ** _cycle_count(a) for a in auts) // len(auts)
             assert len(masks) == burnside
@@ -288,6 +295,34 @@ def _cycle_count(perm):
     return cycles
 
 
+# -- the group, orbits and mask orbits against the backtracking search ----------
+
+
+def _assert_symmetry_matches_oracle(g):
+    auts = oracle.automorphisms(g)
+    assert automorphisms(g) == auts, g
+    assert vertex_orbits(g) == oracle.vertex_orbits(g, auts), g
+    generators = _canonical_search(g)[1]
+    assert _orbit_least_masks(g.n, generators) == oracle.orbit_least_masks(g, auts), g
+
+
+def test_symmetry_matches_oracle_on_small_classes():
+    for n in range(1, 7):
+        for g in classes(n):
+            _assert_symmetry_matches_oracle(g)
+
+
+@pytest.mark.slow
+def test_symmetry_matches_oracle_on_seven_vertex_classes():
+    for g in classes(7):
+        _assert_symmetry_matches_oracle(g)
+
+
+def test_symmetry_matches_oracle_on_shuffled_families():
+    for g in _shuffled_families():
+        _assert_symmetry_matches_oracle(g)
+
+
 def test_enumerate_representatives_unchanged_by_orbit_skipping():
     assert [len(classes(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
     # the representatives and their order, graph6 per line, as first emitted
@@ -299,12 +334,14 @@ def test_enumerate_representatives_unchanged_by_orbit_skipping():
     assert digest.hexdigest() == (
         "f6c2c0432761b45390c08c30d49e3fce9bbc211f7c71eb606d908b75360f50a3")
     # level 7 extends the n = 6 classes once per orbit of masks
-    assert sum(len(list(_orbit_least_masks(h))) for h in classes(6)) == 5096
+    assert sum(len(_orbit_least_masks(6, _canonical_search(h)[1])) for h in classes(6)) == 5096
 
 
 def test_budget_errors():
     with pytest.raises(ResourceError):
         automorphisms(edgeless_graph(11))
+    with pytest.raises(ResourceError):
+        vertex_orbits(edgeless_graph(11))
     with pytest.raises(ResourceError):
         enumerate_graphs(9)
     with pytest.raises(InputError):

@@ -20,7 +20,6 @@ from raagcert import (
     standard_factorization,
     support,
     trace_class,
-    trace_less,
 )
 from raagcert.lyndon import TraceClass, _class_words, _factorizations
 
@@ -60,11 +59,11 @@ def test_transposition_is_not_transitive_without_closure(mixed_graph):
 def test_trace_order():
     g = edgeless_graph(3)
     one = trace_class(g, ())
-    assert trace_less(one, trace_class(g, (0,)))
-    assert trace_less(trace_class(g, (0,)), trace_class(g, (1,)))
-    assert trace_less(trace_class(g, (0,)), trace_class(g, (0, 1)))
+    assert one < trace_class(g, (0,))
+    assert trace_class(g, (0,)) < trace_class(g, (1,))
+    assert trace_class(g, (0,)) < trace_class(g, (0, 1))
     with pytest.raises(InputError):
-        trace_less(one, trace_class(edgeless_graph(2), (0,)))
+        one < trace_class(edgeless_graph(2), (0,))
 
 
 def test_is_lyndon_examples():
