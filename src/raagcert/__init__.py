@@ -24,6 +24,7 @@ from .certify import (
 from .closures import (
     MbaCharacteristicSets,
     characteristic_closure,
+    characteristic_closures,
     domination_closure,
     is_characteristic_vertex_set,
     is_transvection_free_graph,

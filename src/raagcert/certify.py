@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .closures import (
-    characteristic_closure,
+    characteristic_closures,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
     mba_characteristic_sets,
@@ -295,7 +295,7 @@ def _mba_k_n2_quotient(g: Graph) -> Iterator[Reduction]:
 
 
 def _char_closure(g: Graph) -> Iterator[Reduction]:
-    masks = {characteristic_closure(g, v).mask: None for v in range(g.n)}
+    masks = {closure.mask: None for closure in characteristic_closures(g)}
     masks.setdefault(transvection_free_vertices(g).mask)
     for mask in masks:
         yield from _deletion(

@@ -10,7 +10,8 @@ dominating it: the intersection of st(x) over the neighbours x of v, which is
 every vertex when v is isolated.  A vertex is transvection-free exactly when
 its closure is itself, and a set is characteristic exactly when it contains
 each member's domination closure and orbit.  The orbits come from
-``isomorphism.vertex_orbits``; no automorphism list is built.
+``isomorphism.vertex_orbits``; no automorphism list is built, and
+``characteristic_closures`` reads every vertex's closure from one search.
 """
 
 from __future__ import annotations
@@ -36,15 +37,23 @@ def domination_closure(g: Graph, v: int) -> VertexSet:
     return VertexSet(_closure_mask(g, v), g.n)
 
 
-def characteristic_closure(g: Graph, v: int) -> VertexSet:
-    """Union of the automorphism images of the domination closure of ``v``:
-    the union of its members' orbits."""
-    omega = domination_closure(g, v)
+def characteristic_closures(g: Graph) -> tuple[VertexSet, ...]:
+    """The characteristic closure of every vertex, from one orbit search: the
+    union of the orbits of the members of its domination closure."""
     orbits = vertex_orbits(g)
-    mask = 0
-    for u in omega:
-        mask |= orbits[u]
-    return VertexSet(mask, g.n)
+    out = []
+    for v in range(g.n):
+        mask = 0
+        for u in VertexSet(_closure_mask(g, v), g.n):
+            mask |= orbits[u]
+        out.append(VertexSet(mask, g.n))
+    return tuple(out)
+
+
+def characteristic_closure(g: Graph, v: int) -> VertexSet:
+    """Union of the automorphism images of the domination closure of ``v``."""
+    g.check_vertex(v)
+    return characteristic_closures(g)[v]
 
 
 def transvection_free_vertices(g: Graph) -> VertexSet:

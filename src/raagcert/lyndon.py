@@ -2,18 +2,28 @@
 
 Words are tuples of vertex indices.  Two letters commute exactly when they are
 joined by an edge, and a trace is the equivalence class of a word under
-swapping adjacent commuting letters.  Classes are materialised by breadth-first
-closure over single swaps, which is exponential in the worst case but entirely
-adequate under the budgets this package enforces: length at most 6 and at
-most 10**5 words of that length.
+swapping adjacent commuting letters.
 
 The word order is index-lexicographic with the empty word smallest, so tuple
 comparison implements it directly.  The standard representative of a trace is
 the largest word in its class, and traces compare through their standard
-representatives.  A trace is a Lyndon element iff it is nontrivial and smaller
-than every proper right factor; bracketing a Lyndon element via its standard
-factorization produces the iterated commutators that form bases of the graded
-pieces of the lower central series of the associated right-angled Artin group.
+representatives.  A word is standard exactly when no letter can move left,
+past letters it commutes with, over a smaller letter it also commutes with
+(Anisimov–Knuth, 1979), so ``enumerate_lyndon`` builds the standard words
+letter by letter, in order, and never meets a second word of a trace.
+
+A word's dependence heap orders position i before position j when i < j and
+their letters do not commute.  The factorizations m = xy of its trace are the
+splits of the heap into a down-closed and an up-closed set of positions
+(Diekert–Rozenberg, *The Book of Traces*, 1995), and the largest word of
+either part is the greedy walk that always takes the largest available letter.
+Every query here works on the heap; only ``TraceClass.words`` materialises a
+class, by breadth-first closure over single swaps.
+
+A trace is a Lyndon element iff it is nontrivial and smaller than every proper
+right factor; bracketing a Lyndon element via its standard factorization
+produces the iterated commutators that form bases of the graded pieces of the
+lower central series of the associated right-angled Artin group.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .graphs import Graph
@@ -29,7 +39,8 @@ from .graphs import Graph
 TraceWord = tuple[int, ...]
 
 LYNDON_MAX_LENGTH = 6
-# enumerate_lyndon walks all n**length words; 10**5 words take a few seconds
+# enumerate_lyndon refuses lengths with more than this many words, n**length,
+# though its work grows with the number of traces, which is at most that
 LYNDON_MAX_WORDS = 100_000
 
 
@@ -50,6 +61,54 @@ def _class_words(g: Graph, word: TraceWord) -> frozenset[TraceWord]:
                         nxt.append(swapped)
         frontier = nxt
     return frozenset(seen)
+
+
+def _largest_word(rows: tuple[int, ...], w: TraceWord, part: int) -> TraceWord:
+    """Largest word of the subtrace of ``w`` on the position mask ``part``: the
+    greedy walk through the heap that always takes the largest available
+    letter.  A position is available when its letter commutes with every
+    letter before it in the part."""
+    out = []
+    while part:
+        best = -1
+        before = 0
+        for j, a in enumerate(w):
+            if part >> j & 1:
+                if not before & ~rows[a] and (best < 0 or a > w[best]):
+                    best = j
+                before |= 1 << a
+        out.append(w[best])
+        part ^= 1 << best
+    return tuple(out)
+
+
+def _right_factors(rows: tuple[int, ...], w: TraceWord,
+                   bound: Optional[TraceWord] = None) -> Iterator[int]:
+    """Position masks of the nonempty, proper, up-closed sets of the heap of
+    ``w``, produced lazily by deciding positions from the first to the last.
+
+    A position may stay out only when its letter commutes with every letter
+    already in.  With a ``bound``, a factor is skipped when its own
+    subsequence of ``w`` exceeds the bound: that subsequence is one of the
+    factor's words, so the factor's largest word exceeds the bound too.  ``k``
+    counts the subsequence's letters that match the bound so far, and is -1
+    once the subsequence has fallen below it.
+    """
+    full = (1 << len(w)) - 1
+    stack = [(0, 0, 0, -1 if bound is None else 0)]
+    while stack:
+        j, up, letters, k = stack.pop()
+        if j == len(w):
+            if 0 < up < full:
+                yield up
+            continue
+        a = w[j]
+        if k < 0 or a < bound[k]:
+            stack.append((j + 1, up | 1 << j, letters | 1 << a, -1))
+        elif a == bound[k]:
+            stack.append((j + 1, up | 1 << j, letters | 1 << a, k + 1))
+        if not letters & ~rows[a]:
+            stack.append((j + 1, up, letters, k))
 
 
 @dataclass(frozen=True)
@@ -88,7 +147,7 @@ def trace_class(g: Graph, word: Sequence[int]) -> TraceClass:
     w = tuple(word)
     for letter in w:
         g.check_vertex(letter)
-    return TraceClass(g, max(_class_words(g, w)))
+    return TraceClass(g, _largest_word(g.rows, w, (1 << len(w)) - 1))
 
 
 def support(m: TraceClass) -> frozenset[int]:
@@ -96,8 +155,16 @@ def support(m: TraceClass) -> frozenset[int]:
 
 
 def initial_vertices(m: TraceClass) -> frozenset[int]:
-    """Vertices that can start some word of the class."""
-    return frozenset(w[0] for w in m.words() if w)
+    """Vertices that can start some word of the class: the letters of the
+    heap's minimal positions."""
+    rows = m.graph.rows
+    out = set()
+    before = 0
+    for a in m.std:
+        if not before & ~rows[a]:
+            out.add(a)
+        before |= 1 << a
+    return frozenset(out)
 
 
 def dependence_set(m: TraceClass) -> frozenset[int]:
@@ -115,21 +182,43 @@ def dependence_set(m: TraceClass) -> frozenset[int]:
 
 def _factorizations(m: TraceClass) -> set[tuple[TraceWord, TraceWord]]:
     """All (std(x), std(y)) with m = xy and x, y nontrivial."""
-    g = m.graph
-    out = set()
-    for w in m.words():
-        for cut in range(1, len(w)):
-            x = max(_class_words(g, w[:cut]))
-            y = max(_class_words(g, w[cut:]))
-            out.add((x, y))
-    return out
+    w = m.std
+    rows = m.graph.rows
+    full = (1 << len(w)) - 1
+    return {(_largest_word(rows, w, full ^ up), _largest_word(rows, w, up))
+            for up in _right_factors(rows, w)}
 
 
 def is_lyndon(m: TraceClass) -> bool:
     """True iff the trace is strictly smaller than every proper right factor."""
-    if m.length == 0:
+    w = m.std
+    if not w:
         raise InputError("the trivial trace is not eligible")
-    return all(m.std < y for _, y in _factorizations(m))
+    rows = m.graph.rows
+    # a position whose letter commutes with every later letter is heap-maximal,
+    # so it is a right factor on its own, one letter long
+    later = 0
+    for j in range(len(w) - 1, 0, -1):
+        if w[j] <= w[0] and not later & ~rows[w[j]]:
+            return False
+        later |= 1 << w[j]
+    return all(w < _largest_word(rows, w, up) for up in _right_factors(rows, w, w))
+
+
+def _standard_words(g: Graph, length: int) -> list[TraceWord]:
+    """The standard word of every trace of the given length, sorted.
+
+    ``blocked`` is the mask of letters that may not come next: a letter b is
+    blocked after a suffix c u when c < b and b commutes with c and every
+    letter of u, since b could then move left over u and c.
+    """
+    rows = g.rows
+    above = [((1 << g.n) - 1) >> (a + 1) << (a + 1) for a in range(g.n)]
+    level: list[tuple[TraceWord, int]] = [((), 0)]
+    for _ in range(length):
+        level = [(w + (a,), rows[a] & (above[a] | blocked))
+                 for w, blocked in level for a in range(g.n) if not blocked >> a & 1]
+    return [w for w, _ in level]
 
 
 def enumerate_lyndon(g: Graph, length: int) -> list[TraceClass]:
@@ -143,18 +232,12 @@ def enumerate_lyndon(g: Graph, length: int) -> list[TraceClass]:
         raise ResourceError(
             f"Lyndon enumeration capped at {LYNDON_MAX_WORDS} words; "
             f"{g.n} letters at length {length} give {g.n**length}")
-    seen: set[TraceWord] = set()
     found: list[TraceClass] = []
-    for word in itertools.product(range(g.n), repeat=length):
-        if word in seen:
-            continue
-        words = _class_words(g, word)
-        seen |= words
-        m = TraceClass(g, max(words))
+    for word in _standard_words(g, length):
+        m = TraceClass(g, word)
         if is_lyndon(m):
             assert len(initial_vertices(m)) == 1
             found.append(m)
-    found.sort(key=lambda m: m.std)
     return found
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,38 @@ def test_ranks_refuses_an_over_budget_length_first(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "ranks", "--upto", "3", "--builtin", "edgeless:2")
     assert code == 0 and json_lines(out)[0]["ranks"] == [2, 1, 2]
     assert calls == [3, 2, 1]
+
+
+# sha256 of the exact stdout, recorded before Lyndon traces were enumerated
+# from their standard words and tested on the dependence heap
+PINNED_OUTPUTS = [
+    (("ranks", "--upto", "5", "--builtin", "cycle:5"),
+     "7760eada7d2196ab3611793683b9f57710288b3c993f20b412f63ac52872119a"),
+    (("ranks", "--upto", "5", "--builtin", "cycle:6"),
+     "4458c30a5fd327857a8532621adb3a24332231a5bf7874fe103b90bcd760e4ba"),
+    (("ranks", "--upto", "5", "--builtin", "edgeless:4"),
+     "d308f50df550928f56e39e3232527fc3dcda3a5c2720205bae7d1f60a8e30dde"),
+    (("ranks", "--upto", "5", "--builtin", "complete_multipartite:2,2,2"),
+     "bce39a938b5c544ecbbcad80d8dda922534c9497772c689f8cdbb4558497883c"),
+    (("ranks", "--upto", "4", "--builtin", "petersen"),
+     "e23bf4575510d6502bce449022503c9071fe5f953efbbd4d6df1ad1f3c7a48ac"),
+    (("lyndon", "--length", "4", "--format", "json", "--builtin", "cycle:5"),
+     "c5d455338abd7b134f1d51508676006cdeb622128372bc255dafc3f39c0b82c6"),
+    (("lyndon", "--length", "4", "--format", "json", "--builtin", "cycle:6"),
+     "54cb24d908651c59352373b1bdbc6f7d7218d25ae32c0d1d670add9a0ecf17e4"),
+    (("lyndon", "--length", "4", "--format", "text", "--builtin", "cycle:5"),
+     "cef3e9bfc5969fdd6a4c22b1975640595ebc42507cae4df50d296dc4fb0d1d00"),
+    (("lyndon", "--length", "4", "--format", "text", "--builtin", "cycle:6"),
+     "c215d4d4b3a0aa57c7424792290e41d3704fbc442082fcba20e676fbc7de3376"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
+                         ids=["_".join(argv) for argv, _ in PINNED_OUTPUTS])
+def test_ranks_and_lyndon_outputs_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_autcheck(capsys):

@@ -9,6 +9,7 @@ from raagcert import (
     InputError,
     VertexSet,
     characteristic_closure,
+    characteristic_closures,
     complement,
     complete_graph,
     complete_multipartite_graph,
@@ -17,6 +18,7 @@ from raagcert import (
     dominates,
     domination_closure,
     from_edges,
+    induced,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
     mba_characteristic_sets,
@@ -197,6 +199,47 @@ def test_closures_match_oracle_on_small_classes():
 def test_closures_match_oracle_on_seven_vertex_classes():
     for g in classes(7):
         _assert_closures_match_oracle(g)
+
+
+def _char_closure_deletions_by_oracle(g):
+    """Deleted sets of CHAR_CLOSURE_GENERIC, in the order the rule tries them,
+    from the oracle's closures swept through the full automorphism list."""
+    auts = symmetry_oracle.automorphisms(g)
+    masks = {}
+    for v in range(g.n):
+        masks.setdefault(sum({1 << perm[u] for u in oracle.domination_closure(g, v)
+                              for perm in auts}))
+    masks.setdefault(oracle.transvection_free_vertices(g).mask)
+    return [VertexSet(mask, g.n) for mask in masks
+            if 0 < mask.bit_count() <= g.n - 2
+            and not induced(g, VertexSet(mask, g.n).complement()).is_complete()]
+
+
+def test_char_closure_rule_runs_one_orbit_search(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return vertex_orbits(g)
+
+    monkeypatch.setattr("raagcert.closures.vertex_orbits", counting)
+    rule = RULES_BY_NAME["CHAR_CLOSURE_GENERIC"]
+    g = cycle_graph(10)
+    reductions = list(rule.reductions(g))
+    assert len(calls) == 1
+    assert [r.deleted for r in reductions] == _char_closure_deletions_by_oracle(g)
+
+
+def test_char_closure_rule_reductions_match_oracle():
+    rule = RULES_BY_NAME["CHAR_CLOSURE_GENERIC"]
+    graphs = [g for n in range(1, 7) for g in classes(n)] + [petersen_graph()]
+    for g in graphs:
+        closures = characteristic_closures(g)
+        assert closures == tuple(characteristic_closure(g, v) for v in range(g.n))
+        reductions = list(rule.reductions(g))
+        assert [r.deleted for r in reductions] == _char_closure_deletions_by_oracle(g), g
+        for r in reductions:
+            assert r.children == (induced(g, r.deleted.complement()),)
 
 
 def _gnp(rng, n, p):

@@ -21,8 +21,9 @@ from raagcert import (
     support,
     trace_class,
 )
-from raagcert.lyndon import TraceClass, _class_words, _factorizations
+from raagcert.lyndon import TraceClass, _class_words, _factorizations, _standard_words
 
+import trace_oracle as oracle
 from conftest import classes, random_graph
 
 
@@ -153,20 +154,20 @@ def test_bracket_leaves_spell_a_class_word():
             assert bracketing(m).leaves() in m.words()
 
 
-def _is_lyndon_by_recursive_criterion(m: TraceClass) -> bool:
+def _is_lyndon_by_recursive_criterion(g, std) -> bool:
     """Alternative characterization: length one, or a split into two smaller
     Lyndon traces x < y whose second part starts inside the dependence set of
-    the first."""
-    if m.length == 1:
+    the first.  Factorizations and initial vertices come from the oracle."""
+    if len(std) == 1:
         return True
-    for x_std, y_std in _factorizations(m):
-        x, y = TraceClass(m.graph, x_std), TraceClass(m.graph, y_std)
-        if not x.std < y.std:
+    for x_std, y_std in oracle.factorizations(g, std):
+        if not x_std < y_std:
             continue
-        if not (_is_lyndon_by_recursive_criterion(x) and _is_lyndon_by_recursive_criterion(y)):
+        if not (_is_lyndon_by_recursive_criterion(g, x_std)
+                and _is_lyndon_by_recursive_criterion(g, y_std)):
             continue
-        inits = initial_vertices(y)
-        if len(inits) == 1 and next(iter(inits)) in dependence_set(x):
+        inits = oracle.initial_vertices(g, y_std)
+        if len(inits) == 1 and next(iter(inits)) in dependence_set(TraceClass(g, x_std)):
             return True
     return False
 
@@ -174,15 +175,56 @@ def _is_lyndon_by_recursive_criterion(m: TraceClass) -> bool:
 def test_lyndon_criteria_agree():
     for n in range(1, 5):
         for g in classes(n):
-            seen = set()
             for length in range(1, 5):
-                for word in itertools.product(range(g.n), repeat=length):
-                    if word in seen:
-                        continue
-                    words = _class_words(g, word)
-                    seen |= set(words)
-                    m = TraceClass(g, max(words))
-                    assert is_lyndon(m) == _is_lyndon_by_recursive_criterion(m)
+                for std in oracle.standard_words(g, length):
+                    m = TraceClass(g, std)
+                    assert is_lyndon(m) == _is_lyndon_by_recursive_criterion(g, std)
+
+
+def _check_against_oracle(g, length, every_word=True):
+    """Every heap-based query on every trace of ``length`` equals the oracle's;
+    with ``every_word``, so does the standard word of every word."""
+    stds = oracle.standard_words(g, length)
+    assert _standard_words(g, length) == stds
+    lyndon = []
+    for std in stds:
+        m = TraceClass(g, std)
+        expected = oracle.is_lyndon(g, std)
+        assert is_lyndon(m) == expected, (g, std)
+        assert _factorizations(m) == oracle.factorizations(g, std), (g, std)
+        assert initial_vertices(m) == oracle.initial_vertices(g, std), (g, std)
+        if expected:
+            lyndon.append(std)
+    assert [m.std for m in enumerate_lyndon(g, length)] == lyndon
+    for std in lyndon:
+        m = TraceClass(g, std)
+        if length > 1:
+            x, y = standard_factorization(m)
+            assert (x.std, y.std) == oracle.standard_factorization(g, std), (g, std)
+        assert str(bracketing(m)) == oracle.bracketing(g, std), (g, std)
+    if every_word:
+        for word in itertools.product(range(g.n), repeat=length):
+            assert trace_class(g, word).std == oracle.standard_word(g, word), (g, word)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_heap_queries_match_oracle_on_every_class(n):
+    for g in classes(n):
+        for length in range(1, 6):
+            _check_against_oracle(g, length)
+
+
+def test_heap_queries_match_oracle_on_random_6_vertex_graphs():
+    rng = random.Random(11)
+    for _ in range(3):
+        _check_against_oracle(random_graph(rng, 6), 5, every_word=False)
+
+
+def test_enumeration_fills_no_class_cache():
+    _class_words.cache_clear()
+    g = random_graph(random.Random(5), 6)
+    assert enumerate_lyndon(g, 5)
+    assert _class_words.cache_info().currsize == 0
 
 
 def test_initial_vertex_singleton_for_lyndon():
@@ -226,15 +268,7 @@ def _series_inverse(p, upto):
 
 
 def _trace_counts_direct(g, upto):
-    out = [1]
-    for length in range(1, upto + 1):
-        seen, count = set(), 0
-        for word in itertools.product(range(g.n), repeat=length):
-            if word not in seen:
-                seen |= set(_class_words(g, word))
-                count += 1
-        out.append(count)
-    return out
+    return [1] + [len(oracle.standard_words(g, length)) for length in range(1, upto + 1)]
 
 
 def test_trace_growth_three_ways():
@@ -256,6 +290,20 @@ def test_trace_growth_three_ways():
                 for k in range(length, upto + 1):
                     euler[k] += euler[k - length]
         assert direct == mobius == euler
+
+
+def test_lyndon_counts_satisfy_the_clique_polynomial_identity():
+    """prod_k (1 - t^k)^phi_k = P(-t) up to t^5 in exact integers, where phi_k
+    counts Lyndon traces of length k and P(t) counts cliques by size."""
+    upto = 5
+    for n in range(1, 6):
+        for g in classes(n):
+            product = [1] + [0] * upto
+            for length in range(1, upto + 1):
+                for _ in range(len(enumerate_lyndon(g, length))):
+                    for k in range(upto, length - 1, -1):
+                        product[k] -= product[k - length]
+            assert product == _clique_polynomial(g, upto), g
 
 
 def test_standard_factorization_x_is_determined_by_minimal_y():

@@ -1,0 +1,99 @@
+"""Brute-force trace computations, kept as a test oracle for ``raagcert.lyndon``.
+
+A trace's class is materialised by breadth-first closure over single swaps of
+adjacent commuting letters; its standard word is the class maximum, its
+factorizations come from cutting every word of the class, and the Lyndon
+traces of a length come from scanning all n**length words.  Everything here is
+exponential and meant for small graphs only; a bounded cache keeps the
+repeated closures of one test cheap.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+
+from raagcert import Graph
+
+TraceWord = tuple[int, ...]
+
+
+@lru_cache(maxsize=1 << 14)
+def class_words(g: Graph, word: TraceWord) -> frozenset[TraceWord]:
+    """All words reachable from ``word`` by swapping adjacent commuting letters."""
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(len(w) - 1):
+                a, b = w[i], w[i + 1]
+                if a != b and g.adjacent(a, b):
+                    swapped = w[:i] + (b, a) + w[i + 2 :]
+                    if swapped not in seen:
+                        seen.add(swapped)
+                        nxt.append(swapped)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def standard_word(g: Graph, word: TraceWord) -> TraceWord:
+    return max(class_words(g, tuple(word)))
+
+
+def initial_vertices(g: Graph, std: TraceWord) -> frozenset[int]:
+    return frozenset(w[0] for w in class_words(g, std) if w)
+
+
+def factorizations(g: Graph, std: TraceWord) -> set[tuple[TraceWord, TraceWord]]:
+    """All (std(x), std(y)) with the trace of ``std`` equal to xy, x and y nontrivial."""
+    out = set()
+    for w in class_words(g, std):
+        for cut in range(1, len(w)):
+            out.add((standard_word(g, w[:cut]), standard_word(g, w[cut:])))
+    return out
+
+
+def is_lyndon(g: Graph, std: TraceWord) -> bool:
+    """True iff the trace is strictly smaller than every proper right factor."""
+    return all(std < y for _, y in factorizations(g, std))
+
+
+def standard_words(g: Graph, length: int) -> list[TraceWord]:
+    """The standard word of every trace of the given length, sorted."""
+    seen: set[TraceWord] = set()
+    out = []
+    for word in itertools.product(range(g.n), repeat=length):
+        if word not in seen:
+            words = class_words(g, word)
+            seen |= words
+            out.append(max(words))
+    return sorted(out)
+
+
+def enumerate_lyndon(g: Graph, length: int) -> list[TraceWord]:
+    """Standard words of all Lyndon traces of the given length, sorted."""
+    return [w for w in standard_words(g, length) if is_lyndon(g, w)]
+
+
+def _dependence_set(g: Graph, std: TraceWord) -> frozenset[int]:
+    return frozenset(j for j in range(g.n) for i in std if i == j or not g.adjacent(i, j))
+
+
+def standard_factorization(g: Graph, std: TraceWord) -> tuple[TraceWord, TraceWord]:
+    """The split xy of a Lyndon trace into Lyndon traces x < y whose y has a
+    single initial vertex, inside the dependence set of x, with y least."""
+    candidates = [
+        (x, y) for x, y in factorizations(g, std)
+        if x < y and is_lyndon(g, x) and is_lyndon(g, y)
+        and initial_vertices(g, y) <= _dependence_set(g, x)
+    ]
+    return min(candidates, key=lambda pair: pair[1])
+
+
+def bracketing(g: Graph, std: TraceWord) -> str:
+    """The rendered iterated commutator of a Lyndon trace."""
+    if len(std) == 1:
+        return f"v{std[0]}"
+    x, y = standard_factorization(g, std)
+    return f"[{bracketing(g, x)},{bracketing(g, y)}]"
