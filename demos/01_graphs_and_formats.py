@@ -15,19 +15,16 @@ from raagcert import (
     from_edge_list,
     from_graph6,
     mba_parameters,
-    neighborhoods,
     path_graph,
     petersen_graph,
     srg_parameters,
-    structure_flags,
     to_edge_list,
     to_graph6,
 )
 
 # A path on three vertices: the middle vertex sees both ends.
 p3 = path_graph(3)
-hood = neighborhoods(p3, 1)
-print("P3, vertex 1:", "link", list(hood.link), "star", list(hood.star), "degree", hood.degree)
+print("P3, vertex 1:", "link", list(p3.link(1)), "degree", p3.degree(1))
 
 # Domination compares a link against a star; it drives every transvection.
 print("P3: vertex 1 dominates vertex 0?", dominates(p3, 0, 1))
@@ -39,10 +36,9 @@ c4 = compose(edgeless_graph(2), edgeless_graph(2), "simplicial_join")
 print("join of two edgeless pairs has edges", sorted(c4.edges()))
 print("complement of that join:", sorted(complement(c4).edges()))
 
-# Structure summary: components, regularity, maximal-degree set, centre.
-flags = structure_flags(p3)
-print("P3 summary: max-degree set", list(flags.max_degree_vertices),
-      "centre", list(flags.centre_vertices), "regular?", flags.is_regular)
+# Whole-graph queries: maximal-degree set, regularity, connectedness.
+print("P3: max-degree set", list(p3.max_degree_vertices()),
+      "regular?", p3.is_regular(), "connected?", p3.is_connected())
 
 # Strongly regular parameters, when they exist.
 print("Petersen srg parameters:", srg_parameters(petersen_graph()))

@@ -16,7 +16,6 @@ from raagcert import (
     mba_characteristic_sets,
     path_graph,
     petersen_graph,
-    structure_flags,
     transvection_free_vertices,
     VertexSet,
 )
@@ -33,9 +32,8 @@ print("is C9 transvection-free?", is_transvection_free_graph(cycle_graph(9)))
 print("is Petersen transvection-free?", is_transvection_free_graph(petersen_graph()))
 
 # The maximal-degree set is always characteristic; a lone vertex usually is not.
-flags = structure_flags(p3)
 print("max-degree set characteristic?",
-      is_characteristic_vertex_set(p3, flags.max_degree_vertices))
+      is_characteristic_vertex_set(p3, p3.max_degree_vertices()))
 print("single end vertex characteristic?",
       is_characteristic_vertex_set(p3, VertexSet.of([0], 3)))
 

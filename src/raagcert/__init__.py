@@ -29,16 +29,13 @@ from .closures import (
     is_characteristic_vertex_set,
     is_transvection_free_graph,
     mba_characteristic_sets,
-    transvection_admitting_vertices,
     transvection_free_vertices,
 )
 from .errors import InputError, ResourceError
 from .graphs import (
     Graph,
     MbaParameters,
-    Neighborhood,
     SrgParameters,
-    StructureFlags,
     VertexSet,
     complement,
     complete_graph,
@@ -52,11 +49,9 @@ from .graphs import (
     from_graph6,
     induced,
     mba_parameters,
-    neighborhoods,
     path_graph,
     petersen_graph,
     srg_parameters,
-    structure_flags,
     to_edge_list,
     to_graph6,
 )

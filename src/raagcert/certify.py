@@ -17,8 +17,7 @@ closed: a node it cannot re-derive within the search budgets is a problem, and
 so are malformed JSON values, which it reports instead of raising.  In
 particular ``CHAR_CLOSURE_GENERIC`` needs the vertex orbits, so ``certify``
 never emits it above ``CANONICAL_MAX_N`` (10) vertices and the auditor rejects
-it there.  The certificate JSON shape is unchanged by this
-design, and so is the CLI's ``SCHEMA`` number.
+it there.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .graphs import (
     induced,
     mba_parameters,
     srg_parameters,
-    structure_flags,
     to_graph6,
 )
 from .isomorphism import CANONICAL_MAX_N, canonical_relabelled
@@ -132,8 +130,7 @@ def simplify(g: Graph) -> SimplificationResult:
         raise InputError("simplification is defined for non-complete graphs")
     chain = [g]
     while not chain[-1].is_regular():
-        flags = structure_flags(chain[-1])
-        chain.append(induced(chain[-1], flags.max_degree_vertices.complement()))
+        chain.append(induced(chain[-1], chain[-1].max_degree_vertices().complement()))
     last = chain[-1]
     terminal = last if not last.is_complete() else chain[-2]
     if not terminal.is_connected():
@@ -220,16 +217,14 @@ def _join_factor(g: Graph) -> Iterator[Reduction]:
 
 
 def _is_small_regular(g: Graph) -> bool:
-    flags = structure_flags(g)
-    return (flags.is_regular and not flags.is_complete
-            and flags.regularity_degree in (1, 2, g.n - 2, g.n - 3))
+    return (g.is_regular() and not g.is_complete()
+            and g.degree(0) in (1, 2, g.n - 2, g.n - 3))
 
 
 def _simplification(g: Graph) -> Iterator[Reduction]:
-    flags = structure_flags(g)
-    if not flags.is_regular:
+    if not g.is_regular():
         yield from _deletion(
-            g, flags.max_degree_vertices,
+            g, g.max_degree_vertices(),
             "deleting all maximal-degree vertices is a characteristic quotient onto a "
             "smaller defining graph",
         )
@@ -237,11 +232,9 @@ def _simplification(g: Graph) -> Iterator[Reduction]:
 
 def _mba_links(g: Graph, low: int) -> Optional[list[int]]:
     """Links of the vertices of non-maximal degree of a max-by-abelian graph
-    with exactly ``low`` of them, else None; counting degrees first keeps
+    with exactly ``low`` of them, else None; counting them first keeps
     ``mba_parameters`` to the rules whose count matches."""
-    degrees = [row.bit_count() for row in g.rows]
-    top = max(degrees)
-    nonmax = [v for v in range(g.n) if degrees[v] < top]
+    nonmax = g.max_degree_vertices().complement()
     if len(nonmax) != low or mba_parameters(g) is None:
         return None
     return [g.rows[v] for v in nonmax]

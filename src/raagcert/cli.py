@@ -103,7 +103,12 @@ def _emit(out: TextIO, payload: dict, as_json: bool, text: str) -> None:
 
 
 def _certify_one(g: Graph) -> dict:
-    return certify(g).to_dict()
+    """The certificate of one graph as a dict, after the auditor has passed it."""
+    cert = certify(g).to_dict()
+    problems = audit_certificate(cert)
+    if problems:
+        raise RuntimeError(f"certificate failed audit: {problems[0]}")
+    return cert
 
 
 def _map_jobs(jobs: int, func, items: Sequence):
@@ -119,9 +124,6 @@ def cmd_certify(args: argparse.Namespace, out: TextIO) -> int:
     certs = _map_jobs(args.jobs, _certify_one, [g for _, g in graphs])
     status = 0
     for (name, _), cert in zip(graphs, certs):
-        problems = audit_certificate(cert)
-        if problems:
-            raise RuntimeError(f"certificate failed audit: {problems[0]}")
         if cert["verdict"] == UNDECIDED:
             status = 2
         payload = {"schema": SCHEMA, "input": name, "certificate": cert}
@@ -149,9 +151,6 @@ def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
                 _emit(out, {"schema": SCHEMA, "n": n, "graph6": key},
                       args.format == "json", key)
                 continue
-            problems = audit_certificate(cert)
-            if problems:
-                raise RuntimeError(f"certificate failed audit: {problems[0]}")
             tally[cert["verdict"]] = tally.get(cert["verdict"], 0) + 1
             if cert["verdict"] == UNDECIDED:
                 status = 2
@@ -193,6 +192,8 @@ def cmd_ranks(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_autcheck(args: argparse.Namespace, out: TextIO) -> int:
     if args.max_n is not None:
+        if args.builtin or args.input:
+            raise InputError("--max-n scans every class; it takes no --builtin or --input")
         if not 1 <= args.max_n <= SIGNED_AUT_MAX_N:
             raise InputError(
                 f"--max-n must be between 1 and {SIGNED_AUT_MAX_N} for witness scans")
@@ -297,10 +298,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             opened = open(args.out, "w", encoding="ascii")
             out = opened
         return args.func(args, out)
-    except (InputError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
+        return 1
+    except (InputError, ResourceError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if opened is not None:

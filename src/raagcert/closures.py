@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError
-from .graphs import Graph, VertexSet, structure_flags
+from .graphs import Graph, VertexSet
 from .isomorphism import vertex_orbits
 
 
@@ -63,10 +63,6 @@ def transvection_free_vertices(g: Graph) -> VertexSet:
     return VertexSet.of((v for v in range(g.n) if _closure_mask(g, v) == 1 << v), g.n)
 
 
-def transvection_admitting_vertices(g: Graph) -> VertexSet:
-    return transvection_free_vertices(g).complement()
-
-
 def is_transvection_free_graph(g: Graph) -> bool:
     """True iff every vertex is transvection-free and the graph is not a single vertex."""
     if g.n < 1:
@@ -100,16 +96,15 @@ def mba_characteristic_sets(g: Graph) -> MbaCharacteristicSets:
     non-maximal degree; ``max_degree_linked`` the maximal-degree vertices
     adjacent to at least one vertex of non-maximal degree.
     """
-    flags = structure_flags(g)
-    if flags.is_regular:
+    if g.is_regular():
         raise InputError("these sets are only defined for non-regular graphs")
-    nonmax = flags.max_degree_vertices.complement()
+    top = g.max_degree_vertices()
     inter = (1 << g.n) - 1
     union = 0
-    for v in nonmax:
+    for v in top.complement():
         inter &= g.rows[v]
         union |= g.rows[v]
     return MbaCharacteristicSets(
         link_intersection=VertexSet(inter, g.n),
-        max_degree_linked=VertexSet(union & flags.max_degree_vertices.mask, g.n),
+        max_degree_linked=VertexSet(union & top.mask, g.n),
     )

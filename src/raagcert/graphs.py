@@ -135,13 +135,6 @@ class Graph:
         self.check_vertex(v)
         return VertexSet(self.rows[v], self.n)
 
-    def star(self, v: int) -> VertexSet:
-        self.check_vertex(v)
-        return VertexSet(self.rows[v] | 1 << v, self.n)
-
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             row = self.rows[u] >> (u + 1) << (u + 1)
@@ -166,6 +159,14 @@ class Graph:
 
     def is_regular(self) -> bool:
         return self.n == 0 or len({row.bit_count() for row in self.rows}) == 1
+
+    def max_degree_vertices(self) -> VertexSet:
+        """The vertices of maximal degree."""
+        if self.n == 0:
+            raise InputError("the empty graph has no maximal-degree vertices")
+        degrees = [row.bit_count() for row in self.rows]
+        top = max(degrees)
+        return VertexSet.of((v for v in range(self.n) if degrees[v] == top), self.n)
 
     def components(self) -> tuple[VertexSet, ...]:
         out = []
@@ -276,18 +277,6 @@ def petersen_graph() -> Graph:
 # -- structural queries ------------------------------------------------------
 
 
-class Neighborhood(NamedTuple):
-    link: VertexSet
-    star: VertexSet
-    degree: int
-
-
-def neighborhoods(g: Graph, v: int) -> Neighborhood:
-    """Link, star and degree of a vertex."""
-    g.check_vertex(v)
-    return Neighborhood(g.link(v), g.star(v), g.degree(v))
-
-
 def dominates(g: Graph, v: int, w: int) -> bool:
     """True iff ``w`` dominates ``v``, i.e. the link of v lies inside the star of w.
 
@@ -351,37 +340,6 @@ def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
     return Graph(len(kept), tuple(rows))
 
 
-@dataclass(frozen=True)
-class StructureFlags:
-    components: tuple[VertexSet, ...]
-    is_complete: bool
-    is_regular: bool
-    regularity_degree: Optional[int]
-    max_degree: int
-    max_degree_vertices: VertexSet
-    centre_vertices: VertexSet
-
-
-def structure_flags(g: Graph) -> StructureFlags:
-    """One-pass structural summary: components, regularity, maximal-degree set, centre."""
-    if g.n == 0:
-        raise InputError("the empty graph has no structure summary")
-    degs = [g.degree(v) for v in range(g.n)]
-    delta = max(degs)
-    vmax = VertexSet.of((v for v in range(g.n) if degs[v] == delta), g.n)
-    centre = VertexSet.of((v for v in range(g.n) if degs[v] == g.n - 1), g.n)
-    regular = len(set(degs)) == 1
-    return StructureFlags(
-        components=g.components(),
-        is_complete=g.is_complete(),
-        is_regular=regular,
-        regularity_degree=delta if regular else None,
-        max_degree=delta,
-        max_degree_vertices=vmax,
-        centre_vertices=centre,
-    )
-
-
 class SrgParameters(NamedTuple):
     n: int
     k: int
@@ -397,11 +355,9 @@ def srg_parameters(g: Graph) -> Optional[SrgParameters]:
     """
     if g.n == 0:
         raise InputError("the empty graph has no parameters")
-    n = g.n
-    degs = {g.degree(v) for v in range(n)}
-    if len(degs) != 1:
+    if not g.is_regular():
         return None
-    k = degs.pop()
+    n, k = g.n, g.degree(0)
     if not 1 <= k < n - 1:
         return None
     lam: Optional[int] = None
@@ -438,12 +394,12 @@ def mba_parameters(g: Graph) -> Optional[MbaParameters]:
     """
     if g.n == 0:
         raise InputError("the empty graph has no parameters")
-    flags = structure_flags(g)
-    if flags.is_regular or len(flags.components) != 1:
+    if g.is_regular() or not g.is_connected():
         return None
-    if not induced(g, flags.max_degree_vertices.complement()).is_complete():
+    top = g.max_degree_vertices()
+    if not induced(g, top.complement()).is_complete():
         return None
-    return MbaParameters(g.n, len(flags.max_degree_vertices), flags.max_degree)
+    return MbaParameters(g.n, len(top), g.degree(min(top)))
 
 
 # -- graph6 and edge-list interchange ---------------------------------------
@@ -473,16 +429,16 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    """Parse one graph6 string; malformed input reports the offending byte offset."""
+    """Parse one graph6 string; malformed input reports the offending offset."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise InputError("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise InputError(f"invalid graph6 byte {byte} at offset {off}")
+    for off, char in enumerate(s):
+        if not 63 <= ord(char) <= 126:
+            raise InputError(f"invalid graph6 character {char!r} at offset {off}")
+    data = s.encode("ascii")
     if data[0] == 126:
         if len(data) < 4 or data[1] == 126:
             raise InputError("unsupported graph6 size header at offset 0")

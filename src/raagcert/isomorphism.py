@@ -29,10 +29,6 @@ CANONICAL_MAX_N = 10
 ENUMERATE_MAX_N = 8
 
 
-def identity_permutation(n: int) -> VertexPermutation:
-    return tuple(range(n))
-
-
 def compose_permutations(a: Sequence[int], b: Sequence[int]) -> VertexPermutation:
     """Permutation acting as b first, then a."""
     if len(a) != len(b):
@@ -198,7 +194,7 @@ def automorphisms(g: Graph) -> list[VertexPermutation]:
     """All adjacency-preserving vertex bijections, sorted by image tuple: the
     group the canonical search's generators generate."""
     _, generators = _search_within(g, AUTOMORPHISM_MAX_N, "the automorphism search")
-    group = {identity_permutation(g.n)}
+    group = {tuple(range(g.n))}
     frontier = list(group)
     while frontier:
         a = frontier.pop()

@@ -334,6 +334,17 @@ def test_audit_rejects_nodes_it_cannot_rederive():
     assert len(problems) == 1 and "cannot re-derive" in problems[0]
 
 
+def test_audit_rejects_a_non_ascii_root_graph6():
+    # "B" and a non-ASCII letter once parsed as "B?", the edgeless graph on
+    # three vertices, so this disconnected leaf passed the audit
+    leaf = {"verdict": RINF, "rule": "DISCONNECTED", "citation": "",
+            "graph6": "B?", "children": []}
+    assert audit_certificate(leaf) == []
+    problems = audit_certificate({**leaf, "graph6": "B\u00e9"})
+    assert len(problems) == 1
+    assert problems[0].startswith("root: bad graph6") and "offset 1" in problems[0]
+
+
 def _replace_child(cert, idx, child):
     children = list(cert["children"])
     children[idx] = child

@@ -180,6 +180,14 @@ def test_autcheck(capsys):
     assert code == 1 and "--max-n" in err
 
 
+def test_autcheck_max_n_takes_no_inputs(tmp_path, capsys):
+    # --max-n scans every class, so an input beside it would go unread
+    for extra in (("--builtin", "petersen"), ("--input", str(tmp_path / "missing"))):
+        code, out, err = run_cli(capsys, "autcheck", "--max-n", "2", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--max-n" in err
+
+
 def test_simplify(capsys):
     code, out, _ = run_cli(capsys, "simplify", "--builtin", "cycle:4")
     assert code == 0
@@ -194,6 +202,24 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text().strip())
     assert payload["certificate"]["verdict"] == "RINF"
+
+
+def test_unreadable_paths_are_reported_without_a_traceback(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(capsys, "certify", "--input", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+    binary = tmp_path / "binary.g6"
+    binary.write_bytes(b"\xc3\n")
+    code, out, err = run_cli(capsys, "certify", "--input", str(binary))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "0xc3" in err
+
+    target = missing / "report.jsonl"
+    code, out, err = run_cli(capsys, "certify", "--builtin", "cycle:5", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(target) in err
 
 
 class _RecordingPool:

@@ -26,8 +26,6 @@ from raagcert import (
     path_graph,
     petersen_graph,
     srg_parameters,
-    structure_flags,
-    transvection_admitting_vertices,
     transvection_free_vertices,
 )
 from raagcert.certify import RULES_BY_NAME
@@ -58,7 +56,7 @@ def test_characteristic_closure_examples():
 def test_transvection_free_vertices():
     assert len(transvection_free_vertices(cycle_graph(5))) == 5
     assert len(transvection_free_vertices(cycle_graph(4))) == 0
-    assert list(transvection_admitting_vertices(cycle_graph(4))) == [0, 1, 2, 3]
+    assert list(transvection_free_vertices(cycle_graph(4)).complement()) == [0, 1, 2, 3]
 
 
 def test_transvection_free_graph():
@@ -75,7 +73,7 @@ def test_srg_transvection_dichotomy():
         cases.extend(g for g in classes(n) if srg_parameters(g) is not None)
     for g in cases:
         n, k, lam, mu = srg_parameters(g)
-        admitting = transvection_admitting_vertices(g)
+        admitting = transvection_free_vertices(g).complement()
         if lam < k - 1 and mu < k:
             assert len(admitting) == 0
         else:
@@ -84,8 +82,7 @@ def test_srg_transvection_dichotomy():
 
 def test_is_characteristic_vertex_set():
     for g in (path_graph(4), cycle_graph(6), petersen_graph()):
-        flags = structure_flags(g)
-        assert is_characteristic_vertex_set(g, flags.max_degree_vertices)
+        assert is_characteristic_vertex_set(g, g.max_degree_vertices())
         assert is_characteristic_vertex_set(g, transvection_free_vertices(g))
     p3 = path_graph(3)
     assert not is_characteristic_vertex_set(p3, VertexSet.of([0], 3))
@@ -150,15 +147,15 @@ def test_mba_characteristic_sets(fig_mba_5_4_3, fig_mba_7_5_4):
 def test_mba_sets_are_characteristic_and_bounded():
     for n in range(2, 7):
         for g in classes(n):
-            flags = structure_flags(g)
-            if flags.is_regular:
+            if g.is_regular():
                 continue
+            top = g.max_degree_vertices()
             sets = mba_characteristic_sets(g)
             assert is_characteristic_vertex_set(g, sets.link_intersection)
             assert is_characteristic_vertex_set(g, sets.max_degree_linked)
             if mba_parameters(g) is not None:
-                assert sets.link_intersection.mask != flags.max_degree_vertices.mask
-                assert sets.link_intersection.issubset(flags.max_degree_vertices)
+                assert sets.link_intersection.mask != top.mask
+                assert sets.link_intersection.issubset(top)
                 assert len(sets.max_degree_linked) > 0
 
 

@@ -22,11 +22,9 @@ from raagcert import (
     from_graph6,
     induced,
     mba_parameters,
-    neighborhoods,
     path_graph,
     petersen_graph,
     srg_parameters,
-    structure_flags,
     to_edge_list,
     to_graph6,
 )
@@ -58,23 +56,6 @@ def test_graph_validation():
         from_edges(65, [])
     with pytest.raises(InputError):
         from_edges(3, [(0, 0)])
-
-
-def test_neighborhoods_examples():
-    p3 = path_graph(3)
-    hood = neighborhoods(p3, 1)
-    assert list(hood.link) == [0, 2]
-    assert list(hood.star) == [0, 1, 2]
-    assert hood.degree == 2
-
-    lonely = from_edges(3, [(1, 2)])
-    hood = neighborhoods(lonely, 0)
-    assert list(hood.link) == [] and list(hood.star) == [0] and hood.degree == 0
-
-    c9 = cycle_graph(9)
-    assert all(neighborhoods(c9, v).degree == 2 for v in range(9))
-    with pytest.raises(InputError):
-        neighborhoods(p3, 3)
 
 
 def test_dominates_examples():
@@ -127,24 +108,37 @@ def test_induced():
     assert induced(path_graph(4), [3, 1, 2]) == path_graph(3)
 
 
-def test_structure_flags():
-    p3 = structure_flags(path_graph(3))
-    assert list(p3.max_degree_vertices) == [1]
-    assert list(p3.centre_vertices) == [1]
-    assert len(p3.components) == 1 and not p3.is_regular
+def test_structure_queries():
+    p3 = path_graph(3)
+    assert list(p3.max_degree_vertices()) == [1]
+    assert [v for v in range(3) if p3.degree(v) == 2] == [1]  # the centre
+    assert p3.is_connected() and not p3.is_regular()
+    assert list(p3.link(1)) == [0, 2] and p3.degree(1) == 2
+    with pytest.raises(InputError):
+        p3.link(3)
+    lonely = from_edges(3, [(1, 2)])
+    assert list(lonely.link(0)) == [] and lonely.degree(0) == 0
 
-    k4 = structure_flags(complete_graph(4))
-    assert k4.is_complete and k4.is_regular and k4.regularity_degree == 3
-    assert list(k4.centre_vertices) == [0, 1, 2, 3]
+    k4 = complete_graph(4)
+    assert k4.is_complete() and k4.is_regular() and k4.degree(0) == 3
+    assert list(k4.max_degree_vertices()) == [0, 1, 2, 3]
 
     with pytest.raises(InputError):
-        structure_flags(Graph(0, ()))
+        Graph(0, ()).max_degree_vertices()
 
 
-def test_structure_flags_mba_figure(fig_mba_5_4_3):
-    flags = structure_flags(fig_mba_5_4_3)
-    assert list(flags.max_degree_vertices) == [1, 2, 3, 4]
-    assert flags.max_degree == 3
+def test_max_degree_vertices_mba_figure(fig_mba_5_4_3):
+    top = fig_mba_5_4_3.max_degree_vertices()
+    assert list(top) == [1, 2, 3, 4]
+    assert {fig_mba_5_4_3.degree(v) for v in top} == {3}
+
+
+def test_max_degree_vertices_match_the_degree_list():
+    for n in range(1, 7):
+        for g in classes(n):
+            degrees = [g.degree(v) for v in range(n)]
+            top = [v for v in range(n) if degrees[v] == max(degrees)]
+            assert list(g.max_degree_vertices()) == top
 
 
 def test_handshake_on_all_small_classes():
@@ -156,22 +150,21 @@ def test_handshake_on_all_small_classes():
 def test_regular_complement_degree():
     for n in range(2, 7):
         for g in classes(n):
-            flags = structure_flags(g)
-            if flags.is_regular:
-                k = flags.regularity_degree
+            if g.is_regular():
+                k = g.degree(0)
                 assert (k * g.n) % 2 == 0
-                cflags = structure_flags(complement(g))
-                assert cflags.is_regular
-                assert cflags.regularity_degree == g.n - k - 1
+                assert complement(g).is_regular()
+                assert complement(g).degree(0) == g.n - k - 1
 
 
 def test_one_and_two_regular_structure():
     for n in range(2, 7):
         for g in classes(n):
-            flags = structure_flags(g)
-            if flags.regularity_degree == 1:
+            if not g.is_regular():
+                continue
+            if g.degree(0) == 1:
                 assert all(len(c) == 2 for c in g.components())
-            if flags.regularity_degree == 2:
+            if g.degree(0) == 2:
                 for c in g.components():
                     assert all(g.degree(v) == 2 for v in c) and len(c) >= 3
 
@@ -260,6 +253,8 @@ def _to_networkx(g: Graph) -> nx.Graph:
 def test_graph6_parse_errors_carry_offsets():
     with pytest.raises(InputError, match="offset 1"):
         from_graph6("A" + chr(20))
+    with pytest.raises(InputError, match="offset 1"):
+        from_graph6("B\u00e9")  # non-ASCII, not a replacement character
     with pytest.raises(InputError, match="offset"):
         from_graph6("D?")  # truncated body: five vertices need two body bytes
     with pytest.raises(InputError, match="offset"):
