@@ -2,10 +2,10 @@
 Artin group of a graph, and an independent auditor for its certificates.
 
 A certificate is a tree of rule applications.  Leaves invoke base facts
-(disconnectedness, transvection-freeness, strong regularity, the small-degree
-regular classifications); internal nodes reduce to strictly smaller instances
-through characteristic quotients or join decompositions, so every recursion
-strictly decreases the pair (vertex count, non-edge count) lexicographically.
+(disconnectedness, transvection-freeness); internal nodes reduce to strictly
+smaller instances through characteristic quotients or join decompositions,
+strong regularity with mu = k among them, so every recursion strictly
+decreases the pair (vertex count, non-edge count) lexicographically.
 Complete graphs are the definite negative case, and UNDECIDED is an honest
 first-class verdict rather than an error.
 
@@ -91,23 +91,17 @@ class JoinDecomposition(NamedTuple):
 def max_join_decomposition(g: Graph) -> JoinDecomposition:
     """Unique maximal join decomposition of a connected graph.
 
-    The graph is the join of a complete graph on its centre (the vertices
-    adjacent to everything else) and the subgraphs induced on the connected
-    components of the complement of the rest; each factor has a connected
-    complement, so it splits no further.
+    The singleton components of the complement form the centre (the vertices
+    adjacent to everything else); the others induce the factors, each with a
+    connected complement on at least two vertices, so never complete.
     """
     if g.n < 1:
         raise InputError("decomposition needs at least one vertex")
     if not g.is_connected():
         raise InputError("decomposition is defined for connected graphs")
-    centre = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    rest = sorted(set(range(g.n)) - set(centre))
-    sub = induced(g, rest)
-    factors = []
-    for comp in complement(sub).components():
-        original = [rest[i] for i in comp]
-        factors.append(induced(g, original))
-    return JoinDecomposition(len(centre), tuple(factors))
+    comps = complement(g).components()
+    factors = tuple(induced(g, comp) for comp in comps if len(comp) > 1)
+    return JoinDecomposition(len(comps) - len(factors), factors)
 
 
 class SimplificationResult(NamedTuple):
@@ -188,37 +182,24 @@ def _deletion(g: Graph, deleted: VertexSet, citation: str) -> Iterator[Reduction
 
 def _srg(g: Graph) -> Iterator[Reduction]:
     params = srg_parameters(g)
-    if params is None:
-        return
-    _, k, lam, mu = params
-    # a strongly regular graph with lambda = k-1 is a disjoint union of equal
-    # complete graphs, which the disconnected rule already covers
-    if mu == k:
+    if params is not None and params.mu == params.k:
         yield Reduction(
             "strongly regular with mu = k: complete multipartite, a join of edgeless "
             "blocks, hence a direct product of non-abelian free groups",
             max_join_decomposition(g).factors,
         )
-    elif lam < k - 1:
-        yield Reduction("strongly regular with lambda < k-1 and mu < k: transvection-free", ())
 
 
 def _join_factor(g: Graph) -> Iterator[Reduction]:
     if not g.is_connected():
         return
     centre_size, factors = max_join_decomposition(g)
-    targets = tuple(f for f in factors if not f.is_complete())
-    if (centre_size > 0 or len(factors) > 1) and targets:
+    if factors and (centre_size > 0 or len(factors) > 1):
         yield Reduction(
             "maximal join decomposition: if one join factor has R-infinity, the whole "
             "direct product does",
-            targets,
+            factors,
         )
-
-
-def _is_small_regular(g: Graph) -> bool:
-    return (g.is_regular() and not g.is_complete()
-            and g.degree(0) in (1, 2, g.n - 2, g.n - 3))
 
 
 def _simplification(g: Graph) -> Iterator[Reduction]:
@@ -314,10 +295,6 @@ RULES: tuple[Rule, ...] = (
         "central series carries eigenvalue 1")),
     Rule("SRG", RINF, _srg),
     Rule("JOIN_FACTOR", RINF, _join_factor),
-    Rule("REGULAR_SMALL", RINF, _leaf_if(
-        _is_small_regular,
-        "degree-k regular with k in {1, 2, n-2, n-3}: classified as disjoint unions "
-        "of edges or cycles, or joins of their complements, all R-infinity")),
     Rule("SIMPLIFICATION", RINF, _simplification),
     Rule("MBA_K_N1", RINF, _mba_k_n1),
     Rule("MBA_K_N2_SPLIT", RINF, _mba_k_n2_split),
@@ -384,7 +361,7 @@ def _rule_problem(node: dict) -> Optional[str]:
         return f"rule {rule.name} proves {rule.verdict}, not {node['verdict']!r}"
     children = node["children"]
     recorded = sorted(child["graph6"] for child in children)
-    for _, graphs, deleted in rule.reductions(g):
+    for citation, graphs, deleted in rule.reductions(g):
         if len(graphs) == len(recorded) and sorted(_serial6(h) for h in graphs) == recorded:
             break
     else:
@@ -396,6 +373,8 @@ def _rule_problem(node: dict) -> Optional[str]:
     if (deleted is not None and g.n <= CANONICAL_MAX_N
             and not is_characteristic_vertex_set(g, deleted)):
         return "deleted vertex set fails the characteristic-set test"
+    if node["citation"] != citation:
+        return f"citation is not rule {rule.name}'s"
     return None
 
 
@@ -406,10 +385,10 @@ def audit_certificate(node: object) -> list[str]:
     graph6 string alone.  A node passes when its rule is in ``RULES``, its
     verdict is the rule's, its children match one reduction of the rule, some
     child has R-infinity, every child strictly decreases (vertex count,
-    non-edge count), and, within the symmetry budget, a deleted vertex set is
-    characteristic.  Returns the problems, each prefixed by the node's path;
-    an empty list means the certificate is sound.  Any JSON value is accepted,
-    and a node that cannot be re-derived is a problem, never a pass.
+    non-edge count), within the symmetry budget a deleted vertex set is
+    characteristic, and its citation is that reduction's.  Returns the problems,
+    each prefixed by the node's path; an empty list means the certificate is
+    sound.  Any JSON value is accepted; a node it cannot re-derive fails.
     """
     problems: list[str] = []
     stack: list[tuple[str, object]] = [("root", node)]

@@ -8,7 +8,7 @@ Input graphs come from ``--builtin`` descriptors (``cycle:5``, ``complete:4``,
 JSON lines by default and plain text with ``--format text``; every JSON object
 carries a ``schema`` version field.  Exit status: 0 for a clean run, 2 when
 any verdict is UNDECIDED (or a witness scan reports a failure), 1 for
-malformed input or an internal failure.
+malformed input, a command-line usage error or an internal failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from multiprocessing import Pool
-from typing import Optional, Sequence, TextIO
+from typing import NoReturn, Optional, Sequence, TextIO
 
 from .certify import UNDECIDED, audit_certificate, certify, simplify
 from .errors import InputError, ResourceError
@@ -245,8 +245,17 @@ def _add_io_arguments(sub: argparse.ArgumentParser, with_inputs: bool = True) ->
     sub.add_argument("--out", help="write the report here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on malformed input: 2 means UNDECIDED.
+    Subcommand parsers are made of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raagcert",
         description="R-infinity certificates for right-angled Artin groups of finite graphs",
     )

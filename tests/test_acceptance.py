@@ -37,6 +37,7 @@ from raagcert.cli import main as cli_main
 from raagcert.isomorphism import are_isomorphic, automorphisms
 
 from conftest import classes, random_graph
+from families import srg_without_twins
 from matrix_oracle import cyclic_shift, det_identity_minus
 
 
@@ -126,7 +127,9 @@ def test_criterion_6_signed_cycle_determinants():
 
 
 def test_criterion_7_srg_trichotomy():
-    cases = [petersen_graph()]
+    # Paley(13), Clebsch, Shrikhande and the rook graphs K_m box K_m, m = 3, 4, 5,
+    # have lambda < k-1 and mu < k
+    cases = [petersen_graph()] + srg_without_twins()
     cases += [complete_multipartite_graph([m] * p) for m in (2, 3) for p in (2, 3)]
     found = 0
     for n in range(2, 8):

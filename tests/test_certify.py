@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagcert import (
-    Certificate,
     InputError,
     NOT_RINF_ABELIAN,
     RINF,
@@ -23,7 +23,6 @@ from raagcert import (
     compose,
     cycle_graph,
     edgeless_graph,
-    from_edges,
     from_graph6,
     induced,
     max_join_decomposition,
@@ -33,9 +32,14 @@ from raagcert import (
     to_graph6,
 )
 from raagcert.certify import FIELDS, RULES, RULES_BY_NAME, Reduction, Rule
-from raagcert.isomorphism import are_isomorphic, automorphisms, canonical_form
+from raagcert.isomorphism import CANONICAL_MAX_N, are_isomorphic, automorphisms, canonical_form
 
 from conftest import classes, random_graph
+from families import large_families, small_degree_regular
+
+# the citations of the two leaves every disconnected graph satisfies
+CITATION = {name: next(RULES_BY_NAME[name].reductions(edgeless_graph(2))).citation
+            for name in ("DISCONNECTED", "FALLBACK")}
 
 
 def k1_plus_k2():
@@ -135,17 +139,42 @@ def test_certify_mba_rules(split_mba_8):
     assert cert.children[0].graph.edge_count > split_mba_8.edge_count
 
 
-def test_certify_regular_small_leaf():
-    # 3-regular on 6 vertices that is join-prime and transvection-admitting
-    # does not exist; exercise the rule's table entry on a (n-3)-regular witness
-    prism = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                           (0, 3), (1, 4), (2, 5)])
-    rule = RULES_BY_NAME["REGULAR_SMALL"]
-    (citation, children, deleted), = rule.reductions(prism)
-    assert children == () and deleted is None
-    cert = Certificate(rule.verdict, rule.name, citation, prism)
-    assert cert.rule == "REGULAR_SMALL" and cert.verdict == RINF
-    assert not audit_certificate(cert.to_dict())
+def test_small_degree_regular_graphs_settle_early():
+    # a regular non-complete graph of degree 1, 2, n-2 or n-3 is disconnected,
+    # a cycle C_n with n >= 5 (transvection-free), C4 or a cocktail-party graph
+    # (strongly regular with mu = k), or the complement of a union of cycles:
+    # transvection-free for one cycle of length at least 5, a join otherwise
+    graphs = [g for n in range(1, 8) for g in classes(n)] + small_degree_regular()
+    graphs += [g for seed in (7, 101) for _, g in large_families(seed)]
+    settled = 0
+    for g in graphs:
+        if (g.is_regular() and not g.is_complete()
+                and g.degree(0) in (1, 2, g.n - 2, g.n - 3)):
+            cert = certify(g)
+            assert cert.verdict == RINF
+            assert cert.rule in ("DISCONNECTED", "TRANSVECTION_FREE", "SRG", "JOIN_FACTOR")
+            settled += 1
+    assert settled > len(small_degree_regular())
+
+
+@pytest.mark.parametrize("seed", [7, 101])
+def test_certify_above_the_canonical_budget(seed):
+    # certificates of graphs on 11 to 64 vertices keep their root labelling,
+    # and the characteristic-closure rule is out of budget there
+    rng = random.Random(seed)
+    for family, g in large_families(seed):
+        assert g.n > CANONICAL_MAX_N
+        cert = certify(g)
+        tree = cert.to_dict()
+        assert tree["graph6"] == to_graph6(g)
+        assert audit_certificate(tree) == []
+        if family == "blow_up":
+            assert (cert.verdict, cert.rule) == (UNDECIDED, "FALLBACK")
+        else:
+            assert cert.verdict == (NOT_RINF_ABELIAN if g.is_complete() else RINF)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert certify(g.relabel(perm)).verdict == cert.verdict
 
 
 def test_certify_rejects_empty():
@@ -224,7 +253,7 @@ def test_auditor_flags_tampering():
     undecided_on_decidable = {
         "verdict": UNDECIDED,
         "rule": "FALLBACK",
-        "citation": "",
+        "citation": CITATION["FALLBACK"],
         "graph6": to_graph6(cycle_graph(4)),
         "children": [],
     }
@@ -238,7 +267,8 @@ def test_auditor_flags_tampering():
     # the child is re-derived correctly but proves nothing
     simplified = certify(path_graph(4)).to_dict()
     child = simplified["children"][0]
-    undecided_child = {**child, "verdict": UNDECIDED, "rule": "FALLBACK", "children": []}
+    undecided_child = {**child, "verdict": UNDECIDED, "rule": "FALLBACK",
+                       "citation": CITATION["FALLBACK"], "children": []}
     problems = audit_certificate({**simplified, "children": [undecided_child]})
     assert problems == ["root: no child has R-infinity"]
 
@@ -337,7 +367,7 @@ def test_audit_rejects_nodes_it_cannot_rederive():
 def test_audit_rejects_a_non_ascii_root_graph6():
     # "B" and a non-ASCII letter once parsed as "B?", the edgeless graph on
     # three vertices, so this disconnected leaf passed the audit
-    leaf = {"verdict": RINF, "rule": "DISCONNECTED", "citation": "",
+    leaf = {"verdict": RINF, "rule": "DISCONNECTED", "citation": CITATION["DISCONNECTED"],
             "graph6": "B?", "children": []}
     assert audit_certificate(leaf) == []
     problems = audit_certificate({**leaf, "graph6": "B\u00e9"})
@@ -356,6 +386,7 @@ MALFORMED = {
     "children is a string": lambda cert: {**cert, "children": "none"},
     "graph6 is a number": lambda cert: {**cert, "graph6": 5},
     "rule is a list": lambda cert: {**cert, "rule": ["SRG"]},
+    "citation is a number": lambda cert: {**cert, "citation": 5},
     "child is a number": lambda cert: _replace_child(cert, 0, 7),
     "child graph6 is a number": lambda cert: _replace_child(
         cert, 0, {**cert["children"][0], "graph6": 5}),
@@ -371,8 +402,19 @@ def test_audit_reports_malformed_input_at_the_parent(case):
     assert len(problems) == 1 and problems[0].startswith("root: ")
 
 
+def test_audit_checks_citations():
+    cert = certify(cycle_graph(5)).to_dict()
+    for forged in ("forged", [1], None, certify(cycle_graph(4)).to_dict()["citation"]):
+        assert audit_certificate({**cert, "citation": forged}) == [
+            "root: citation is not rule TRANSVECTION_FREE's"]
+    path = certify(path_graph(4)).to_dict()
+    child = {**path["children"][0], "citation": None}
+    assert audit_certificate({**path, "children": [child]}) == [
+        "root/0: citation is not rule DISCONNECTED's"]
+
+
 def test_audit_walks_deep_chains_iteratively():
-    leaf = {"verdict": UNDECIDED, "rule": "FALLBACK", "citation": "",
+    leaf = {"verdict": UNDECIDED, "rule": "FALLBACK", "citation": CITATION["FALLBACK"],
             "graph6": to_graph6(cycle_graph(4)), "children": []}
     node = leaf
     for _ in range(3000):
@@ -397,7 +439,14 @@ def _nodes(tree):
     return out
 
 
-MUTATIONS = ("verdict", "drop_field", "drop_child", "duplicate_child", "swap_graph6", "rename")
+@lru_cache(maxsize=None)
+def _citations() -> tuple[str, ...]:
+    return tuple(sorted({node["citation"] for text in _small_certificates()
+                         for node in _nodes(json.loads(text))}))
+
+
+MUTATIONS = ("verdict", "drop_field", "drop_child", "duplicate_child", "swap_graph6", "rename",
+             "citation")
 
 
 def _mutate(node, kind, data):
@@ -409,6 +458,9 @@ def _mutate(node, kind, data):
     elif kind == "swap_graph6":
         other = json.loads(data.draw(st.sampled_from(_small_certificates())))
         node["graph6"] = other["graph6"]
+    elif kind == "citation":
+        node["citation"] = data.draw(st.one_of(
+            st.sampled_from(_citations()), st.none(), st.integers(), st.lists(st.text())))
     elif kind == "rename":
         rule = data.draw(st.sampled_from(RULES))
         node["rule"] = rule.name
@@ -426,11 +478,18 @@ def _mutate(node, kind, data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_audit_mutation_corpus(data):
-    tree = json.loads(data.draw(st.sampled_from(_small_certificates())))
+    text = data.draw(st.sampled_from(_small_certificates()))
+    tree = json.loads(text)
+    kinds = set()
     for _ in range(data.draw(st.integers(1, 2))):
         node = data.draw(st.sampled_from(_nodes(tree)))
-        _mutate(node, data.draw(st.sampled_from(MUTATIONS)), data)
-    if not audit_certificate(tree):
+        kind = data.draw(st.sampled_from(MUTATIONS))
+        kinds.add(kind)
+        _mutate(node, kind, data)
+    problems = audit_certificate(tree)
+    if kinds == {"citation"} and tree != json.loads(text):
+        assert problems
+    if not problems:
         _assert_true_certificate(tree)
 
 
@@ -456,3 +515,26 @@ def test_audit_rejects_every_false_rule_claim():
                 node["rule"], node["verdict"] = rule.name, rule.verdict
                 if not audit_certificate(tree):
                     _assert_true_certificate(tree)
+
+
+@pytest.mark.slow
+def test_eight_vertex_sweep():
+    # all 12,346 classes on 8 vertices have a certificate that audits clean;
+    # only K8 lacks R-infinity, and every rule but FALLBACK proves some node
+    # on at most 8 vertices, so none of them is dead
+    digest = hashlib.sha256()
+    verdicts: Counter = Counter()
+    rules = set()
+    for n in range(1, 9):
+        for g in classes(n):
+            tree = certify(g).to_dict()
+            digest.update((json.dumps(tree) + "\n").encode("ascii"))
+            assert audit_certificate(tree) == []
+            rules.update(node["rule"] for node in _nodes(tree))
+            if n == 8:
+                verdicts[tree["verdict"]] += 1
+    assert verdicts == {RINF: 12345, NOT_RINF_ABELIAN: 1}
+    assert rules == {rule.name for rule in RULES} - {"FALLBACK"}
+    # every certificate on at most 8 vertices, as _certificate_digest writes them
+    assert digest.hexdigest() == (
+        "bb155542163dee036bf24b717dbb4b67a4075c1783e047d3d4d29e9afc7d6082")

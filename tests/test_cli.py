@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import pytest
@@ -272,5 +273,26 @@ def test_jobs_only_where_read(capsys):
                  ("autcheck",), ("simplify",)):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--builtin", "cycle:5", "--jobs", "2"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "--jobs" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_one(capsys):
+    # exit status 2 is kept for UNDECIDED verdicts
+    for argv, needle in ((("certify", "--builtin", "cycle:5", "--jobs", "x"), "--jobs"),
+                         (("enumerate",), "--max-n"),
+                         (("wheel",), "invalid choice"),
+                         ((), "command")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: raagcert") and needle in err
+
+
+def test_undecided_verdict_exits_two(monkeypatch, capsys):
+    # C5 with every vertex doubled into a non-adjacent twin pair
+    monkeypatch.setattr("sys.stdin", io.StringIO("I]KoWZBoo\n"))
+    code, out, _ = run_cli(capsys, "certify", "--input", "-", "--format", "text")
+    assert code == 2
+    assert out == "I]KoWZBoo\tUNDECIDED\tFALLBACK\n"
