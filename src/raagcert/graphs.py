@@ -409,22 +409,31 @@ def to_graph6(g: Graph) -> str:
     """Standard graph6 string: 6-bit chunks of the upper triangle, offset by 63."""
     if g.n == 0:
         raise InputError("the empty graph has no public encoding")
-    out = bytearray()
-    if g.n <= 62:
-        out.append(g.n + 63)
-    else:
-        out += bytes([126, ((g.n >> 12) & 63) + 63, ((g.n >> 6) & 63) + 63, (g.n & 63) + 63])
-    acc = 0
-    nbits = 0
+    columns = [0]
     for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.rows[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
+        col = 0
+        for row in g.rows[:j]:
+            col = col << 1 | (row >> j & 1)
+        columns.append(col)
+    return _graph6_from_columns(g.n, columns)
+
+
+def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
+    """graph6 of the n-vertex graph whose column j holds the bits joining
+    vertex j to vertices 0..j-1, vertex 0's bit highest: the columns, in
+    order, are the upper triangle in graph6 bit order."""
+    bits = 0
+    for j, col in enumerate(columns):
+        bits = bits << j | col
+    width = n * (n - 1) // 2
+    pad = -width % 6
+    bits <<= pad
+    if n <= 62:
+        out = bytearray((n + 63,))
+    else:
+        out = bytearray((126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63))
+    for shift in range(width + pad - 6, -1, -6):
+        out.append((bits >> shift & 63) + 63)
     return out.decode("ascii")
 
 

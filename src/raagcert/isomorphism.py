@@ -2,17 +2,23 @@
 enumeration of small graphs.
 
 One backtracking search over vertex orderings does all of it.  It finds the
-ordering with the lexicographically least upper-triangle bit string, pruned
-exactly (the result never changes) by branching only on the least columns, by
-trying one vertex per twin class, and by skipping candidates in the orbit of
-an explored sibling under the automorphisms met at equal leaves.  Those
-automorphisms, with the transpositions of twins, generate the automorphism
-group, so the full group, the vertex orbits and the orbits on vertex masks are
-all derived from the search's generators.  Enumeration extends each class
-representative by one new vertex per orbit of its automorphism group on
-neighbourhood masks, taking the generators from the search that admitted the
-representative.  The sizes this package targets (at most 8 to 10 vertices)
-keep the search small, so no external canonical-labelling machinery is used.
+ordering with the lexicographically least upper-triangle bit string.  Each
+node keeps the unused vertices as an ordered list of cells, one bit mask per
+column (the vertex's adjacency to the placed prefix), so placing a vertex
+splits every cell with two ANDs and the least column is always the first
+cell.  The search is pruned exactly (the result never changes) by branching
+only on the first cell, by trying one vertex per twin class, by cutting a
+child whose least column already loses to the best ordering, and by skipping
+candidates in the orbit of an explored sibling under the automorphisms met at
+equal leaves.  Those automorphisms, with the transpositions of twins,
+generate the automorphism group, so the full group, the vertex orbits and the
+orbits on vertex masks are all derived from the search's generators.
+Enumeration extends each class representative by one new vertex per orbit of
+its automorphism group on neighbourhood masks, taking the generators from the
+search that admitted the representative, and packs the search's best columns
+into the canonical graph6 that deduplicates the extensions.  The sizes this
+package targets (at most 8 to 10 vertices) keep the search small, so no
+external canonical-labelling machinery is used.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, from_edges, to_graph6
+from .graphs import Graph, _graph6_from_columns, from_edges, to_graph6
 
 VertexPermutation = tuple[int, ...]
 
@@ -59,21 +65,33 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     return True
 
 
-def _canonical_search(g: Graph) -> tuple[VertexPermutation, list[VertexPermutation]]:
-    """Canonical vertex ordering of ``g`` and a generating set of Aut(g).
+def _canonical_search(
+    g: Graph,
+) -> tuple[VertexPermutation, list[VertexPermutation], list[int]]:
+    """Canonical vertex ordering of ``g``, a generating set of Aut(g), and the
+    columns of the canonical graph.
 
     The ordering (old vertex -> new position) is the one whose upper-triangle
     bit string is lexicographically minimal.  Position p of the order
-    contributes the column of bits joining it to the positions before it;
-    columns are compared as fixed-width integers, which matches the graph6
-    bit ordering.  Among the minimal orderings the one that is least as a
-    vertex sequence is returned.
+    contributes the column of bits joining it to the positions before it, the
+    bit of position 0 highest; columns are compared as fixed-width integers,
+    which matches the graph6 bit ordering, so the returned columns are the
+    canonical graph's upper triangle in graph6 bit order.  Among the minimal
+    orderings the one that is least as a vertex sequence is returned.
 
-    Each unused vertex's column is kept incrementally, and three exact prunes
-    keep the depth-first search small without changing its result:
+    A node of the search holds the unused vertices as an ordered partition
+    (McKay, "Practical graph isomorphism", 1981, without refinement): a list
+    of cells ``(column, vertex mask)``, one per column the unused vertices
+    have, in increasing column order.  Placing a vertex u splits each cell
+    into its non-neighbours of u (column << 1) and its neighbours
+    (column << 1 | 1), which keeps the cells in order, so the first cell is
+    always the least column.  Whether the placed prefix still ties the best
+    ordering found so far is carried down the recursion, and a child whose
+    least column already loses is cut before it is entered.  Three exact
+    prunes keep the depth-first search small without changing its result:
 
-    1. a position branches only on the unused vertices whose column is least,
-       since a larger column loses at that very position;
+    1. a position branches only on the vertices of the first cell, since a
+       larger column loses at that very position;
     2. of unused twins (vertices with the same neighbours apart from each
        other) only the least is tried, since swapping them is an automorphism
        fixing the prefix;
@@ -107,51 +125,69 @@ def _canonical_search(g: Graph) -> tuple[VertexPermutation, list[VertexPermutati
         for u in range(v):
             if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
                 smaller_twins[v] |= 1 << u
-    best_cols: list[int] | None = None
+    best_cols: list[int] = []
     best_order: list[int] = []
     found: list[VertexPermutation] = []
     order: list[int] = []
-    cols: list[int] = []
+    cols: list[int] = [0]
 
-    def leaf() -> None:
-        nonlocal best_cols, best_order
-        if best_cols is None or cols < best_cols:
-            best_cols, best_order = cols.copy(), order.copy()
-        elif cols == best_cols:
-            image = [0] * n
-            for old, new in zip(best_order, order):
-                image[old] = new
-            found.append(tuple(image))
-
-    def extend(unused: int, col: dict[int, int]) -> None:
-        # col maps each unused vertex, in increasing order, to its column
-        least = min(col.values())
-        cols.append(least)
-        if best_cols is None or cols <= best_cols[: len(cols)]:
-            if len(col) == 1:
-                order.extend(col)
-                leaf()
-                order.pop()
+    def extend(cells: list[tuple[int, int]], unused: int, tie: bool) -> bool:
+        # cols ends with the first cell's column; tie says whether cols equals
+        # the start of best_cols, else it is less (or there is no best yet).
+        # True iff a new best was found.
+        if not unused & (unused - 1):
+            order.append(unused.bit_length() - 1)
+            if tie:
+                image = [0] * n
+                for old, new in zip(best_order, order):
+                    image[old] = new
+                found.append(tuple(image))
             else:
-                explored: list[int] = []
-                orbit: list[int] = []
-                known = 0
-                for u, c in col.items():
-                    if c != least or smaller_twins[u] & unused:
-                        continue
-                    if explored and len(found) > known:
-                        known = len(found)
-                        orbit = _orbit_roots(n, [a for a in found if all(a[v] == v for v in order)])
-                    if orbit and any(orbit[u] == orbit[e] for e in explored):
-                        continue
-                    order.append(u)
-                    extend(unused & ~(1 << u),
-                           {v: d << 1 | (rows[v] >> u & 1) for v, d in col.items() if v != u})
-                    order.pop()
-                    explored.append(u)
-        cols.pop()
+                best_cols[:], best_order[:] = cols, order
+            order.pop()
+            return not tie
+        improved = False
+        explored: list[int] = []
+        orbit: list[int] = []
+        known = 0
+        candidates = cells[0][1]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            u = low.bit_length() - 1
+            if smaller_twins[u] & unused:
+                continue
+            if explored and len(found) > known:
+                known = len(found)
+                orbit = _orbit_roots(n, [a for a in found if all(a[v] == v for v in order)])
+            if orbit and any(orbit[u] == orbit[e] for e in explored):
+                continue
+            # explored even when cut below: its orbit-mates lose the same way
+            explored.append(u)
+            row = rows[u]
+            apart = ~(row | low)  # neither u nor a neighbour of u
+            child = []
+            for col, cell in cells:
+                if split := cell & apart:
+                    child.append((col << 1, split))
+                if split := cell & row:
+                    child.append((col << 1 | 1, split))
+            least = child[0][0]
+            child_tie = tie
+            if tie:
+                target = best_cols[len(cols)]
+                if least > target:
+                    continue
+                child_tie = least == target
+            order.append(u)
+            cols.append(least)
+            if extend(child, unused ^ low, child_tie):
+                improved = tie = True
+            cols.pop()
+            order.pop()
+        return improved
 
-    extend((1 << n) - 1, dict.fromkeys(range(n), 0))
+    extend([(0, (1 << n) - 1)], (1 << n) - 1, False)
     for v, twins in enumerate(smaller_twins):
         if twins:
             swap = list(range(n))
@@ -159,7 +195,7 @@ def _canonical_search(g: Graph) -> tuple[VertexPermutation, list[VertexPermutati
             swap[least], swap[v] = v, least
             found.append(tuple(swap))
     # best_order[p] is the old vertex placed at position p; relabel wants old -> new
-    return invert_permutation(best_order), found
+    return invert_permutation(best_order), found, best_cols
 
 
 def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
@@ -182,7 +218,7 @@ def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
 
 def _search_within(
     g: Graph, cap: int, what: str
-) -> tuple[VertexPermutation, list[VertexPermutation]]:
+) -> tuple[VertexPermutation, list[VertexPermutation], list[int]]:
     if g.n < 1:
         raise InputError(f"{what} needs at least one vertex")
     if g.n > cap:
@@ -193,7 +229,7 @@ def _search_within(
 def automorphisms(g: Graph) -> list[VertexPermutation]:
     """All adjacency-preserving vertex bijections, sorted by image tuple: the
     group the canonical search's generators generate."""
-    _, generators = _search_within(g, AUTOMORPHISM_MAX_N, "the automorphism search")
+    _, generators, _ = _search_within(g, AUTOMORPHISM_MAX_N, "the automorphism search")
     group = {tuple(range(g.n))}
     frontier = list(group)
     while frontier:
@@ -208,7 +244,7 @@ def automorphisms(g: Graph) -> list[VertexPermutation]:
 
 def vertex_orbits(g: Graph) -> tuple[int, ...]:
     """Bit mask of each vertex's orbit under Aut(g)."""
-    _, generators = _search_within(g, CANONICAL_MAX_N, "the orbit search")
+    _, generators, _ = _search_within(g, CANONICAL_MAX_N, "the orbit search")
     roots = _orbit_roots(g.n, generators)
     masks = [0] * g.n
     for v, root in enumerate(roots):
@@ -218,7 +254,7 @@ def vertex_orbits(g: Graph) -> tuple[int, ...]:
 
 def canonical_relabelled(g: Graph) -> Graph:
     """Isomorphic copy of ``g`` in its canonical labelling."""
-    order, _ = _search_within(g, CANONICAL_MAX_N, "canonical labelling")
+    order, _, _ = _search_within(g, CANONICAL_MAX_N, "canonical labelling")
     return g.relabel(order)
 
 
@@ -282,8 +318,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
         for h, generators in level:
             for mask in _orbit_least_masks(h.n, generators):
                 cand = _extension(h, mask)
-                order, cand_generators = _canonical_search(cand)
-                key = to_graph6(cand.relabel(order))
+                _, cand_generators, columns = _canonical_search(cand)
+                key = _graph6_from_columns(m, columns)
                 if key not in seen:
                     seen[key] = (cand, cand_generators)
         level = [seen[key] for key in sorted(seen)]

@@ -79,6 +79,17 @@ def test_enumerate_sweep(capsys):
     assert all(from_graph6(s).n <= 4 for s in g6s)
 
 
+def test_sweep_output_is_pinned(capsys):
+    # the exact stdout the sweep7 benchmark workload checks, recorded before
+    # the canonical search kept its unused vertices in cells
+    code, out, _ = run_cli(capsys, "enumerate", "--max-n", "7", "--certify")
+    assert code == 0
+    assert json_lines(out)[-1]["summary"] == {
+        "classes": 1252, "RINF": 1245, "NOT_RINF_ABELIAN": 7}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "85fed4998bb8126469ff28fa88b3d43665515a11998d68ef2e4a491fa8780b3e")
+
+
 def test_enumerate_without_certify(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--max-n", "3", "--format", "text")
     assert code == 0

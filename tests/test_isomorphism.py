@@ -33,6 +33,7 @@ from raagcert.isomorphism import (
     is_automorphism,
     vertex_orbits,
 )
+from raagcert.graphs import _graph6_from_columns
 from raagcert.isomorphism import _canonical_search, _extension, _orbit_least_masks
 
 import symmetry_oracle as oracle
@@ -260,6 +261,16 @@ def _shuffled_families():
 def test_canonical_order_matches_oracle_on_shuffled_families():
     for g in _shuffled_families():
         _assert_matches_oracle(g)
+
+
+def test_search_columns_pack_the_canonical_graph6():
+    # enumeration keys each extension by its packed columns, so they must be
+    # the graph6 of the canonically relabelled graph
+    graphs = list(_all_extensions(5))
+    assert len(graphs) == 1306
+    for g in graphs + list(_shuffled_families()):
+        order, _, columns = _canonical_search(g)
+        assert _graph6_from_columns(g.n, columns) == to_graph6(g.relabel(order)), g
 
 
 def test_canonical_form_of_large_twin_classes():
