@@ -37,6 +37,7 @@ from .errors import InputError, ResourceError
 from .graphs import (
     Graph,
     VertexSet,
+    _trusted_graph,
     complement,
     from_graph6,
     induced,
@@ -226,13 +227,14 @@ def _links_partition(g: Graph, lk1: int, lk2: int) -> bool:
 
 
 def _add_cross_edges(g: Graph, side1: int, side2: int) -> Graph:
+    """``g`` with every edge between the disjoint vertex masks ``side1`` and ``side2``."""
     rows = list(g.rows)
     for v in range(g.n):
         if side1 >> v & 1:
             rows[v] |= side2
         elif side2 >> v & 1:
             rows[v] |= side1
-    return Graph(g.n, tuple(rows))
+    return _trusted_graph(g.n, tuple(rows))
 
 
 def _mba_k_n1(g: Graph) -> Iterator[Reduction]:

@@ -25,9 +25,13 @@ from .isomorphism import vertex_orbits
 
 def _closure_mask(g: Graph, v: int) -> int:
     """Bit mask of the domination closure of ``v``: the AND of its neighbours' stars."""
+    rows = g.rows
     closure = (1 << g.n) - 1
-    for x in g.link(v):
-        closure &= g.rows[x] | 1 << x
+    row = rows[v]
+    while row:
+        low = row & -row
+        closure &= rows[low.bit_length() - 1] | low
+        row ^= low
     return closure
 
 
@@ -60,7 +64,11 @@ def transvection_free_vertices(g: Graph) -> VertexSet:
     """Vertices dominated by no other vertex."""
     if g.n < 1:
         raise InputError("need at least one vertex")
-    return VertexSet.of((v for v in range(g.n) if _closure_mask(g, v) == 1 << v), g.n)
+    mask = 0
+    for v in range(g.n):
+        if _closure_mask(g, v) == 1 << v:
+            mask |= 1 << v
+    return VertexSet(mask, g.n)
 
 
 def is_transvection_free_graph(g: Graph) -> bool:
@@ -69,7 +77,7 @@ def is_transvection_free_graph(g: Graph) -> bool:
         raise InputError("need at least one vertex")
     if g.n == 1:
         return False
-    return len(transvection_free_vertices(g)) == g.n
+    return all(_closure_mask(g, v) == 1 << v for v in range(g.n))
 
 
 def is_characteristic_vertex_set(g: Graph, s: VertexSet) -> bool:

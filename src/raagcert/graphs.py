@@ -4,11 +4,24 @@ Graphs are immutable, have vertices 0..n-1, and store adjacency as one bit-row
 per vertex, so every set-valued query is a couple of mask operations.
 The public boundary caps graphs at 64 vertices; the empty graph can only arise
 internally as a quotient result and is rejected by every parser and builder.
+
+``Graph(...)`` and ``from_edges`` validate their rows; the symmetry check
+compares the rows with their transpose.  Graphs derived from valid graphs
+(``induced``, ``Graph.relabel``, ``complement``, ``compose``) and graphs parsed
+by ``from_graph6`` after its input checks are valid by construction, so they
+skip the re-validation.  graph6 is handled as strings, never bit by bit: its
+body is base64 in another alphabet, and the upper triangle is one bit string
+whose columns are the rows' low bits.  ``induced`` compresses whole rows, one
+run of consecutive kept vertices at a time.
 """
 
 from __future__ import annotations
 
+import binascii
 import itertools
+import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -111,10 +124,13 @@ class Graph:
                 raise InputError(f"row {v} mentions vertices outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise InputError(f"vertex {v} is adjacent to itself")
-        for v in range(self.n):
-            for w in range(v + 1, self.n):
-                if (self.rows[v] >> w & 1) != (self.rows[w] >> v & 1):
-                    raise InputError(f"adjacency is not symmetric at ({v}, {w})")
+        # the first row that differs from its column differs first above the
+        # diagonal: a difference at (v, u) with u < v is one at (u, v) too
+        for v, (row, col) in enumerate(zip(self.rows, _transpose(self.n, self.rows))):
+            if row != col:
+                diff = row ^ col
+                w = (diff & -diff).bit_length() - 1
+                raise InputError(f"adjacency is not symmetric at ({v}, {w})")
 
     # -- basic queries ------------------------------------------------------
 
@@ -166,7 +182,11 @@ class Graph:
             raise InputError("the empty graph has no maximal-degree vertices")
         degrees = [row.bit_count() for row in self.rows]
         top = max(degrees)
-        return VertexSet.of((v for v in range(self.n) if degrees[v] == top), self.n)
+        mask = 0
+        for v, degree in enumerate(degrees):
+            if degree == top:
+                mask |= 1 << v
+        return VertexSet(mask, self.n)
 
     def components(self) -> tuple[VertexSet, ...]:
         out = []
@@ -205,10 +225,59 @@ class Graph:
                 new |= 1 << perm[low.bit_length() - 1]
                 row ^= low
             rows[perm[v]] = new
-        return Graph(self.n, tuple(rows))
+        return _trusted_graph(self.n, tuple(rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
+
+
+def _trusted_graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """``Graph(n, rows)`` without ``Graph.__post_init__``, for rows that are
+    valid by construction: in range, loop-free and symmetric."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
+
+
+# Transposing a bit matrix of w-bit rows held row after row in one integer,
+# as delta swaps (Warren, "Hacker's Delight", section 7-3): the step of width
+# s swaps, in every 2s x 2s block, the top-right s x s quarter with the
+# bottom-left one, s(w - 1) bits further on.  One entry per array type code,
+# so each matrix takes the narrowest machine word its rows fit.
+def _delta_swaps(width: int) -> tuple[tuple[int, int], ...]:
+    steps = []
+    s = width // 2
+    while s:
+        cols = sum(1 << c for c in range(width) if c & s)
+        mask = sum(cols << width * r for r in range(width) if not r & s)
+        steps.append((s * (width - 1), mask))
+        s //= 2
+    return tuple(steps)
+
+
+_DELTA_SWAPS = {code: _delta_swaps(8 * array(code).itemsize) for code in "BHIQ"}
+
+
+def _transpose(n: int, rows: Sequence[int]) -> list[int]:
+    """Rows of the transposed bit matrix: bit v of the w-th is bit w of
+    ``rows[v]``, for n rows of at most n bits."""
+    if n > 64:
+        # wider than a machine word; only a direct Graph(...) call gets here
+        return [sum((row >> w & 1) << v for v, row in enumerate(rows)) for w in range(n)]
+    code = "B" if n <= 8 else "H" if n <= 16 else "I" if n <= 32 else "Q"
+    words = array(code, rows)
+    if sys.byteorder == "big":
+        words.byteswap()
+    matrix = int.from_bytes(words, "little")
+    for shift, mask in _DELTA_SWAPS[code]:
+        swap = (matrix ^ matrix >> shift) & mask
+        matrix ^= swap ^ swap << shift
+    # rows at or past n of the transpose are empty
+    words = array(code, matrix.to_bytes(n * words.itemsize, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -305,14 +374,14 @@ def compose(a: Graph, b: Graph, mode: str) -> Graph:
             rows[v] |= bmask
         for v in range(a.n, n):
             rows[v] |= amask
-    return Graph(n, tuple(rows))
+    return _trusted_graph(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     """Same vertices, edge iff distinct and not an edge before."""
     full = (1 << g.n) - 1
     rows = tuple(~row & full & ~(1 << v) for v, row in enumerate(g.rows))
-    return Graph(g.n, rows)
+    return _trusted_graph(g.n, rows)
 
 
 def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
@@ -320,24 +389,32 @@ def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
     if isinstance(keep, VertexSet):
         if keep.n != g.n:
             raise InputError("vertex set belongs to a different graph")
-        kept = list(keep)
+        mask = keep.mask
     else:
-        kept = sorted(set(keep))
-        for v in kept:
+        mask = 0
+        for v in sorted(set(keep)):
             g.check_vertex(v)
-    index = {v: i for i, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for v in kept:
-        row = g.rows[v]
-        new = 0
-        while row:
-            low = row & -row
-            w = low.bit_length() - 1
-            if w in index:
-                new |= 1 << index[w]
-            row ^= low
-        rows[index[v]] = new
-    return Graph(len(kept), tuple(rows))
+            mask |= 1 << v
+    # each run of consecutive kept vertices as (first, bit mask of its length,
+    # position of its first vertex in the subgraph)
+    runs = []
+    size = 0
+    rest = mask
+    while rest:
+        first = (rest & -rest).bit_length() - 1
+        tail = rest >> first
+        length = (~tail & tail + 1).bit_length() - 1
+        runs.append((first, (1 << length) - 1, size))
+        size += length
+        rest ^= (1 << length) - 1 << first
+    rows = []
+    for first, width, _ in runs:
+        for row in g.rows[first:first + width.bit_length()]:
+            new = 0
+            for start, bits, at in runs:
+                new |= (row >> start & bits) << at
+            rows.append(new)
+    return _trusted_graph(size, tuple(rows))
 
 
 class SrgParameters(NamedTuple):
@@ -405,17 +482,25 @@ def mba_parameters(g: Graph) -> Optional[MbaParameters]:
 # -- graph6 and edge-list interchange ---------------------------------------
 
 
+# graph6 writes each 6-bit chunk as the byte 63 + chunk; base64 writes it as
+# the chunk-th letter of its alphabet
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_NOT_GRAPH6 = re.compile("[^?-~]")
+
+
 def to_graph6(g: Graph) -> str:
     """Standard graph6 string: 6-bit chunks of the upper triangle, offset by 63."""
     if g.n == 0:
         raise InputError("the empty graph has no public encoding")
-    columns = [0]
-    for j in range(1, g.n):
-        col = 0
-        for row in g.rows[:j]:
-            col = col << 1 | (row >> j & 1)
-        columns.append(col)
-    return _graph6_from_columns(g.n, columns)
+    n, rows = g.n, g.rows
+    # column j, vertex 0's bit first, is the low j bits of rows[j] reversed;
+    # write the columns last to first, high bit first, and reverse once (the
+    # bit 1 << n keeps bin's leading zeros)
+    top = 1 << n
+    bits = "".join([bin(rows[j] | top)[-j:] for j in range(n - 1, 0, -1)])
+    return _graph6(n, int(bits[::-1] or "0", 2))
 
 
 def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
@@ -425,16 +510,23 @@ def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
     bits = 0
     for j, col in enumerate(columns):
         bits = bits << j | col
+    return _graph6(n, bits)
+
+
+def _graph6(n: int, bits: int) -> str:
+    """graph6 of the n-vertex graph whose upper triangle, in graph6 pair
+    order and first pair highest, is the n(n-1)/2-bit integer ``bits``."""
     width = n * (n - 1) // 2
-    pad = -width % 6
-    bits <<= pad
+    # base64 takes whole bytes, three to four chunks: pad to 24 bits, then
+    # keep the chunks that graph6 pads to 6 bits
+    padded = -(-width // 24) * 24
+    chunks = binascii.b2a_base64((bits << padded - width).to_bytes(padded // 8, "big"),
+                                 newline=False)
     if n <= 62:
-        out = bytearray((n + 63,))
+        head = chr(n + 63)
     else:
-        out = bytearray((126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63))
-    for shift in range(width + pad - 6, -1, -6):
-        out.append((bits >> shift & 63) + 63)
-    return out.decode("ascii")
+        head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+    return head + chunks[:(width + 5) // 6].translate(_TO_GRAPH6).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -444,9 +536,9 @@ def from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise InputError("empty graph6 string")
-    for off, char in enumerate(s):
-        if not 63 <= ord(char) <= 126:
-            raise InputError(f"invalid graph6 character {char!r} at offset {off}")
+    bad = _NOT_GRAPH6.search(s)
+    if bad:
+        raise InputError(f"invalid graph6 character {bad.group()!r} at offset {bad.start()}")
     data = s.encode("ascii")
     if data[0] == 126:
         if len(data) < 4 or data[1] == 126:
@@ -466,22 +558,18 @@ def from_graph6(text: str) -> Graph:
         raise InputError(
             f"graph6 body has {len(body)} bytes, expected {need}, at offset {body_off}"
         )
-    rows = [0] * n
-    # pairs run (0,1),(0,2),(1,2),(0,3),... column by column
-    i, j = 0, 1
-    for pos, byte in enumerate(body):
-        val = byte - 63
-        for bit in range(5, -1, -1):
-            if j < n:
-                if val >> bit & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i, j = 0, j + 1
-            elif val >> bit & 1:
-                raise InputError(f"nonzero graph6 padding at offset {body_off + pos}")
-    return Graph(n, tuple(rows))
+    # zero chunks complete the last base64 quantum
+    raw = binascii.a2b_base64(body.translate(_FROM_GRAPH6) + b"A" * (-need % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in bits[npairs:6 * need]:
+        # padding fills less than one chunk, so it sits in the last byte
+        raise InputError(f"nonzero graph6 padding at offset {body_off + need - 1}")
+    # pairs run (0,1),(0,2),(1,2),(0,3),... column by column; with the bit
+    # string reversed, pair p is bit p, so column j, from bit j(j-1)/2 on, is
+    # row j's bits below j, and the transpose adds the bits above
+    pairs = int(bits[:npairs][::-1] or "0", 2)
+    lower = [pairs >> j * (j - 1) // 2 & (1 << j) - 1 for j in range(n)]
+    return _trusted_graph(n, tuple(map(int.__or__, lower, _transpose(n, lower))))
 
 
 def to_edge_list(g: Graph) -> str:

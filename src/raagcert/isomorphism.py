@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, _graph6_from_columns, from_edges, to_graph6
+from .graphs import Graph, _graph6_from_columns, _trusted_graph, from_edges, to_graph6
 
 VertexPermutation = tuple[int, ...]
 
@@ -295,7 +295,7 @@ def _extension(h: Graph, mask: int) -> Graph:
     n = h.n + 1
     rows = [row | ((mask >> v & 1) << (n - 1)) for v, row in enumerate(h.rows)]
     rows.append(mask)
-    return Graph(n, tuple(rows))
+    return _trusted_graph(n, tuple(rows))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:

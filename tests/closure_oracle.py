@@ -6,6 +6,7 @@ is missing, ``transvection_free_vertices`` tries every ordered pair, and
 ``is_characteristic_vertex_set`` rebuilds the union of the members'
 characteristic closures from the full automorphism list of
 ``symmetry_oracle``; all three go through the checked ``dominates``.
+``is_transvection_free_graph`` counts ``transvection_free_vertices``.
 """
 
 from raagcert import Graph, VertexSet, dominates
@@ -35,6 +36,11 @@ def transvection_free_vertices(g: Graph) -> VertexSet:
         (v for v in range(g.n) if not any(w != v and dominates(g, v, w) for w in range(g.n))),
         g.n,
     )
+
+
+def is_transvection_free_graph(g: Graph) -> bool:
+    """True iff every vertex is transvection-free and the graph is not a single vertex."""
+    return g.n > 1 and len(transvection_free_vertices(g)) == g.n
 
 
 def is_characteristic_vertex_set(g: Graph, s: VertexSet, auts=None) -> bool:

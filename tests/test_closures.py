@@ -32,6 +32,7 @@ from raagcert.certify import RULES_BY_NAME
 from raagcert.isomorphism import automorphisms, vertex_orbits
 
 import closure_oracle as oracle
+import graph_oracle
 import symmetry_oracle
 from conftest import classes, random_graph
 
@@ -306,6 +307,30 @@ def _sixty_four_vertex_families(rng):
 def test_closures_match_oracle_on_64_vertex_families():
     for g in _sixty_four_vertex_families(random.Random(20261018)):
         _assert_closures_match_oracle(g)
+
+
+def _assert_vertex_queries_match_oracle(g):
+    assert transvection_free_vertices(g) == oracle.transvection_free_vertices(g), g
+    assert is_transvection_free_graph(g) == oracle.is_transvection_free_graph(g), g
+    assert g.max_degree_vertices() == graph_oracle.max_degree_vertices(g), g
+
+
+def test_vertex_queries_match_oracle_on_seven_vertex_classes():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for g in classes(n):
+            _assert_vertex_queries_match_oracle(g)
+            _assert_vertex_queries_match_oracle(_shuffled(rng, g))
+
+
+def test_vertex_queries_match_oracle_on_64_vertex_families():
+    graphs = list(_sixty_four_vertex_families(random.Random(20261018)))
+    # transvection-free on 64 vertices: disjoint unions and joins of cycles
+    graphs += [compose(cycle_graph(30), cycle_graph(34), "disjoint_union"),
+               compose(cycle_graph(30), cycle_graph(34), "simplicial_join")]
+    assert any(is_transvection_free_graph(g) for g in graphs)
+    for g in graphs:
+        _assert_vertex_queries_match_oracle(g)
 
 
 def _assert_characteristic_test_matches_oracle(monkeypatch, sizes):

@@ -28,9 +28,12 @@ from raagcert import (
     to_edge_list,
     to_graph6,
 )
-from raagcert.isomorphism import are_isomorphic
+from raagcert.certify import _add_cross_edges
+from raagcert.isomorphism import _extension, are_isomorphic
 
+import graph_oracle
 from conftest import classes, random_graph
+from families import large_families, small_degree_regular, srg_without_twins
 
 
 def test_vertex_set_basics():
@@ -308,3 +311,154 @@ def test_graph6_roundtrip_property(n, seed):
     g = random_graph(rng, n)
     assert from_graph6(to_graph6(g)) == g
     assert complement(complement(g)) == g
+
+
+# -- the whole-row code against the per-bit code it replaced ---------------------
+
+
+def _error(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _oracle_pool():
+    """Every class with n <= 6 under a seeded relabelling, a seeded labelled
+    G(n, p) for every n in 1..64, and every graph of ``tests/families.py``."""
+    rng = random.Random(20261018)
+    pool = []
+    for n in range(1, 7):
+        for g in classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pool.append(g.relabel(perm))
+    for n in range(1, 65):
+        p = rng.uniform(0.1, 0.9)
+        pool.append(from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < p]))
+    pool += small_degree_regular() + srg_without_twins()
+    pool += [g for _, g in large_families(419)]
+    return pool
+
+
+def test_graph6_matches_oracle():
+    for g in _oracle_pool():
+        text = to_graph6(g)
+        assert text == graph_oracle.to_graph6(g), g
+        parsed = from_graph6(text)
+        assert parsed == graph_oracle.from_graph6(text) == g
+        assert isinstance(parsed.rows, tuple)
+
+
+def test_induced_matches_oracle():
+    rng = random.Random(419)
+    for g in _oracle_pool():
+        full = (1 << g.n) - 1
+        masks = [0, full] + [rng.getrandbits(g.n) for _ in range(3)]
+        # one vertex in eight deleted
+        masks += [full & ~(rng.getrandbits(g.n) & rng.getrandbits(g.n) & rng.getrandbits(g.n))]
+        # few runs: a prefix kept, or the block lo..hi-1 deleted
+        lo, hi = sorted(rng.randint(0, g.n) for _ in range(2))
+        masks += [(1 << hi) - 1, full ^ (1 << hi) - 1 ^ (1 << lo) - 1]
+        for mask in masks:
+            keep = VertexSet(mask, g.n)
+            expected = graph_oracle.induced(g, keep)
+            assert induced(g, keep) == expected, (g, keep)
+            assert induced(g, reversed(keep.to_tuple())) == expected
+
+
+def _wide_graph(rng, n):
+    """A graph above the public 64-vertex cap, which only Graph(...) builds."""
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def test_symmetry_check_matches_oracle():
+    rng = random.Random(101)
+    for g in _oracle_pool() + [_wide_graph(rng, n) for n in (65, 70)]:
+        if g.n < 2:
+            continue
+        assert Graph(g.n, g.rows) == g
+        for flips in (1, 2, 5):
+            rows = list(g.rows)
+            for _ in range(flips):
+                u, w = rng.sample(range(g.n), 2)
+                rows[u] ^= 1 << w
+            expected = _error(lambda r: graph_oracle.check_symmetric(g.n, r), rows)
+            got = _error(lambda r: Graph(g.n, tuple(r)), rows)
+            if expected is None:
+                assert got == Graph(g.n, tuple(rows))
+            else:
+                assert got == expected
+
+
+def test_max_degree_vertices_match_oracle():
+    for g in _oracle_pool():
+        assert g.max_degree_vertices() == graph_oracle.max_degree_vertices(g)
+
+
+def _malformed_graph6():
+    rng = random.Random(7)
+    corpus = ["", "   ", ">>graph6<<", "?", "~", "~?", "~??", "~~??????", "~???", "~?@A",
+              "~??~", "~?A?", "A" + chr(20), "Bé", "D?", "A??", "A@", "C^ ", " C^\t",
+              "Dxz!", "D\x7f??", "@" + "?" * 3, "Bw☃", "éA", "A_\n", "~??}",
+              ">>graph6<<C~", ">>graph6<<A\x00"]
+    for n in list(range(1, 13)) + [20, 33, 61, 62, 63, 64]:
+        text = to_graph6(random_graph(rng, n))
+        head = 1 if n <= 62 else 4
+        corpus += [text[:-1], text + "?", text + "~", text[:head]]
+        for bit in range(-(n * (n - 1) // 2) % 6):
+            # one set bit in the padding of the last byte
+            corpus.append(text[:-1] + chr((ord(text[-1]) - 63 | 1 << bit) + 63))
+        at = rng.randrange(len(text))
+        corpus.append(text[:at] + rng.choice(" \x1f\x7fÿ{") + text[at + 1:])
+    corpus += ["~?A@", "~?@" + "?" * 360, "~?A?" + "?" * 360]
+    return corpus
+
+
+def test_graph6_errors_match_oracle():
+    corpus = _malformed_graph6()
+    errors = 0
+    for text in corpus:
+        expected = _error(graph_oracle.from_graph6, text)
+        assert _error(from_graph6, text) == expected, repr(text)
+        errors += isinstance(expected, str)
+    assert errors > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 64), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_derived_graphs_revalidate(n, m, p, seed):
+    # the constructors that skip Graph.__post_init__ must only build graphs
+    # that it accepts
+    rng = random.Random(seed)
+    m = min(m, 64 - n)
+    g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    h = from_edges(m, [(u, v) for u in range(m) for v in range(u + 1, m)
+                       if rng.random() < p]) if m else Graph(0, ())
+    full = (1 << n) - 1
+    keep = rng.getrandbits(n)
+    other = rng.getrandbits(n) & ~keep
+    perm = list(range(n))
+    rng.shuffle(perm)
+    derived = [
+        induced(g, VertexSet(keep, n)),
+        induced(g, [v for v in range(n) if keep >> v & 1]),
+        g.relabel(perm),
+        complement(g),
+        compose(g, h, "disjoint_union"),
+        compose(g, h, "simplicial_join"),
+        from_graph6(to_graph6(g)),
+        _add_cross_edges(g, keep, other),
+        _add_cross_edges(g, keep, full ^ keep),
+    ]
+    if n < 64:
+        derived.append(_extension(g, keep))
+    for d in derived:
+        assert isinstance(d.rows, tuple)
+        assert Graph(d.n, d.rows) == d
