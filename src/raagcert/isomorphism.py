@@ -50,9 +50,9 @@ def invert_permutation(p: Sequence[int]) -> VertexPermutation:
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
-    """True iff ``perm`` permutes the vertices and maps each bit row onto the
-    row of the image vertex."""
-    if sorted(perm) != list(range(g.n)):
+    """True iff ``perm`` permutes the vertices, as exact integers, and maps
+    each bit row onto the row of the image vertex."""
+    if list(map(type, perm)).count(int) != len(perm) or sorted(perm) != list(range(g.n)):
         return False
     for u, row in enumerate(g.rows):
         image = 0

@@ -16,10 +16,18 @@ first two slots of a triple costs a factor -1 and exchanges the two shapes.
 Each matrix is held as a ``SignedAut`` on basis indices, and eigenvalue 1 is
 read off its cycles: det(I - M) is the product over the cycles of (1 - the
 cycle's sign product), so no matrix is built and no float appears.
+
+A scan asks for one graph's matrices many times in a row, so the sign vectors
+are built once per graph and the level-2 basis with its column map is cached
+for the most recent graph.  ``induced_matrix`` still checks on every call that
+its permutation is a graph automorphism.  The signed automorphisms built from
+Aut(g), and the matrices of one that passed that check, are valid by
+construction and skip ``SignedAut`` validation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,6 +53,8 @@ class SignedAut:
     def __post_init__(self) -> None:
         if len(self.perm) != len(self.signs):
             raise InputError("need one sign per vertex")
+        if any(type(x) is not int for x in itertools.chain(self.perm, self.signs)):
+            raise InputError("perm and signs must hold exact integers")
         if any(s not in (-1, 1) for s in self.signs):
             raise InputError("signs must be +1 or -1")
         if sorted(self.perm) != list(range(len(self.perm))):
@@ -83,6 +93,16 @@ class SignedAut:
                 yield tuple(cycle), math.prod(self.signs[p] for p in cycle)
 
 
+def _trusted_signed(perm: VertexPermutation, signs: tuple[int, ...]) -> SignedAut:
+    """``SignedAut(perm, signs)`` without ``SignedAut.__post_init__``, for a
+    tuple permutation of integers and a tuple of +1/-1 that are valid by
+    construction."""
+    a = object.__new__(SignedAut)
+    object.__setattr__(a, "perm", perm)
+    object.__setattr__(a, "signs", signs)
+    return a
+
+
 def has_eigenvalue_one(m: SignedAut) -> bool:
     """Whether the signed permutation matrix ``m`` has eigenvalue 1.
 
@@ -90,7 +110,21 @@ def has_eigenvalue_one(m: SignedAut) -> bool:
     cycle's sign product), so it vanishes exactly when some cycle has sign
     product +1.  An empty basis has no such cycle: the 0 x 0 determinant is 1.
     """
-    return any(product == 1 for _, product in m.cycles())
+    perm, signs = m.perm, m.signs
+    seen = 0
+    for start in range(len(perm)):
+        if seen >> start & 1:
+            continue
+        product = signs[start]
+        seen |= 1 << start
+        point = perm[start]
+        while point != start:
+            product *= signs[point]
+            seen |= 1 << point
+            point = perm[point]
+        if product == 1:
+            return True
+    return False
 
 
 def signed_automorphisms(g: Graph) -> Iterator[SignedAut]:
@@ -98,18 +132,22 @@ def signed_automorphisms(g: Graph) -> Iterator[SignedAut]:
     if g.n > SIGNED_AUT_MAX_N:
         raise ResourceError(f"signed automorphisms capped at {SIGNED_AUT_MAX_N} vertices")
     auts = automorphisms(g)
+    sign_vectors = [
+        tuple(-1 if bits >> i & 1 else 1 for i in range(g.n))
+        for bits in range(1 << g.n)
+    ]
     for perm in auts:
-        for bits in range(1 << g.n):
-            signs = tuple(-1 if bits >> i & 1 else 1 for i in range(g.n))
-            yield SignedAut(perm, signs)
+        for signs in sign_vectors:
+            yield _trusted_signed(perm, signs)
 
 
 def l2_basis(g: Graph) -> tuple[tuple[int, int], ...]:
     """Non-adjacent increasing pairs, in lexicographic order."""
+    rows = g.rows
     return tuple(
         (i, j)
         for i, j in itertools.combinations(range(g.n), 2)
-        if not g.adjacent(i, j)
+        if not rows[i] >> j & 1
     )
 
 
@@ -120,6 +158,14 @@ def l3_sub_basis(g: Graph) -> tuple[tuple[int, int, int], ...]:
         out.append((i, j, i))
         out.append((i, j, j))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_columns(g: Graph) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
+    """The level-2 basis of ``g`` and the column of each of its pairs.  A scan
+    asks for one graph's matrices many times in a row, so one entry suffices."""
+    pairs = l2_basis(g)
+    return pairs, {pair: c for c, pair in enumerate(pairs)}
 
 
 def _check_signed_aut(g: Graph, a: SignedAut) -> None:
@@ -143,32 +189,39 @@ def induced_matrix(g: Graph, a: SignedAut, level: int) -> SignedAut:
     _check_signed_aut(g, a)
     if level == 1:
         return a
+    if level not in (2, 3):
+        raise InputError("level must be 1, 2 or 3")
+    pairs, column = _pair_columns(g)
     perm, signs = a.perm, a.signs
-    images = []
+    rows: list[int] = []
+    row_signs: list[int] = []
     if level == 2:
-        basis = l2_basis(g)
-        for i, j in basis:
+        for i, j in pairs:
             p, q = perm[i], perm[j]
-            sign = signs[i] * signs[j]
-            if p > q:
-                p, q = q, p
-                sign = -sign
-            images.append(((p, q), sign))
-    elif level == 3:
-        basis = l3_sub_basis(g)
-        for i, j, rep in basis:
+            if p < q:
+                rows.append(column[p, q])
+                row_signs.append(signs[i] * signs[j])
+            else:
+                rows.append(column[q, p])
+                row_signs.append(-signs[i] * signs[j])
+    else:
+        # l3_sub_basis holds (i, j, i) in column 2c and (i, j, j) in column
+        # 2c + 1 for the pair (i, j) in column c of l2_basis
+        for i, j in pairs:
             p, q = perm[i], perm[j]
-            sign = signs[j] if rep == i else signs[i]
-            if p > q:
+            if p < q:
+                c = 2 * column[p, q]
+                rows += (c, c + 1)
+                row_signs += (signs[j], signs[i])
+            else:
                 # reordering the first two slots negates and exchanges shapes;
                 # the third slot is never reordered
-                p, q = q, p
-                sign = -sign
-            images.append(((p, q, perm[rep]), sign))
-    else:
-        raise InputError("level must be 1, 2 or 3")
-    index = {element: c for c, element in enumerate(basis)}
-    return SignedAut(tuple(index[x] for x, _ in images), tuple(s for _, s in images))
+                c = 2 * column[q, p]
+                rows += (c + 1, c)
+                row_signs += (-signs[j], -signs[i])
+    # the image pairs are non-adjacent because a.perm is a graph automorphism,
+    # so rows is a permutation of the basis columns and every sign is +1 or -1
+    return _trusted_signed(tuple(rows), tuple(row_signs))
 
 
 @dataclass(frozen=True)

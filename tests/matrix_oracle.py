@@ -82,3 +82,30 @@ def det_by_cofactors(rows) -> int:
 def det_identity_minus(m: SignedAut) -> int:
     """det(I - M) for the dense form of ``m``."""
     return det_exact(subtract(identity(len(m.perm)), dense(m)))
+
+
+def induced_matrix_oracle(g, a: SignedAut, level: int) -> SignedAut:
+    """``induced_matrix`` for a signed automorphism ``a`` of ``g`` at level 2
+    or 3, from a basis rebuilt by pairwise adjacency queries and a dict from
+    each image bracket to its column."""
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.adjacent(i, j)]
+    if level == 2:
+        basis = pairs
+    else:
+        basis = [(i, j, rep) for i, j in pairs for rep in (i, j)]
+    perm, signs = a.perm, a.signs
+    images = []
+    for element in basis:
+        i, j = element[:2]
+        p, q = perm[i], perm[j]
+        if level == 2:
+            sign = signs[i] * signs[j]
+        else:
+            # (i, j, i) picks up e_j, (i, j, j) picks up e_i
+            sign = signs[j] if element[2] == i else signs[i]
+        if p > q:
+            p, q = q, p
+            sign = -sign
+        images.append(((p, q) + tuple(perm[rep] for rep in element[2:]), sign))
+    column = {element: c for c, element in enumerate(basis)}
+    return SignedAut(tuple(column[x] for x, _ in images), tuple(s for _, s in images))

@@ -78,6 +78,13 @@ def test_is_automorphism_matches_pairwise_definition():
     assert maps == 1 * 1 + 2 * 4 + 4 * 27 + 11 * 256
 
 
+def test_is_automorphism_rejects_non_int_entries():
+    assert is_automorphism(cycle_graph(4), (0, 1, 2, 3))
+    assert not is_automorphism(cycle_graph(4), (0.0, 1.0, 2.0, 3.0))
+    assert not is_automorphism(cycle_graph(4), (0, 1, 2, 3.0))
+    assert not is_automorphism(edgeless_graph(2), (False, True))
+
+
 def test_automorphism_count_matches_networkx():
     rng = random.Random(7)
     pool = [random_graph(rng, rng.randint(2, 6)) for _ in range(12)]

@@ -13,6 +13,7 @@ from raagcert import (
     eigenvalue_witness_report,
     enumerate_lyndon,
     has_eigenvalue_one,
+    from_edges,
     induced_matrix,
     l2_basis,
     l3_sub_basis,
@@ -27,6 +28,7 @@ from matrix_oracle import (
     det_exact,
     det_identity_minus,
     identity,
+    induced_matrix_oracle,
     matmul,
 )
 
@@ -47,6 +49,13 @@ def test_signed_aut_compose_inverse():
     for not_a_permutation in ((0, 0), (1, 2), (-1, 0)):
         with pytest.raises(InputError):
             SignedAut(not_a_permutation, (1, 1))
+
+
+def test_signed_aut_rejects_non_int_entries():
+    for perm, signs in (((0, 1), (1.0, True)), ((1.0, 0.0), (1, 1)), ((0, 1), (1, True)),
+                        ((False, True), (1, 1)), ((0, 1), (1, -1.0))):
+        with pytest.raises(InputError):
+            SignedAut(perm, signs)
 
 
 def test_signed_automorphism_stream():
@@ -239,3 +248,62 @@ def test_eigenvalue_one_matches_determinant_oracle(max_n):
                     assert has_eigenvalue_one(m) == (det_identity_minus(m) == 0)
                     cases += 1
     assert cases == {4: 4_758, 5: 48_918}[max_n]
+
+
+def _scan_sample():
+    """Every non-complete class with n <= 5, each with all its signed
+    automorphisms, and a seeded sample of them on seeded 6-vertex classes."""
+    rng = random.Random(23)
+    for n in range(1, 6):
+        for g in classes(n):
+            if not g.is_complete():
+                yield g, list(signed_automorphisms(g))
+    for g in rng.sample([g for g in classes(6) if not g.is_complete()], 25):
+        sa = list(signed_automorphisms(g))
+        yield g, rng.sample(sa, min(40, len(sa)))
+
+
+def test_trusted_signed_auts_revalidate():
+    checked = 0
+    for g, sa in _scan_sample():
+        for a in sa:
+            for m in [a] + [induced_matrix(g, a, level) for level in (1, 2, 3)]:
+                assert SignedAut(m.perm, m.signs) == m
+                assert type(m.perm) is tuple and type(m.signs) is tuple
+                assert has_eigenvalue_one(m) == any(p == 1 for _, p in m.cycles())
+                checked += 1
+    assert checked > 50_000
+
+
+def test_induced_matrix_matches_oracle():
+    for g, sa in _scan_sample():
+        assert l2_basis(g) == tuple(
+            (i, j) for i, j in itertools.combinations(range(g.n), 2) if not g.adjacent(i, j))
+        for a in sa:
+            for level in (2, 3):
+                assert induced_matrix(g, a, level) == induced_matrix_oracle(g, a, level)
+
+
+def test_pair_cache_keeps_graphs_apart():
+    # two 4-cycles on the same vertices with different non-edges, and a path
+    # with more of them; a stale basis would give each the other's columns
+    graphs = (
+        cycle_graph(4),
+        from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]),
+        from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    )
+    streams = [list(signed_automorphisms(g)) for g in graphs]
+    for step in range(max(map(len, streams))):
+        for g, sa in zip(graphs, streams):
+            a = sa[step % len(sa)]
+            for level in (2, 3):
+                assert induced_matrix(g, a, level) == induced_matrix_oracle(g, a, level)
+
+
+def test_non_automorphism_rejected_with_cached_bases():
+    g = cycle_graph(4)
+    swap = SignedAut((1, 0, 2, 3), (1, 1, 1, 1))
+    for level, dim in ((1, 4), (2, 2), (3, 4)):
+        assert induced_matrix(g, SignedAut.identity(4), level) == SignedAut.identity(dim)
+        with pytest.raises(InputError):
+            induced_matrix(g, swap, level)
