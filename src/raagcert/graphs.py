@@ -280,16 +280,21 @@ def _transpose(n: int, rows: Sequence[int]) -> list[int]:
     return words.tolist()
 
 
+def _check_vertex_count(n: int) -> None:
+    """Reject a public graph of ``n`` vertices before anything is built for it."""
+    if n < 1:
+        raise InputError("graphs at the public boundary must have at least one vertex")
+    if n > MAX_VERTICES:
+        raise InputError(f"at most {MAX_VERTICES} vertices are supported")
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Public graph builder; rejects empty and oversized graphs.
 
     >>> from_edges(3, [(0, 1), (1, 2)]).degree(1)
     2
     """
-    if n < 1:
-        raise InputError("graphs at the public boundary must have at least one vertex")
-    if n > MAX_VERTICES:
-        raise InputError(f"at most {MAX_VERTICES} vertices are supported")
+    _check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -315,10 +320,12 @@ def edgeless_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
+    _check_vertex_count(n)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -327,6 +334,7 @@ def complete_multipartite_graph(parts: Sequence[int]) -> Graph:
     if not parts or any(p < 1 for p in parts):
         raise InputError("every block must have at least one vertex")
     n = sum(parts)
+    _check_vertex_count(n)
     edges = []
     offsets = list(itertools.accumulate([0] + list(parts)))
     for a, b in itertools.combinations(range(len(parts)), 2):
@@ -364,8 +372,7 @@ def compose(a: Graph, b: Graph, mode: str) -> Graph:
     if mode not in ("disjoint_union", "simplicial_join"):
         raise InputError(f"unknown composition mode {mode!r}")
     n = a.n + b.n
-    if n > MAX_VERTICES:
-        raise InputError(f"at most {MAX_VERTICES} vertices are supported")
+    _check_vertex_count(n)
     rows = list(a.rows) + [row << a.n for row in b.rows]
     if mode == "simplicial_join":
         amask = (1 << a.n) - 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from raagcert import from_graph6, to_graph6, cycle_graph
+from raagcert import InputError, from_graph6, to_graph6, cycle_graph, graphs
 from raagcert.cli import main, parse_builtin
 from raagcert.lyndon import enumerate_lyndon
 
@@ -36,6 +36,30 @@ def test_certify_builtin(capsys):
     assert payload["certificate"]["verdict"] == "RINF"
     assert payload["certificate"]["rule"] == "TRANSVECTION_FREE"
 
+
+
+def test_oversized_builtins_fail_before_building(monkeypatch, capsys):
+    # each builder checks the 64-vertex cap before it makes any edge list:
+    # reaching from_edges with more vertices means the list was built
+    real = graphs.from_edges
+
+    def capped(n, edges):
+        assert n <= graphs.MAX_VERTICES, f"built {n} vertices before the cap check"
+        return real(n, edges)
+
+    monkeypatch.setattr(graphs, "from_edges", capped)
+    message = "at most 64 vertices are supported"
+    for build, arg in ((graphs.cycle_graph, 65), (graphs.cycle_graph, 2_000_000),
+                       (graphs.path_graph, 2_000_000),
+                       (graphs.complete_multipartite_graph, [1000, 1000])):
+        with pytest.raises(InputError, match=message):
+            build(arg)
+    for builtin in ("cycle:2000000", "complete_multipartite:1000,1000"):
+        code, out, err = run_cli(capsys, "certify", "--builtin", builtin)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+    assert graphs.cycle_graph(64).n == graphs.path_graph(64).n == 64
+    assert graphs.complete_multipartite_graph([32, 32]).edge_count == 1024
 
 def test_certify_text_format(capsys):
     code, out, _ = run_cli(capsys, "certify", "--builtin", "complete:3", "--format", "text")

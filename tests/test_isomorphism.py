@@ -34,8 +34,16 @@ from raagcert.isomorphism import (
     vertex_orbits,
 )
 from raagcert.graphs import _graph6_from_columns
-from raagcert.isomorphism import _canonical_search, _extension, _orbit_least_masks
+from raagcert import isomorphism
+from raagcert.isomorphism import (
+    _canonical_search,
+    _extension,
+    _extension_colours,
+    _isomorphism,
+    _orbit_least_masks,
+)
 
+import enumeration_oracle
 import symmetry_oracle as oracle
 from conftest import classes, random_graph
 
@@ -353,6 +361,117 @@ def test_enumerate_representatives_unchanged_by_orbit_skipping():
         "f6c2c0432761b45390c08c30d49e3fce9bbc211f7c71eb606d908b75360f50a3")
     # level 7 extends the n = 6 classes once per orbit of masks
     assert sum(len(_orbit_least_masks(6, _canonical_search(h)[1])) for h in classes(6)) == 5096
+
+
+# -- enumeration: one canonical search per class ---------------------------------
+
+
+def test_enumerate_matches_oracle():
+    for n in range(1, 8):
+        assert list(classes(n)) == enumeration_oracle.enumerate_graphs(n), n
+
+
+@pytest.mark.slow
+def test_enumerate_n8_matches_oracle():
+    assert list(classes(8)) == enumeration_oracle.enumerate_graphs(8)
+
+
+def test_enumerate_runs_one_canonical_search_per_class(monkeypatch):
+    searches = []
+    mappings = []
+    search, check = isomorphism._canonical_search, isomorphism._isomorphism
+
+    def counted_search(g):
+        searches.append(g)
+        return search(g)
+
+    def counted_check(*args):
+        mapping = check(*args)
+        mappings.append(mapping)
+        return mapping
+
+    monkeypatch.setattr(isomorphism, "_canonical_search", counted_search)
+    monkeypatch.setattr(isomorphism, "_isomorphism", counted_check)
+    enumerate_graphs(7)
+    # the classes on 2..7 vertices, each searched once
+    assert len(searches) == 2 + 4 + 11 + 34 + 156 + 1044 == 1251
+    # every other extension is matched by the first check it gets
+    assert len(mappings) == 4507
+    assert None not in mappings
+
+
+def test_extension_colours_match_oracle():
+    for n in range(1, 6):
+        for h in classes(n):
+            colours = enumeration_oracle.vertex_colours(h)
+            for mask in range(1 << n):
+                assert _extension_colours(h, colours, mask) == enumeration_oracle.vertex_colours(
+                    _extension(h, mask)), (h, mask)
+
+
+def _check_isomorphism(a, b):
+    """``_isomorphism`` on ``a`` and ``b``, with every pair of a returned
+    mapping checked."""
+    a_colours = enumeration_oracle.vertex_colours(a)
+    b_colours = enumeration_oracle.vertex_colours(b)
+    mapping = _isomorphism(a, a_colours, b, b_colours)
+    if mapping is not None:
+        assert sorted(mapping) == list(range(b.n))
+        assert [b_colours[u] for u in mapping] == a_colours
+        for u, v in itertools.combinations(range(a.n), 2):
+            assert a.adjacent(u, v) == b.adjacent(mapping[u], mapping[v]), (a, b, mapping)
+    return mapping
+
+
+def _networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_isomorphism_finds_relabelled_classes():
+    rng = random.Random(14)
+    for n in range(1, 8):
+        for g in classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert _check_isomorphism(g.relabel(perm), g) is not None, (g, perm)
+
+
+def _cube():
+    return from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                          if (u ^ v).bit_count() == 1])
+
+
+def _wagner():
+    return from_edges(8, [(i, (i + d) % 8) for i in range(8) for d in (1, 4)])
+
+
+def test_isomorphism_agrees_with_networkx_within_buckets():
+    two_squares = from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
+                             + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+    named = [(cycle_graph(8), two_squares), (_cube(), _wagner())]
+    rng = random.Random(8)
+    pairs = list(itertools.combinations(range(8), 2))
+    buckets = {}
+    for a, b in named:
+        for g in (a, b, a.relabel(rng.sample(range(8), 8))):
+            buckets.setdefault(tuple(sorted(enumeration_oracle.vertex_colours(g))), []).append(g)
+    for _ in range(400):
+        g = from_edges(8, rng.sample(pairs, 8))
+        buckets.setdefault(tuple(sorted(enumeration_oracle.vertex_colours(g))), []).append(g)
+    outcomes = {True: 0, False: 0}
+    for bucket in buckets.values():
+        for a, b in itertools.combinations(bucket, 2):
+            found = _check_isomorphism(a, b) is not None
+            assert found == nx.is_isomorphic(_networkx(a), _networkx(b)), (a, b)
+            outcomes[found] += 1
+    for a, b in named:
+        assert sorted(enumeration_oracle.vertex_colours(a)) == sorted(
+            enumeration_oracle.vertex_colours(b))
+        assert _check_isomorphism(a, b) is None
+    assert outcomes[True] > 500 and outcomes[False] > 70
 
 
 def test_budget_errors():
