@@ -34,7 +34,7 @@ from .graphs import (
     petersen_graph,
     to_graph6,
 )
-from .isomorphism import ENUMERATE_MAX_N, enumerate_graphs
+from .isomorphism import ENUMERATE_MAX_N, enumerate_graphs, shared_searches
 from .liering import SIGNED_AUT_MAX_N, eigenvalue_witness_report
 from .lyndon import LYNDON_MAX_LENGTH, enumerate_lyndon
 
@@ -306,7 +306,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out:
             opened = open(args.out, "w", encoding="ascii")
             out = opened
-        return args.func(args, out)
+        # one canonical search per labelled graph for the whole command
+        with shared_searches():
+            return args.func(args, out)
     except BrokenPipeError:
         return 1
     except (InputError, ResourceError, OSError, UnicodeDecodeError) as exc:

@@ -25,11 +25,22 @@ whose best columns pack into the canonical graph6 that deduplicates it.  So
 each class costs one search, and a weak colouring costs time, never a class.
 The sizes this package targets (at most 8 to 10 vertices) keep the search
 small, so no external canonical-labelling machinery is used.
+
+A command searches many labelled graphs more than once: ``enumerate_graphs(n)``
+rebuilds every lower level, the serializer searches each enumerated root
+again, and the auditor re-checks orbits of graphs that recur across classes.
+Inside a ``shared_searches()`` scope, which the CLI opens around each
+command, the search's result is stored per labelled graph (its rows) and
+every later search of the same rows reads it.  Only the search's own results
+are stored, never one relabelled from another graph's, so every caller gets
+what it would compute alone.  The outermost scope drops them on exit, and
+outside a scope every call searches afresh.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .graphs import Graph, _graph6_from_columns, _trusted_graph, from_edges, to_graph6
@@ -71,9 +82,10 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     return True
 
 
-def _canonical_search(
-    g: Graph,
-) -> tuple[VertexPermutation, list[VertexPermutation], list[int]]:
+_Search = tuple[VertexPermutation, tuple[VertexPermutation, ...], tuple[int, ...]]
+
+
+def _canonical_search(g: Graph) -> _Search:
     """Canonical vertex ordering of ``g``, a generating set of Aut(g), and the
     columns of the canonical graph.
 
@@ -201,7 +213,44 @@ def _canonical_search(
             swap[least], swap[v] = v, least
             found.append(tuple(swap))
     # best_order[p] is the old vertex placed at position p; relabel wants old -> new
-    return invert_permutation(best_order), found, best_cols
+    return invert_permutation(best_order), tuple(found), tuple(best_cols)
+
+
+# _canonical_search's result per labelled graph (keyed by its rows, which also
+# fix n), kept only while a shared_searches() scope is open
+_searches: Optional[dict[tuple[int, ...], _Search]] = None
+
+
+@contextmanager
+def shared_searches() -> Iterator[None]:
+    """Within this scope every canonical search of a labelled graph already
+    searched returns the stored result instead of searching again.
+
+    A nested scope shares the outer one's results; the outermost scope drops
+    them on exit, so nothing outlives the command that opened it.  Only
+    results of ``_canonical_search`` itself are stored, never one derived by
+    relabelling another graph's, so a caller inside the scope gets exactly
+    what it would compute outside.
+    """
+    global _searches
+    if _searches is not None:
+        yield
+        return
+    _searches = {}
+    try:
+        yield
+    finally:
+        _searches = None
+
+
+def _search(g: Graph) -> _Search:
+    """``_canonical_search(g)``, shared within a ``shared_searches()`` scope."""
+    if _searches is None:
+        return _canonical_search(g)
+    result = _searches.get(g.rows)
+    if result is None:
+        result = _searches[g.rows] = _canonical_search(g)
+    return result
 
 
 def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
@@ -222,14 +271,12 @@ def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _search_within(
-    g: Graph, cap: int, what: str
-) -> tuple[VertexPermutation, list[VertexPermutation], list[int]]:
+def _search_within(g: Graph, cap: int, what: str) -> _Search:
     if g.n < 1:
         raise InputError(f"{what} needs at least one vertex")
     if g.n > cap:
         raise ResourceError(f"{what} capped at {cap} vertices")
-    return _canonical_search(g)
+    return _search(g)
 
 
 def automorphisms(g: Graph) -> list[VertexPermutation]:
@@ -393,10 +440,10 @@ def enumerate_graphs(n: int) -> list[Graph]:
         raise ResourceError(f"enumeration capped at {ENUMERATE_MAX_N} vertices")
     # each representative with the generators of its automorphism group and
     # its vertex colours
-    level: list[tuple[Graph, list[VertexPermutation], list[int]]] = [
-        (from_edges(1, []), [], [0])]
+    level: list[tuple[Graph, tuple[VertexPermutation, ...], list[int]]] = [
+        (from_edges(1, []), (), [0])]
     for m in range(2, n + 1):
-        seen: dict[str, tuple[Graph, list[VertexPermutation], list[int]]] = {}
+        seen: dict[str, tuple[Graph, tuple[VertexPermutation, ...], list[int]]] = {}
         # the representatives kept at this level, by sorted colours
         buckets: dict[tuple[int, ...], list[tuple[Graph, list[int]]]] = {}
         for h, generators, h_colours in level:
@@ -407,7 +454,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
                 if any(_isomorphism(cand, colours, rep, rep_colours) is not None
                        for rep, rep_colours in bucket):
                     continue
-                _, cand_generators, columns = _canonical_search(cand)
+                _, cand_generators, columns = _search(cand)
                 key = _graph6_from_columns(m, columns)
                 if key not in seen:
                     seen[key] = (cand, cand_generators, colours)

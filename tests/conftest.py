@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from raagcert import Graph, enumerate_graphs, from_edges
+from raagcert import Graph, enumerate_graphs, from_edges, isomorphism
 
 
 @lru_cache(maxsize=None)
@@ -14,6 +14,20 @@ def classes(n: int) -> tuple[Graph, ...]:
 @pytest.fixture(scope="session")
 def graph_classes():
     return classes
+
+
+def counted_searches(monkeypatch) -> list[bool]:
+    """Count the canonical searches run from now on: one entry per search,
+    True iff a shared_searches() scope was open."""
+    searches = []
+    search = isomorphism._canonical_search
+
+    def counted_search(g):
+        searches.append(isomorphism._searches is not None)
+        return search(g)
+
+    monkeypatch.setattr(isomorphism, "_canonical_search", counted_search)
+    return searches
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

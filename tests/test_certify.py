@@ -32,9 +32,15 @@ from raagcert import (
     to_graph6,
 )
 from raagcert.certify import FIELDS, RULES, RULES_BY_NAME, Reduction, Rule
-from raagcert.isomorphism import CANONICAL_MAX_N, are_isomorphic, automorphisms, canonical_form
+from raagcert.isomorphism import (
+    CANONICAL_MAX_N,
+    are_isomorphic,
+    automorphisms,
+    canonical_form,
+    shared_searches,
+)
 
-from conftest import classes, random_graph
+from conftest import classes, counted_searches, random_graph
 from families import large_families, small_degree_regular
 
 # the citations of the two leaves every disconnected graph satisfies
@@ -425,9 +431,13 @@ def test_audit_walks_deep_chains_iteratively():
     assert problems[0].startswith("root: ") and problems[1].startswith("root/0: ")
 
 
+def _small_graphs():
+    return [g for n in range(1, 6) for g in classes(n)]
+
+
 @lru_cache(maxsize=None)
 def _small_certificates() -> tuple[str, ...]:
-    return tuple(certify(g).to_json() for n in range(1, 6) for g in classes(n))
+    return tuple(certify(g).to_json() for g in _small_graphs())
 
 
 def _nodes(tree):
@@ -493,6 +503,21 @@ def test_audit_mutation_corpus(data):
         _assert_true_certificate(tree)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutation_sample_audits_alike_with_shared_searches(data):
+    texts = _small_certificates()
+    i = data.draw(st.integers(0, len(texts) - 1))
+    tree = json.loads(texts[i])
+    for _ in range(data.draw(st.integers(1, 2))):
+        node = data.draw(st.sampled_from(_nodes(tree)))
+        _mutate(node, data.draw(st.sampled_from(MUTATIONS)), data)
+    alone = audit_certificate(copy.deepcopy(tree))
+    with shared_searches():
+        certify(_small_graphs()[i]).to_dict()
+        assert audit_certificate(tree) == alone
+
+
 def _assert_true_certificate(tree):
     # by the exhaustive sweep, exactly the complete graphs on at most 7
     # vertices lack R-infinity
@@ -504,17 +529,40 @@ def _assert_true_certificate(tree):
             assert complete
 
 
-def test_audit_rejects_every_false_rule_claim():
+def _false_rule_claims():
     # each node of each small certificate, claimed by each rule with that
-    # rule's verdict: a clean audit must still be a true certificate
+    # rule's verdict
     for text in _small_certificates():
         for idx in range(len(_nodes(json.loads(text)))):
             for rule in RULES:
                 tree = json.loads(text)
                 node = _nodes(tree)[idx]
                 node["rule"], node["verdict"] = rule.name, rule.verdict
-                if not audit_certificate(tree):
-                    _assert_true_certificate(tree)
+                yield tree
+
+
+def test_audit_rejects_every_false_rule_claim():
+    # a clean audit must still be a true certificate
+    for tree in _false_rule_claims():
+        if not audit_certificate(tree):
+            _assert_true_certificate(tree)
+
+
+def test_false_rule_claims_audit_alike_with_shared_searches(monkeypatch):
+    # the auditor searches the graphs it parses itself, so searches the
+    # serializer stored for the same classes change none of its problems
+    searches = counted_searches(monkeypatch)
+    trees = list(_false_rule_claims())
+    alone = [audit_certificate(tree) for tree in trees]
+    cold = len(searches)
+    with shared_searches():
+        for n in range(1, 6):
+            for g in classes(n):
+                certify(g).to_dict()
+        warm = len(searches)
+        assert [audit_certificate(tree) for tree in trees] == alone
+    # the audits did share searches
+    assert len(searches) - warm < cold
 
 
 @pytest.mark.slow

@@ -1,12 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from raagcert import InputError, from_graph6, to_graph6, cycle_graph, graphs
 from raagcert.cli import main, parse_builtin
 from raagcert.lyndon import enumerate_lyndon
+
+from conftest import counted_searches
 
 
 def run_cli(capsys, *argv):
@@ -103,15 +109,38 @@ def test_enumerate_sweep(capsys):
     assert all(from_graph6(s).n <= 4 for s in g6s)
 
 
-def test_sweep_output_is_pinned(capsys):
+def test_sweep_output_is_pinned(monkeypatch, capsys):
     # the exact stdout the sweep7 benchmark workload checks, recorded before
     # the canonical search kept its unused vertices in cells
+    searches = counted_searches(monkeypatch)
     code, out, _ = run_cli(capsys, "enumerate", "--max-n", "7", "--certify")
     assert code == 0
     assert json_lines(out)[-1]["summary"] == {
         "classes": 1252, "RINF": 1245, "NOT_RINF_ABELIAN": 7}
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "85fed4998bb8126469ff28fa88b3d43665515a11998d68ef2e4a491fa8780b3e")
+    # one search per distinct labelled graph of the command: the levels
+    # enumerate_graphs rebuilds, the serializer and the auditor share them
+    assert len(searches) == 2117
+
+
+@pytest.mark.slow
+def test_sweep8_peak_rss_is_bounded():
+    # the searches shared within one command are held until it ends; a
+    # child sweep's peak RSS was 49.7 MiB with them (38.1 MiB without), on
+    # Python 3.11.7 under Linux
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'raagcert.cli', 'enumerate', '--max-n', '8',"
+        " '--certify'], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    # the probe's own children are the sweep alone, unlike this process's
+    peak = int(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True).stdout)
+    peak_mib = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mib < 75, peak_mib
 
 
 def test_enumerate_without_certify(capsys):
@@ -123,9 +152,21 @@ def test_enumerate_without_certify(capsys):
 
 
 def test_enumerate_jobs_deterministic(capsys):
-    code, seq, _ = run_cli(capsys, "enumerate", "--max-n", "4", "--certify")
+    # forked workers inherit a snapshot of the command's stored searches
+    code, seq, _ = run_cli(capsys, "enumerate", "--max-n", "6", "--certify")
     assert code == 0
-    code, par, _ = run_cli(capsys, "enumerate", "--max-n", "4", "--certify", "--jobs", "2")
+    code, par, _ = run_cli(capsys, "enumerate", "--max-n", "6", "--certify", "--jobs", "2")
+    assert code == 0
+    assert seq == par
+
+
+def test_certify_jobs_deterministic(capsys):
+    argv = ["certify", "--builtin", "petersen", "--builtin", "cycle:7",
+            "--builtin", "complete_multipartite:2,2,3", "--builtin", "edgeless:4",
+            "--builtin", "complete:5", "--builtin", "cycle:5"]
+    code, seq, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, par, _ = run_cli(capsys, *argv, "--jobs", "2")
     assert code == 0
     assert seq == par
 
@@ -214,6 +255,16 @@ def test_autcheck(capsys):
 
     code, _, err = run_cli(capsys, "autcheck", "--max-n", "8")
     assert code == 1 and "--max-n" in err
+
+
+def test_autcheck_scan_is_pinned(monkeypatch, capsys):
+    # the stdout of the witness6 benchmark workload's scan
+    searches = counted_searches(monkeypatch)
+    code, out, _ = run_cli(capsys, "autcheck", "--max-n", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "88c7146de9cee3b1d00f48911c9e0da986415674c34f12c64fad57ac48ca0160")
+    assert len(searches) == 207
 
 
 def test_autcheck_max_n_takes_no_inputs(tmp_path, capsys):

@@ -33,6 +33,7 @@ from raagcert.isomorphism import (
     is_automorphism,
     vertex_orbits,
 )
+from raagcert.cli import main
 from raagcert.graphs import _graph6_from_columns
 from raagcert import isomorphism
 from raagcert.isomorphism import (
@@ -41,11 +42,12 @@ from raagcert.isomorphism import (
     _extension_colours,
     _isomorphism,
     _orbit_least_masks,
+    shared_searches,
 )
 
 import enumeration_oracle
 import symmetry_oracle as oracle
-from conftest import classes, random_graph
+from conftest import classes, counted_searches, random_graph
 
 
 def test_automorphism_counts():
@@ -472,6 +474,83 @@ def test_isomorphism_agrees_with_networkx_within_buckets():
             enumeration_oracle.vertex_colours(b))
         assert _check_isomorphism(a, b) is None
     assert outcomes[True] > 500 and outcomes[False] > 70
+
+
+# -- one search per labelled graph within a shared_searches() scope ---------------
+
+
+def _symmetry(g):
+    return automorphisms(g), vertex_orbits(g), canonical_relabelled(g)
+
+
+def test_shared_searches_change_no_result(monkeypatch):
+    rng = random.Random(15)
+    graphs = []
+    for n in range(1, 7):
+        for g in classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs += [g, g.relabel(perm)]
+    levels = [list(classes(n)) for n in range(1, 7)]
+    searches = counted_searches(monkeypatch)
+    alone = [_symmetry(g) for g in graphs]
+    # outside a scope every call searches again
+    assert len(searches) == 3 * len(graphs)
+    with shared_searches():
+        for _ in range(2):  # the second pass reads only stored searches
+            assert [_symmetry(g) for g in graphs] == alone
+            assert [enumerate_graphs(n) for n in range(1, 7)] == levels
+        # each distinct labelled graph searched once, whoever asked first
+        assert len(searches) - 3 * len(graphs) == len(isomorphism._searches)
+    assert isomorphism._searches is None
+
+
+def test_shared_searches_end_with_the_command(monkeypatch, tmp_path, capsys):
+    searches = counted_searches(monkeypatch)
+    assert main(["certify", "--builtin", "petersen", "--builtin", "cycle:6"]) == 0
+    assert searches and all(searches)  # the command ran inside a scope
+    assert isomorphism._searches is None
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3; 0-1\n3; 0-3\n")  # the second line is malformed
+    assert main(["certify", "--input", str(bad)]) == 1
+    assert isomorphism._searches is None
+    # an internal failure propagates out of main, and the scope still closes
+    monkeypatch.setattr("raagcert.cli.audit_certificate", lambda cert: ["forged"])
+    with pytest.raises(RuntimeError):
+        main(["certify", "--builtin", "cycle:5"])
+    assert isomorphism._searches is None
+    with pytest.raises(KeyError):
+        with shared_searches():
+            vertex_orbits(cycle_graph(5))
+            raise KeyError
+    assert isomorphism._searches is None
+    capsys.readouterr()
+
+
+def test_nested_shared_searches_share_one_dict():
+    g = petersen_graph()
+    with shared_searches():
+        outer = isomorphism._searches
+        with shared_searches():
+            assert isomorphism._searches is outer
+            vertex_orbits(g)
+        # the inner scope's search outlives it, inside the outer scope
+        assert isomorphism._searches is outer and g.rows in outer
+    assert isomorphism._searches is None
+
+
+def test_stored_searches_are_tuples():
+    with shared_searches():
+        enumerate_graphs(5)
+        for g in classes(5):
+            automorphisms(g)
+            canonical_relabelled(g)
+        stored = isomorphism._searches
+        assert stored
+        for rows, (order, generators, columns) in stored.items():
+            assert type(rows) is type(order) is type(generators) is type(columns) is tuple
+            assert all(type(a) is tuple for a in generators)
+            assert len(order) == len(columns) == len(rows)
 
 
 def test_budget_errors():
