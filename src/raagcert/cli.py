@@ -9,6 +9,13 @@ JSON lines by default and plain text with ``--format text``; every JSON object
 carries a ``schema`` version field.  Exit status: 0 for a clean run, 2 when
 any verdict is UNDECIDED (or a witness scan reports a failure), 1 for
 malformed input, a command-line usage error or an internal failure.
+
+``main`` builds its argument parser on its first call and keeps it for the
+rest of the process, so a caller that runs many commands in one process
+(a test, a benchmark) builds it once, as a CLI process does.  It dispatches
+through the module's ``cmd_*`` function named after the subcommand, looked up
+at call time, so rebinding one of them takes effect on the next call.
+``build_parser()`` returns a fresh parser on every call.
 """
 
 from __future__ import annotations
@@ -264,40 +271,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("certify", help="emit one certificate per input graph")
     _add_io_arguments(sub)
     sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    sub.set_defaults(func=cmd_certify)
 
     sub = commands.add_parser("enumerate", help="sweep isomorphism classes up to --max-n")
     sub.add_argument("--max-n", type=int, required=True)
     sub.add_argument("--certify", action="store_true", help="certify every class")
     _add_io_arguments(sub, with_inputs=False)
     sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    sub.set_defaults(func=cmd_enumerate)
 
     sub = commands.add_parser("lyndon", help="list Lyndon traces of a given length")
     sub.add_argument("--length", type=int, required=True)
     _add_io_arguments(sub)
-    sub.set_defaults(func=cmd_lyndon)
 
     sub = commands.add_parser("ranks", help="ranks of the graded lower-central pieces")
     sub.add_argument("--upto", type=int, required=True)
     _add_io_arguments(sub)
-    sub.set_defaults(func=cmd_ranks)
 
     sub = commands.add_parser("autcheck", help="eigenvalue-witness scan of signed automorphisms")
     sub.add_argument("--max-n", type=int, help="scan all non-complete classes up to this size")
     _add_io_arguments(sub)
-    sub.set_defaults(func=cmd_autcheck)
 
     sub = commands.add_parser("simplify", help="iterated maximal-degree deletion trace")
     _add_io_arguments(sub)
-    sub.set_defaults(func=cmd_simplify)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     out = sys.stdout
     opened: Optional[TextIO] = None
     try:
@@ -308,7 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out = opened
         # one canonical search per labelled graph for the whole command
         with shared_searches():
-            return args.func(args, out)
+            return globals()[f"cmd_{args.command}"](args, out)
     except BrokenPipeError:
         return 1
     except (InputError, ResourceError, OSError, UnicodeDecodeError) as exc:

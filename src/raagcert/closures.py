@@ -12,15 +12,28 @@ its closure is itself, and a set is characteristic exactly when it contains
 each member's domination closure and orbit.  The orbits come from
 ``isomorphism.vertex_orbits``; no automorphism list is built, and
 ``characteristic_closures`` reads every vertex's closure from one search.
+
+``is_characteristic_vertex_set`` mostly settles the orbit half of its test
+without that search, by colour refinement from the degree partition (McKay,
+"Practical graph isomorphism", 1981): each round splits every cell by the
+vertex's number of neighbours in each cell.  Automorphisms preserve degrees,
+so they preserve the degree partition, and a partition they preserve stays
+preserved when its cells are split by counts taken against its own cells.
+So every orbit lies inside one cell of every round, and a set that is a
+union of cells contains each member's orbit.  Refinement can stabilise on
+cells coarser than the orbits: on C3 ⊔ C4 every vertex has degree 2 and two
+neighbours of degree 2, so the partition never leaves one cell, and only the
+orbit search shows that the triangle and the square are characteristic.  The
+search runs only in such a case.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InputError
 from .graphs import Graph, VertexSet
-from .isomorphism import vertex_orbits
+from .isomorphism import CANONICAL_MAX_N, vertex_orbits
 
 
 def _closure_mask(g: Graph, v: int) -> int:
@@ -80,16 +93,50 @@ def is_transvection_free_graph(g: Graph) -> bool:
     return all(_closure_mask(g, v) == 1 << v for v in range(g.n))
 
 
+def _refined_partitions(g: Graph) -> Iterator[list[int]]:
+    """The degree partition of ``g``, then each round of colour refinement
+    while it splits a cell, as lists of cell masks.  Every automorphism
+    preserves each of them."""
+    rows = g.rows
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        degree = row.bit_count()
+        by_degree[degree] = by_degree.get(degree, 0) | 1 << v
+    cells = list(by_degree.values())
+    while True:
+        yield cells
+        split: dict[tuple[int, ...], int] = {}
+        for cell in cells:
+            members = cell
+            while members:
+                low = members & -members
+                row = rows[low.bit_length() - 1]
+                key = (cell, *((row & other).bit_count() for other in cells))
+                split[key] = split.get(key, 0) | low
+                members ^= low
+        if len(split) == len(cells):
+            return
+        cells = list(split.values())
+
+
 def is_characteristic_vertex_set(g: Graph, s: VertexSet) -> bool:
     """True iff ``s`` equals the union of the characteristic closures of its members.
 
     Equivalently, ``s`` contains the domination closure and the orbit of each
-    member.
+    member.  The orbits are searched only when no refined degree partition
+    has ``s`` as a union of cells.
     """
     if s.n != g.n:
         raise InputError("vertex set belongs to a different graph")
+    if not 1 <= g.n <= CANONICAL_MAX_N:
+        vertex_orbits(g)  # raises the orbit search's size error, on every s
+    if any(_closure_mask(g, v) & ~s.mask for v in s):
+        return False
+    for cells in _refined_partitions(g):
+        if all((cell & s.mask) in (0, cell) for cell in cells):
+            return True
     orbits = vertex_orbits(g)
-    return not any((_closure_mask(g, v) | orbits[v]) & ~s.mask for v in s)
+    return not any(orbits[v] & ~s.mask for v in s)
 
 
 class MbaCharacteristicSets(NamedTuple):

@@ -381,6 +381,20 @@ def test_audit_rejects_a_non_ascii_root_graph6():
     assert problems[0].startswith("root: bad graph6") and "offset 1" in problems[0]
 
 
+@pytest.mark.parametrize("change, problem", [
+    # an empty object iterates like an empty list
+    ({"children": {}}, "children is not a list"),
+    # the rest of the node is a sound FALLBACK leaf
+    ({"verdict": UNDECIDED, "rule": "NOT_A_RULE", "citation": CITATION["FALLBACK"]},
+     "unknown rule 'NOT_A_RULE'"),
+], ids=["children-object", "unknown-rule"])
+def test_audit_rejects_a_leaf_only_one_check_can_catch(change, problem):
+    leaf = {"verdict": RINF, "rule": "DISCONNECTED", "citation": CITATION["DISCONNECTED"],
+            "graph6": "B?", "children": []}
+    assert audit_certificate(leaf) == []
+    assert audit_certificate({**leaf, **change}) == [f"root: {problem}"]
+
+
 def _replace_child(cert, idx, child):
     children = list(cert["children"])
     children[idx] = child

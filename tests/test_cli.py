@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from raagcert import InputError, from_graph6, to_graph6, cycle_graph, graphs
-from raagcert.cli import main, parse_builtin
+from raagcert import cli
+from raagcert.cli import build_parser, main, parse_builtin
 from raagcert.lyndon import enumerate_lyndon
 
 from conftest import counted_searches
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -120,8 +123,10 @@ def test_sweep_output_is_pinned(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "85fed4998bb8126469ff28fa88b3d43665515a11998d68ef2e4a491fa8780b3e")
     # one search per distinct labelled graph of the command: the levels
-    # enumerate_graphs rebuilds, the serializer and the auditor share them
-    assert len(searches) == 2117
+    # enumerate_graphs rebuilds, the serializer and the auditor share them,
+    # and the auditor's characteristic-set test searches only where colour
+    # refinement leaves it undecided
+    assert len(searches) == 1463
 
 
 @pytest.mark.slow
@@ -129,7 +134,7 @@ def test_sweep8_peak_rss_is_bounded():
     # the searches shared within one command are held until it ends; a
     # child sweep's peak RSS was 49.7 MiB with them (38.1 MiB without), on
     # Python 3.11.7 under Linux
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     probe = (
         "import resource, subprocess, sys\n"
         "subprocess.run([sys.executable, '-m', 'raagcert.cli', 'enumerate', '--max-n', '8',"
@@ -382,3 +387,78 @@ def test_undecided_verdict_exits_two(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "certify", "--input", "-", "--format", "text")
     assert code == 2
     assert out == "I]KoWZBoo\tUNDECIDED\tFALLBACK\n"
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def _outcome(capsys, argv):
+    """(exit status, stdout, stderr) of one ``main`` call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_calls_sharing_one_parser_match_fresh_calls(monkeypatch, capsys):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    sequence = [
+        ("certify", "--builtin", "cycle:5"),
+        ("certify", "--builtin", "petersen"),  # the appended list starts empty again
+        ("certify", "--builtin", "cycle:5", "--jobs", "x"),
+        ("certify", "--builtin", "complete:3", "--format", "text"),
+        ("wheel",),
+        ("enumerate", "--max-n", "3", "--format", "text"),
+        ("certify", "--builtin", "cycle:5", "--builtin", "cycle:6", "--format", "text"),
+        ("autcheck", "--builtin", "cycle:5"),
+    ]
+    shared = [_outcome(capsys, argv) for argv in sequence]
+    assert len(builds) == 1
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 1, 0, 0, 0]
+    assert len(shared[1][1].splitlines()) == 1
+    for argv, outcome in zip(sequence, shared):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert _outcome(capsys, argv) == outcome, argv
+    assert len(builds) == 1 + len(sequence)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_rebound_commands_take_effect_after_the_first_call(monkeypatch, capsys):
+    # the dispatch reads the module's cmd_* bindings on every call, as a
+    # tracer that wraps them needs
+    assert run_cli(capsys, "certify", "--builtin", "cycle:5")[0] == 0
+
+    def patched(args, out):
+        out.write(f"patched {args.builtin}\n")
+        return 2
+
+    monkeypatch.setattr("raagcert.cli.cmd_certify", patched)
+    assert run_cli(capsys, "certify", "--builtin", "cycle:5") == (2, "patched ['cycle:5']\n", "")
+
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (("certify", "--builtin", "petersen"), "", 0),
+    (("certify", "--input", "-"), "I?\n", 1),
+    (("wheel",), "", 1),
+    # C5[K2] stays UNDECIDED, unlike C5 with non-adjacent twin pairs
+    (("certify", "--input", "-"), "IJ]C{~cxG\n", 2),
+])
+def test_exit_status_of_a_cli_process(argv, stdin, code):
+    # a fresh interpreter builds the parser on its first and only call
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "raagcert.cli", *argv], input=stdin,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+

@@ -7,6 +7,7 @@ import pytest
 from raagcert import (
     Graph,
     InputError,
+    ResourceError,
     VertexSet,
     characteristic_closure,
     characteristic_closures,
@@ -18,6 +19,7 @@ from raagcert import (
     dominates,
     domination_closure,
     from_edges,
+    from_graph6,
     induced,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
@@ -26,9 +28,11 @@ from raagcert import (
     path_graph,
     petersen_graph,
     srg_parameters,
+    to_graph6,
     transvection_free_vertices,
 )
 from raagcert.certify import RULES_BY_NAME
+from raagcert.closures import _refined_partitions
 from raagcert.isomorphism import automorphisms, vertex_orbits
 
 import closure_oracle as oracle
@@ -87,6 +91,11 @@ def test_is_characteristic_vertex_set():
         assert is_characteristic_vertex_set(g, transvection_free_vertices(g))
     p3 = path_graph(3)
     assert not is_characteristic_vertex_set(p3, VertexSet.of([0], 3))
+    # the orbit search's size limits hold even where refinement would answer
+    with pytest.raises(ResourceError):
+        is_characteristic_vertex_set(cycle_graph(11), VertexSet.of(range(11), 11))
+    with pytest.raises(InputError):
+        is_characteristic_vertex_set(Graph(0, ()), VertexSet(0, 0))
 
 
 def test_every_closure_is_characteristic_on_small_classes():
@@ -357,3 +366,50 @@ def test_characteristic_test_matches_oracle_on_every_small_subset(monkeypatch):
 @pytest.mark.slow
 def test_characteristic_test_matches_oracle_on_every_seven_vertex_subset(monkeypatch):
     assert _assert_characteristic_test_matches_oracle(monkeypatch, range(1, 8)) == 144922
+
+
+# -- orbits settled by colour refinement --------------------------------------------
+
+
+def test_orbits_lie_inside_every_refined_cell():
+    coarser = []
+    for n in range(1, 8):
+        for g in classes(n):
+            orbits = set(vertex_orbits(g))
+            for cells in _refined_partitions(g):
+                assert all(any((orbit & ~cell) == 0 for cell in cells) for orbit in orbits), g
+            if set(cells) != orbits:  # the last round is the stable partition
+                coarser.append(to_graph6(g))
+    # C3 + C4 and its complement: the only classes with n <= 7 that need the search
+    assert coarser == ["FCdb?", "FFzvO"]
+
+
+@pytest.mark.parametrize("text, triangle, square", [
+    ("FCdb?", [0, 3, 4], [1, 2, 5, 6]),
+    ("G?aJB?", [0, 4, 5], [1, 2, 6, 7]),
+])
+def test_characteristic_test_falls_back_to_orbits(monkeypatch, text, triangle, square):
+    # C3 + C4 and C3 + C4 + K1: every vertex of a cycle has degree 2 and two
+    # neighbours of degree 2, so refinement never separates the triangle from
+    # the square, and only the orbit search shows each is characteristic
+    g = from_graph6(text)
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return vertex_orbits(h)
+
+    monkeypatch.setattr("raagcert.closures.vertex_orbits", counted)
+    for part in (triangle, square):
+        s = VertexSet.of(part, g.n)
+        assert not any(all((cell & s.mask) in (0, cell) for cell in cells)
+                       for cells in _refined_partitions(g))
+        calls.clear()
+        assert is_characteristic_vertex_set(g, s)
+        assert len(calls) == 1
+    auts = symmetry_oracle.automorphisms(g)
+    for mask in range(1 << g.n):
+        s = VertexSet(mask, g.n)
+        assert is_characteristic_vertex_set(g, s) == oracle.is_characteristic_vertex_set(
+            g, s, auts), s
+
