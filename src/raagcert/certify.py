@@ -101,8 +101,13 @@ def max_join_decomposition(g: Graph) -> JoinDecomposition:
     if not g.is_connected():
         raise InputError("decomposition is defined for connected graphs")
     comps = complement(g).components()
-    factors = tuple(induced(g, comp) for comp in comps if len(comp) > 1)
+    factors = _join_factors(g, comps)
     return JoinDecomposition(len(comps) - len(factors), factors)
+
+
+def _join_factors(g: Graph, co_components: tuple[VertexSet, ...]) -> tuple[Graph, ...]:
+    """The join factors of ``g``, given the components of its complement."""
+    return tuple(induced(g, comp) for comp in co_components if len(comp) > 1)
 
 
 class SimplificationResult(NamedTuple):
@@ -192,10 +197,14 @@ def _srg(g: Graph) -> Iterator[Reduction]:
 
 
 def _join_factor(g: Graph) -> Iterator[Reduction]:
-    if not g.is_connected():
+    # A connected complement is one factor and no centre, so no reduction;
+    # that is also the case of every disconnected g.  Two or more complement
+    # components leave a centre or a second factor beside any factor.
+    comps = complement(g).components()
+    if len(comps) == 1:
         return
-    centre_size, factors = max_join_decomposition(g)
-    if factors and (centre_size > 0 or len(factors) > 1):
+    factors = _join_factors(g, comps)
+    if factors:
         yield Reduction(
             "maximal join decomposition: if one join factor has R-infinity, the whole "
             "direct product does",

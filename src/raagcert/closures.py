@@ -7,9 +7,11 @@ through the graph's automorphism group, that is, the union of the orbits of
 the domination closure's members.  Domination (w dominates v when lk(v) lies
 in st(w)) is a preorder, so the domination closure of v is v with every vertex
 dominating it: the intersection of st(x) over the neighbours x of v, which is
-every vertex when v is isolated.  A vertex is transvection-free exactly when
-its closure is itself, and a set is characteristic exactly when it contains
-each member's domination closure and orbit.  The orbits come from
+every vertex when v is isolated.  v lies in each neighbour's star, so the
+intersection never drops v, and ``_closure_mask`` stops at the first star
+that leaves v alone.  A vertex is transvection-free exactly when its closure
+is itself, and a set is characteristic exactly when it contains each
+member's domination closure and orbit.  The orbits come from
 ``isomorphism.vertex_orbits``; no automorphism list is built, and
 ``characteristic_closures`` reads every vertex's closure from one search.
 
@@ -37,13 +39,17 @@ from .isomorphism import CANONICAL_MAX_N, vertex_orbits
 
 
 def _closure_mask(g: Graph, v: int) -> int:
-    """Bit mask of the domination closure of ``v``: the AND of its neighbours' stars."""
+    """Bit mask of the domination closure of ``v``: the AND of its neighbours'
+    stars, stopped once it is ``v`` alone."""
     rows = g.rows
     closure = (1 << g.n) - 1
+    alone = 1 << v
     row = rows[v]
     while row:
         low = row & -row
         closure &= rows[low.bit_length() - 1] | low
+        if closure == alone:
+            break
         row ^= low
     return closure
 

@@ -135,6 +135,8 @@ class Graph:
     # -- basic queries ------------------------------------------------------
 
     def check_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            raise InputError(f"vertex {v!r} is not an exact integer")
         if not 0 <= v < self.n:
             raise InputError(f"vertex {v} out of range 0..{self.n - 1}")
 
@@ -210,10 +212,29 @@ class Graph:
         return tuple(out)
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        """True iff a breadth-first search from vertex 0 reaches every vertex;
+        it stops at the first layer that completes the reached set."""
+        if self.n <= 1:
+            return True
+        full = (1 << self.n) - 1
+        comp = frontier = 1
+        while frontier:
+            grow = 0
+            m = frontier
+            while m:
+                low = m & -m
+                grow |= self.rows[low.bit_length() - 1]
+                m ^= low
+            if comp | grow == full:
+                return True
+            frontier = grow & ~comp
+            comp |= grow
+        return False
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph whose vertex ``perm[v]`` plays the role of the old vertex ``v``."""
+        if any(type(v) is not int for v in perm):
+            raise InputError("relabelling must hold exact integers")
         if sorted(perm) != list(range(self.n)):
             raise InputError("relabelling must be a permutation of the vertices")
         rows = [0] * self.n

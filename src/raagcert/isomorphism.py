@@ -12,7 +12,10 @@ child whose least column already loses to the best ordering, and by skipping
 candidates in the orbit of an explored sibling under the automorphisms met at
 equal leaves.  Those automorphisms, with the transpositions of twins,
 generate the automorphism group, so the full group, the vertex orbits and the
-orbits on vertex masks are all derived from the search's generators.
+orbits on vertex masks are all derived from the search's generators.  The
+isolated vertices are placed first, in ascending order, before the search
+starts: every minimal ordering begins with them (the lemma in
+``_canonical_search``), so the search never branches over them.
 Enumeration extends each class representative by one new vertex per orbit of
 its automorphism group on neighbourhood masks, taking the generators from the
 search that admitted the representative.  Each vertex carries a colour that
@@ -135,6 +138,27 @@ def _canonical_search(g: Graph) -> _Search:
     - twinhood is an equivalence relation, so the transpositions of each
       vertex with its least twin generate the symmetric group of each twin
       class, and with it every swap prune 2 relies on.
+
+    The isolated vertices are placed first, in ascending order, and the
+    search runs on the other vertices only; an edgeless graph needs no
+    search.  Lemma: in every minimal ordering the isolated vertices come
+    before all others.  First, a minimal ordering has col(i+1) >= 2·col(i),
+    since swapping positions i and i+1 would put col(i+1) >> 1 at position
+    i.  Now move an isolated vertex z from position q to the front.  Position
+    0 keeps column 0.  For 0 < i <= q the new column at i is the old
+    col(i-1), which is at most col(i)/2, so at most col(i).  A later position
+    p loses z's 0 bit from the middle of its column: with A the bits joining
+    it to positions 0..q-1 and B those joining it to q+1..p-1, its column
+    goes from A·2^(p-q) + B to A·2^(p-1-q) + B, which is no larger.  So the
+    new string is no larger at any position, and by minimality it is equal:
+    every col(i) with i <= q is 0, and every A is 0, so each vertex before z
+    is adjacent to nothing, that is, isolated too.  The isolated vertices
+    are mutual twins, so the minimal ordering that is least as a vertex
+    sequence takes them in ascending order, and the order and columns
+    returned are those of the search over all vertices.  The automorphisms
+    met at equal leaves fix the isolated vertices, and the twin
+    transpositions generate their symmetric group, so the generators still
+    generate Aut(g), the product of the two.
     """
     n = g.n
     rows = g.rows
@@ -143,11 +167,15 @@ def _canonical_search(g: Graph) -> _Search:
         for u in range(v):
             if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
                 smaller_twins[v] |= 1 << u
+    # the isolated vertices come first, in ascending order (see above)
+    order = [v for v, row in enumerate(rows) if not row]
+    rest = (1 << n) - 1
+    for v in order:
+        rest ^= 1 << v
     best_cols: list[int] = []
     best_order: list[int] = []
     found: list[VertexPermutation] = []
-    order: list[int] = []
-    cols: list[int] = [0]
+    cols = [0] * (len(order) + 1)
 
     def extend(cells: list[tuple[int, int]], unused: int, tie: bool) -> bool:
         # cols ends with the first cell's column; tie says whether cols equals
@@ -205,7 +233,10 @@ def _canonical_search(g: Graph) -> _Search:
             order.pop()
         return improved
 
-    extend([(0, (1 << n) - 1)], (1 << n) - 1, False)
+    if rest:
+        extend([(0, rest)], rest, False)
+    else:
+        best_order, best_cols = order, cols[:n]
     for v, twins in enumerate(smaller_twins):
         if twins:
             swap = list(range(n))

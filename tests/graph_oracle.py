@@ -3,10 +3,11 @@ operations, kept only as an oracle for it.
 
 ``check_symmetric`` probes the n(n-1)/2 pairs of the upper triangle,
 ``to_graph6`` and ``from_graph6`` walk the graph6 pairs one bit at a time,
-``induced`` re-indexes every neighbour through a dict, and
-``max_degree_vertices`` collects the top-degree vertices one by one.  Each
-raises the same ``InputError`` messages, offsets included, as the code it
-checks.
+``induced`` re-indexes every neighbour through a dict,
+``max_degree_vertices`` collects the top-degree vertices one by one, and
+``is_connected`` grows the set reached from vertex 0 one adjacent pair at a
+time.  Each raises the same ``InputError`` messages, offsets included, as the
+code it checks.
 """
 
 from raagcert import Graph, InputError, VertexSet
@@ -119,3 +120,17 @@ def max_degree_vertices(g: Graph) -> VertexSet:
     degrees = [g.degree(v) for v in range(g.n)]
     top = max(degrees)
     return VertexSet.of((v for v in range(g.n) if degrees[v] == top), g.n)
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reached from vertex 0 through adjacent pairs."""
+    if g.n == 0:
+        return True
+    reached, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for w in range(g.n):
+            if g.rows[u] >> w & 1 and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return len(reached) == g.n

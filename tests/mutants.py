@@ -77,6 +77,58 @@ MUTANTS = (
         vertex_orbits(g)""",
         tests=("test_closures.py",),
     ),
+    # -- exact shortcuts: isolated vertices first, and stops once the answer is known --
+    Mutant(
+        name="isolated-vertices-descending",
+        file="isomorphism.py",
+        old="""    order = [v for v, row in enumerate(rows) if not row]
+""",
+        new="""    order = [v for v, row in enumerate(rows) if not row][::-1]
+""",
+        tests=("test_isomorphism.py",),
+    ),
+    Mutant(
+        name="closure-stops-after-first-star",
+        file="closures.py",
+        old="""        if closure == alone:
+            break""",
+        new="""        if True:
+            break""",
+        tests=("test_closures.py",),
+    ),
+    Mutant(
+        name="closure-stops-when-empty",
+        file="closures.py",
+        old="""        if closure == alone:
+            break""",
+        new="""        if closure == 0:
+            break""",
+        equivalent="v lies in every neighbour's star, so the closure is never empty and "
+                   "the loop runs to the end, as it did before the stop was added",
+    ),
+    Mutant(
+        name="connected-on-layer-alone",
+        file="graphs.py",
+        old="""            if comp | grow == full:""",
+        new="""            if grow == full:""",
+        tests=("test_graphs.py",),
+    ),
+    Mutant(
+        name="join-bail-inverted",
+        file="certify.py",
+        old="""    if len(comps) == 1:""",
+        new="""    if len(comps) != 1:""",
+        tests=("test_certify.py",),
+    ),
+    Mutant(
+        name="vertex-type-check-dropped",
+        file="graphs.py",
+        old="""        if type(v) is not int:
+            raise InputError(f"vertex {v!r} is not an exact integer")""",
+        new="""        if False:
+            raise InputError(f"vertex {v!r} is not an exact integer")""",
+        tests=("test_graphs.py",),
+    ),
     # -- the auditor: each check of _rule_problem and _shape_problem --
     Mutant(
         name="auditor-skips-characteristic-check",

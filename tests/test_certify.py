@@ -85,6 +85,33 @@ def test_max_join_decomposition_reassembles():
         assert all(complement(f).is_connected() for f in factors)
 
 
+def _join_factor_by_oracle(g):
+    """JOIN_FACTOR's reductions as the rule first defined them: on a connected
+    graph, the maximal join decomposition when it has a factor and either a
+    centre or a second factor."""
+    if not g.is_connected():
+        return []
+    centre_size, factors = max_join_decomposition(g)
+    if factors and (centre_size > 0 or len(factors) > 1):
+        return [factors]
+    return []
+
+
+def test_join_factor_reductions_match_oracle():
+    rule = RULES_BY_NAME["JOIN_FACTOR"]
+    citation = next(rule.reductions(cycle_graph(4))).citation
+    graphs = [g for n in range(1, 8) for g in classes(n)]
+    graphs += [g for seed in (7, 101) for _, g in large_families(seed)]
+    graphs += small_degree_regular()
+    applied = 0
+    for g in graphs:
+        reductions = list(rule.reductions(g))
+        assert [r.children for r in reductions] == _join_factor_by_oracle(g), g
+        assert all(r.citation == citation and r.deleted is None for r in reductions), g
+        applied += len(reductions)
+    assert 0 < applied < len(graphs)
+
+
 def test_simplify(fig_mba_5_4_3):
     result = simplify(fig_mba_5_4_3)
     assert result.terminal == fig_mba_5_4_3

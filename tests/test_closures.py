@@ -32,13 +32,14 @@ from raagcert import (
     transvection_free_vertices,
 )
 from raagcert.certify import RULES_BY_NAME
-from raagcert.closures import _refined_partitions
+from raagcert.closures import _closure_mask, _refined_partitions
 from raagcert.isomorphism import automorphisms, vertex_orbits
 
 import closure_oracle as oracle
 import graph_oracle
 import symmetry_oracle
 from conftest import classes, random_graph
+from families import large_families
 
 
 def test_domination_closure_examples():
@@ -194,6 +195,15 @@ def _assert_closures_match_oracle(g):
     for v in range(g.n):
         assert domination_closure(g, v) == oracle.domination_closure(g, v), (g, v)
     assert transvection_free_vertices(g) == oracle.transvection_free_vertices(g), g
+
+
+def test_closure_mask_matches_oracle():
+    # the AND of the stars stops at the first one that leaves v alone
+    graphs = [g for n in range(1, 7) for g in classes(n)]
+    graphs += [g for seed in (7, 101) for _, g in large_families(seed)]
+    for g in graphs:
+        for v in range(g.n):
+            assert _closure_mask(g, v) == oracle.domination_closure(g, v).mask, (g, v)
 
 
 def test_closures_match_oracle_on_small_classes():

@@ -16,6 +16,7 @@ from raagcert import (
     compose,
     cycle_graph,
     dominates,
+    domination_closure,
     edgeless_graph,
     from_edge_list,
     from_edges,
@@ -128,6 +129,35 @@ def test_structure_queries():
 
     with pytest.raises(InputError):
         Graph(0, ()).max_degree_vertices()
+
+
+def test_is_connected_matches_oracle():
+    # the search stops at the first layer that reaches every vertex
+    graphs = [g for n in range(1, 7) for g in classes(n)] + [Graph(0, ())]
+    graphs += [g for seed in (7, 101) for _, g in large_families(seed)]
+    graphs += small_degree_regular()
+    assert {g.is_connected() for g in graphs} == {True, False}
+    for g in graphs:
+        assert g.is_connected() == graph_oracle.is_connected(g), g
+        assert g.is_connected() == (len(g.components()) <= 1), g
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.relabel((1.0, 0.0, 2.0, 3.0)),
+    lambda g: g.relabel((True, False, 2, 3)),
+    lambda g: g.relabel((0, 1, 2, 3.0)),
+    lambda g: induced(g, [0.0, 1.0]),
+    lambda g: induced(g, [True, 2]),
+    lambda g: g.adjacent(0, 1.0),
+    lambda g: g.adjacent(True, 1),
+    lambda g: g.degree(2.0),
+    lambda g: g.link(False),
+    lambda g: domination_closure(g, 1.0),
+], ids=["relabel-floats", "relabel-bools", "relabel-one-float", "induced-floats",
+        "induced-bool", "adjacent-float", "adjacent-bool", "degree", "link", "closure"])
+def test_vertices_must_be_exact_integers(call):
+    with pytest.raises(InputError, match="exact integer"):
+        call(cycle_graph(4))
 
 
 def test_max_degree_vertices_mba_figure(fig_mba_5_4_3):

@@ -13,6 +13,7 @@ from raagcert import (
     complement,
     complete_graph,
     complete_multipartite_graph,
+    compose,
     cycle_graph,
     edgeless_graph,
     from_edges,
@@ -296,6 +297,48 @@ def test_canonical_form_of_large_twin_classes():
     assert canonical_form(edgeless_graph(10)) == b"I????????"
     assert canonical_form(complete_graph(10)) == b"I~~~~~~~w"
     assert canonical_form(complete_multipartite_graph([5, 5])) == b"I?B~vrw}?"
+
+
+def _assert_isolated_vertices_come_first(g):
+    order, _, columns = _canonical_search(g)
+    isolated = [v for v, row in enumerate(g.rows) if not row]
+    assert [order[v] for v in isolated] == list(range(len(isolated))), g
+    assert columns[:len(isolated)] == (0,) * len(isolated), g
+
+
+def test_isolated_vertices_come_first_in_ascending_order():
+    rng = random.Random(18)
+    for n in range(1, 8):
+        for g in classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _assert_isolated_vertices_come_first(g)
+            _assert_isolated_vertices_come_first(g.relabel(perm))
+
+
+@pytest.mark.slow
+def test_isolated_vertices_come_first_on_eight_vertex_classes():
+    for g in classes(8):
+        _assert_isolated_vertices_come_first(g)
+
+
+def test_search_with_isolated_vertices_lifts_the_search_without_them():
+    # G ⊔ kK1 puts G's isolated vertices, then the k new ones, then the rest
+    # of G in G's order, and its columns are G's behind k zeros
+    for n in range(1, 7):
+        for g in classes(n):
+            order, _, columns = _canonical_search(g)
+            orbits = vertex_orbits(g)
+            isolated = sum(not row for row in g.rows)
+            for k in range(1, 4):
+                h = compose(g, edgeless_graph(k), "disjoint_union")
+                lifted = tuple(p + k if row else p for p, row in zip(order, g.rows))
+                lifted += tuple(range(isolated, isolated + k))
+                assert _canonical_search(h)[::2] == (lifted, (0,) * k + columns), (g, k)
+                # the generators still give Aut(g) times the isolated vertices' symmetric group
+                together = sum(1 << v for v, row in enumerate(h.rows) if not row)
+                expected = [orbit if row else together for orbit, row in zip(orbits, g.rows)]
+                assert vertex_orbits(h) == tuple(expected + [together] * k), (g, k)
 
 
 def test_orbit_least_masks_one_per_orbit():
