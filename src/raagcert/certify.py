@@ -379,8 +379,10 @@ def _rule_problem(node: dict) -> Optional[str]:
         return f"children match no reduction of rule {rule.name}"
     if graphs and not any(child["verdict"] == RINF for child in children):
         return "no child has R-infinity"
-    if any((h.n, h.non_edge_count) >= (g.n, g.non_edge_count) for h in graphs):
-        return "a child does not decrease the (n, non-edges) measure"
+    if graphs:
+        measure = (g.n, g.non_edge_count)
+        if any((h.n, h.non_edge_count) >= measure for h in graphs):
+            return "a child does not decrease the (n, non-edges) measure"
     if (deleted is not None and g.n <= CANONICAL_MAX_N
             and not is_characteristic_vertex_set(g, deleted)):
         return "deleted vertex set fails the characteristic-set test"

@@ -119,7 +119,8 @@ def _certify_one(g: Graph) -> dict:
 
 
 def _map_jobs(jobs: int, func, items: Sequence):
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1 and len(items) > 1:
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or len(items) <= 1:
         return [func(item) for item in items]
     with Pool(jobs) as pool:

@@ -38,6 +38,8 @@ class VertexSet:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.mask) is not int or type(self.n) is not int:
+            raise InputError(f"vertex set needs exact integers, not {self.mask!r} and {self.n!r}")
         if self.n < 0:
             raise InputError("vertex set needs a non-negative ambient size")
         if self.mask < 0 or self.mask >> self.n:
@@ -47,6 +49,8 @@ class VertexSet:
     def of(cls, vertices: Iterable[int], n: int) -> "VertexSet":
         mask = 0
         for v in vertices:
+            if type(v) is not int:
+                raise InputError(f"vertex {v!r} is not an exact integer")
             if not 0 <= v < n:
                 raise InputError(f"vertex {v} out of range 0..{n - 1}")
             mask |= 1 << v

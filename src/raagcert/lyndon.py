@@ -4,7 +4,7 @@ Words are tuples of vertex indices.  Two letters commute exactly when they are
 joined by an edge, and a trace is the equivalence class of a word under
 swapping adjacent commuting letters.
 
-The word order is index-lexicographic with the empty word smallest, so tuple
+The word order is index-lexicographic with a proper prefix smaller, so tuple
 comparison implements it directly.  The standard representative of a trace is
 the largest word in its class, and traces compare through their standard
 representatives.  A word is standard exactly when no letter can move left,
@@ -17,14 +17,47 @@ their letters do not commute.  The factorizations m = xy of its trace are the
 splits of the heap into a down-closed and an up-closed set of positions
 (Diekert–Rozenberg, *The Book of Traces*, 1995), and the largest word of
 either part is the greedy walk that always takes the largest available letter.
-Every query here works on the heap; only ``TraceClass.words`` materialises a
-class, by breadth-first closure over single swaps.
+The factorization queries work on the heap; only ``TraceClass.words``
+materialises a class, by breadth-first closure over single swaps.
 
 A trace is a Lyndon element iff it is nontrivial and smaller than every proper
 right factor; bracketing a Lyndon element via its standard factorization
 produces the iterated commutators that form bases of the graded pieces of the
 lower central series of the associated right-angled Artin group.
-"""
+
+**Lemma** (Lalonde, TCS 117, 1993).  A nontrivial trace t is a Lyndon element
+iff its standard word w = std(t) is a Lyndon word, that is, smaller than each
+of its proper suffixes.  So ``is_lyndon`` reads w alone.
+
+*Greedy lemma.*  w is the greedy walk through the heap that always takes the
+largest available letter.  Equal letters never commute, so the walk is
+deterministic, and restricted to any set of remaining positions it continues
+as that set's own greedy walk.
+
+*(⇒)*  For i ≥ 1 the positions of the suffix w[i:] form an up-closed set, and
+by the greedy lemma its standard word is w[i:] itself.  So w[i:] is a proper
+right factor, and a Lyndon trace has w < w[i:] for every i ≥ 1: w is a Lyndon
+word.
+
+*(⇐)*  Let w be a Lyndon word and t = xy with x and y nontrivial.  x is
+down-closed, so each letter the walk takes from x is the largest one x has
+available, and w restricted to x is p = std(x).  Let q be w restricted to y.
+Then p·q is a word of t, so p·q ≤ w, and the word lemma below gives q > w.
+Hence std(y) ≥ q > w = std(t) for every proper right factor y.
+
+*Word lemma.*  If w is a Lyndon word, w is a shuffle of nonempty words p and
+q, and p·q ≤ w, then q > w.  Suppose instead q ≤ w.  Every Lyndon factor f of
+p or q (Chen–Fox–Lyndon factorization) has f ≤ w: a factor of p has
+f ≤ p ≤ p·q ≤ w, a factor of q has f ≤ q ≤ w.  By Radford's lemma
+(Reutenauer, *Free Lie Algebras*, 1993, §6.1), a word whose factors are
+l₁ ≥ … ≥ l_k is the largest word of l₁ ш … ш l_k; w is a shuffle of all the
+factors, so w ≤ L, their decreasing concatenation, and |L| = |w|.  L starts
+with its largest factor f₁, and f₁ ≤ w ≤ L, so f₁ is a prefix of w, and a
+proper one, since f₁ is no longer than p or q.  Write w = f₁z and L = f₁L′, so
+z ≤ L′.  Every factor of L′ is a Lyndon word at most f₁, so L′ ≤ f₁^∞, by
+induction on the number of factors; and f₁^k < w for every k, because z > w.
+Together these give L′ < w, hence z < w.  But z is a proper suffix of the
+Lyndon word w, so z > w, a contradiction."""
 
 from __future__ import annotations
 
@@ -82,33 +115,23 @@ def _largest_word(rows: tuple[int, ...], w: TraceWord, part: int) -> TraceWord:
     return tuple(out)
 
 
-def _right_factors(rows: tuple[int, ...], w: TraceWord,
-                   bound: Optional[TraceWord] = None) -> Iterator[int]:
+def _right_factors(rows: tuple[int, ...], w: TraceWord) -> Iterator[int]:
     """Position masks of the nonempty, proper, up-closed sets of the heap of
     ``w``, produced lazily by deciding positions from the first to the last.
-
     A position may stay out only when its letter commutes with every letter
-    already in.  With a ``bound``, a factor is skipped when its own
-    subsequence of ``w`` exceeds the bound: that subsequence is one of the
-    factor's words, so the factor's largest word exceeds the bound too.  ``k``
-    counts the subsequence's letters that match the bound so far, and is -1
-    once the subsequence has fallen below it.
-    """
+    already in."""
     full = (1 << len(w)) - 1
-    stack = [(0, 0, 0, -1 if bound is None else 0)]
+    stack = [(0, 0, 0)]
     while stack:
-        j, up, letters, k = stack.pop()
+        j, up, letters = stack.pop()
         if j == len(w):
             if 0 < up < full:
                 yield up
             continue
         a = w[j]
-        if k < 0 or a < bound[k]:
-            stack.append((j + 1, up | 1 << j, letters | 1 << a, -1))
-        elif a == bound[k]:
-            stack.append((j + 1, up | 1 << j, letters | 1 << a, k + 1))
+        stack.append((j + 1, up | 1 << j, letters | 1 << a))
         if not letters & ~rows[a]:
-            stack.append((j + 1, up, letters, k))
+            stack.append((j + 1, up, letters))
 
 
 @dataclass(frozen=True)
@@ -190,19 +213,32 @@ def _factorizations(m: TraceClass) -> set[tuple[TraceWord, TraceWord]]:
 
 
 def is_lyndon(m: TraceClass) -> bool:
-    """True iff the trace is strictly smaller than every proper right factor."""
+    """True iff the trace is strictly smaller than every proper right factor.
+
+    By the lemma in the module docstring, that holds exactly when the standard
+    word w is a Lyndon word.  (⇒) each suffix w[i:], i ≥ 1, is the standard
+    word of an up-closed set of positions, so of a proper right factor.  (⇐)
+    for t = xy, w restricted to x is std(x), and w restricted to y is a word
+    q of y; the word lemma turns std(x)·q ≤ w into q > w, so std(y) > w.
+
+    Duval's scan reads w once: ``j`` is the position in w that letter ``i``
+    is compared with, so w[:i] is a power of the Lyndon word w[:i - j].  A
+    smaller letter ends the first Lyndon factor before w does, a larger one
+    makes all of w[:i + 1] Lyndon, and w is Lyndon iff the scan ends with
+    period len(w), that is with ``j == 0``.
+    """
     w = m.std
     if not w:
         raise InputError("the trivial trace is not eligible")
-    rows = m.graph.rows
-    # a position whose letter commutes with every later letter is heap-maximal,
-    # so it is a right factor on its own, one letter long
-    later = 0
-    for j in range(len(w) - 1, 0, -1):
-        if w[j] <= w[0] and not later & ~rows[w[j]]:
+    j = 0
+    for i in range(1, len(w)):
+        if w[j] < w[i]:
+            j = 0
+        elif w[j] == w[i]:
+            j += 1
+        else:
             return False
-        later |= 1 << w[j]
-    return all(w < _largest_word(rows, w, up) for up in _right_factors(rows, w, w))
+    return j == 0
 
 
 def _standard_words(g: Graph, length: int) -> list[TraceWord]:

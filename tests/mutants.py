@@ -129,6 +129,49 @@ MUTANTS = (
             raise InputError(f"vertex {v!r} is not an exact integer")""",
         tests=("test_graphs.py",),
     ),
+    Mutant(
+        name="vertex-set-of-type-check-dropped",
+        file="graphs.py",
+        old="""            if type(v) is not int:
+                raise InputError(f"vertex {v!r} is not an exact integer")""",
+        new="",
+        tests=("test_graphs.py",),
+    ),
+    Mutant(
+        name="vertex-set-type-check-dropped",
+        file="graphs.py",
+        old="""        if type(self.mask) is not int or type(self.n) is not int:""",
+        new="""        if False:""",
+        tests=("test_graphs.py",),
+    ),
+    # -- the Lyndon test: Duval's scan of the standard word --
+    Mutant(
+        name="lyndon-scan-accepts-every-word",
+        file="lyndon.py",
+        old="""    return j == 0
+""",
+        new="""    return True
+""",
+        tests=("test_lyndon.py",),
+    ),
+    Mutant(
+        name="lyndon-scan-equal-letter-resets",
+        file="lyndon.py",
+        old="""        elif w[j] == w[i]:
+            j += 1""",
+        new="""        elif w[j] == w[i]:
+            j = 0""",
+        tests=("test_lyndon.py",),
+    ),
+    Mutant(
+        name="lyndon-accepts-the-trivial-trace",
+        file="lyndon.py",
+        old="""    if not w:
+        raise InputError("the trivial trace is not eligible")
+""",
+        new="",
+        tests=("test_lyndon.py",),
+    ),
     # -- the auditor: each check of _rule_problem and _shape_problem --
     Mutant(
         name="auditor-skips-characteristic-check",
@@ -175,8 +218,8 @@ MUTANTS = (
     Mutant(
         name="auditor-skips-measure-check",
         file="certify.py",
-        old="""    if any((h.n, h.non_edge_count) >= (g.n, g.non_edge_count) for h in graphs):""",
-        new="""    if False:""",
+        old="""        if any((h.n, h.non_edge_count) >= measure for h in graphs):""",
+        new="""        if False:""",
         tests=("test_certify.py",),
     ),
     Mutant(

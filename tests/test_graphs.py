@@ -153,8 +153,14 @@ def test_is_connected_matches_oracle():
     lambda g: g.degree(2.0),
     lambda g: g.link(False),
     lambda g: domination_closure(g, 1.0),
+    lambda g: VertexSet.of([True], g.n),
+    lambda g: VertexSet.of([1.0], g.n),
+    lambda g: VertexSet(True, g.n),
+    lambda g: VertexSet(1.0, g.n),
+    lambda g: VertexSet(1, float(g.n)),
 ], ids=["relabel-floats", "relabel-bools", "relabel-one-float", "induced-floats",
-        "induced-bool", "adjacent-float", "adjacent-bool", "degree", "link", "closure"])
+        "induced-bool", "adjacent-float", "adjacent-bool", "degree", "link", "closure",
+        "set-of-bool", "set-of-float", "set-bool-mask", "set-float-mask", "set-float-size"])
 def test_vertices_must_be_exact_integers(call):
     with pytest.raises(InputError, match="exact integer"):
         call(cycle_graph(4))

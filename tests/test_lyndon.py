@@ -21,7 +21,14 @@ from raagcert import (
     support,
     trace_class,
 )
-from raagcert.lyndon import TraceClass, _class_words, _factorizations, _standard_words
+from raagcert.lyndon import (
+    LYNDON_MAX_LENGTH,
+    LYNDON_MAX_WORDS,
+    TraceClass,
+    _class_words,
+    _factorizations,
+    _standard_words,
+)
 
 import trace_oracle as oracle
 from conftest import classes, random_graph
@@ -218,6 +225,82 @@ def test_heap_queries_match_oracle_on_random_6_vertex_graphs():
     rng = random.Random(11)
     for _ in range(3):
         _check_against_oracle(random_graph(rng, 6), 5, every_word=False)
+
+
+def _is_lyndon_word(w) -> bool:
+    """The definition: nonempty and smaller than each proper suffix."""
+    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
+
+
+def _lyndon_factors(w) -> list:
+    """Chen–Fox–Lyndon factorization, by splitting off the longest Lyndon prefix."""
+    factors = []
+    while w:
+        cut = max(i for i in range(1, len(w) + 1) if _is_lyndon_word(w[:i]))
+        factors.append(w[:cut])
+        w = w[cut:]
+    return factors
+
+
+def _shuffles(u, v) -> set:
+    if not u or not v:
+        return {u + v}
+    return ({u[:1] + s for s in _shuffles(u[1:], v)}
+            | {v[:1] + s for s in _shuffles(u, v[1:])})
+
+
+def test_radford_lemma_on_three_letters():
+    """A word whose Lyndon factors are l1 >= ... >= lk is the largest word of
+    their shuffle product, the step of ``is_lyndon``'s proof that bounds w."""
+    for length in range(1, 7):
+        for w in itertools.product(range(3), repeat=length):
+            factors = _lyndon_factors(w)
+            assert all(a >= b for a, b in zip(factors, factors[1:])), w
+            shuffled = {()}
+            for f in factors:
+                shuffled = {s for u in shuffled for s in _shuffles(u, f)}
+            assert max(shuffled) == w, w
+
+
+def test_word_lemma_by_brute_force():
+    """If a Lyndon word w is a shuffle of nonempty p and q with p.q <= w, then
+    q > w: every split of every Lyndon word, 2 letters up to length 9 and 3
+    letters up to length 7."""
+    splits = 0
+    for letters, longest in ((2, 9), (3, 7)):
+        for length in range(2, longest + 1):
+            for w in itertools.product(range(letters), repeat=length):
+                if not _is_lyndon_word(w):
+                    continue
+                for part in range(1, (1 << length) - 1):
+                    p = tuple(a for i, a in enumerate(w) if part >> i & 1)
+                    q = tuple(a for i, a in enumerate(w) if not part >> i & 1)
+                    assert p + q > w or q > w, (w, p, q)
+                    splits += 1
+    assert splits == 87_492
+
+
+def _check_against_heap_oracle(g, length):
+    for std in _standard_words(g, length):
+        assert is_lyndon(TraceClass(g, std)) == oracle.is_lyndon_by_heap(g, std), (g, std)
+
+
+def test_is_lyndon_matches_heap_oracle_on_every_class():
+    for n in range(1, 6):
+        for g in classes(n):
+            for length in range(1, 6):
+                _check_against_heap_oracle(g, length)
+
+
+@pytest.mark.slow
+def test_is_lyndon_matches_heap_oracle_at_the_word_budget():
+    for g in classes(6):
+        _check_against_heap_oracle(g, 6)
+    rng = random.Random(29)
+    for n in range(7, 11):
+        length = max(k for k in range(1, LYNDON_MAX_LENGTH + 1) if n**k <= LYNDON_MAX_WORDS)
+        for _ in range(5):
+            _check_against_heap_oracle(random_graph(rng, n), length)
 
 
 def test_enumeration_fills_no_class_cache():

@@ -6,14 +6,20 @@ factorizations come from cutting every word of the class, and the Lyndon
 traces of a length come from scanning all n**length words.  Everything here is
 exponential and meant for small graphs only; a bounded cache keeps the
 repeated closures of one test cheap.
+
+``is_lyndon_by_heap`` is a second, faster oracle for the Lyndon test: it
+compares the trace with the largest word of every proper right factor of its
+dependence heap, so it reaches graphs and lengths the class closure cannot.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterator
 
 from raagcert import Graph
+from raagcert.lyndon import _largest_word
 
 TraceWord = tuple[int, ...]
 
@@ -57,6 +63,47 @@ def factorizations(g: Graph, std: TraceWord) -> set[tuple[TraceWord, TraceWord]]
 def is_lyndon(g: Graph, std: TraceWord) -> bool:
     """True iff the trace is strictly smaller than every proper right factor."""
     return all(std < y for _, y in factorizations(g, std))
+
+
+def _bounded_right_factors(rows: tuple[int, ...], w: TraceWord) -> Iterator[int]:
+    """Position masks of the nonempty, proper, up-closed sets of the heap of
+    ``w`` whose own subsequence of ``w`` is at most ``w``.
+
+    A position may stay out only when its letter commutes with every letter
+    already in.  A factor is skipped when its subsequence exceeds ``w``: that
+    subsequence is one of the factor's words, so the factor's largest word
+    exceeds ``w`` too.  ``k`` counts the subsequence's letters that match
+    ``w`` so far, and is -1 once the subsequence has fallen below it.
+    """
+    full = (1 << len(w)) - 1
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        j, up, letters, k = stack.pop()
+        if j == len(w):
+            if 0 < up < full:
+                yield up
+            continue
+        a = w[j]
+        if k < 0 or a < w[k]:
+            stack.append((j + 1, up | 1 << j, letters | 1 << a, -1))
+        elif a == w[k]:
+            stack.append((j + 1, up | 1 << j, letters | 1 << a, k + 1))
+        if not letters & ~rows[a]:
+            stack.append((j + 1, up, letters, k))
+
+
+def is_lyndon_by_heap(g: Graph, std: TraceWord) -> bool:
+    """True iff the trace of the standard word ``std`` is strictly smaller than
+    the largest word of every proper right factor of its heap."""
+    rows = g.rows
+    # a position whose letter commutes with every later letter is heap-maximal,
+    # so it is a right factor on its own, one letter long
+    later = 0
+    for j in range(len(std) - 1, 0, -1):
+        if std[j] <= std[0] and not later & ~rows[std[j]]:
+            return False
+        later |= 1 << std[j]
+    return all(std < _largest_word(rows, std, up) for up in _bounded_right_factors(rows, std))
 
 
 def standard_words(g: Graph, length: int) -> list[TraceWord]:
