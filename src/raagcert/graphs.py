@@ -75,6 +75,8 @@ class VertexSet:
         return self.mask.bit_count()
 
     def __contains__(self, v: int) -> bool:
+        if type(v) is not int:
+            raise InputError(f"vertex {v!r} is not an exact integer")
         return 0 <= v < self.n and bool(self.mask >> v & 1)
 
     def __bool__(self) -> bool:

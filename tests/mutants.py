@@ -124,9 +124,11 @@ MUTANTS = (
         name="vertex-type-check-dropped",
         file="graphs.py",
         old="""        if type(v) is not int:
-            raise InputError(f"vertex {v!r} is not an exact integer")""",
+            raise InputError(f"vertex {v!r} is not an exact integer")
+        if not 0 <= v < self.n:""",
         new="""        if False:
-            raise InputError(f"vertex {v!r} is not an exact integer")""",
+            raise InputError(f"vertex {v!r} is not an exact integer")
+        if not 0 <= v < self.n:""",
         tests=("test_graphs.py",),
     ),
     Mutant(
@@ -142,6 +144,15 @@ MUTANTS = (
         file="graphs.py",
         old="""        if type(self.mask) is not int or type(self.n) is not int:""",
         new="""        if False:""",
+        tests=("test_graphs.py",),
+    ),
+    Mutant(
+        name="vertex-set-membership-type-check-dropped",
+        file="graphs.py",
+        old="""        if type(v) is not int:
+            raise InputError(f"vertex {v!r} is not an exact integer")
+        return 0 <= v < self.n""",
+        new="""        return 0 <= v < self.n""",
         tests=("test_graphs.py",),
     ),
     # -- the Lyndon test: Duval's scan of the standard word --
@@ -170,6 +181,30 @@ MUTANTS = (
         raise InputError("the trivial trace is not eligible")
 """,
         new="",
+        tests=("test_lyndon.py",),
+    ),
+    # -- the Lyndon enumeration: standard words pruned by Duval's scan --
+    Mutant(
+        name="lyndon-prune-drops-the-equal-letter",
+        file="lyndon.py",
+        old="""for a in range(w[j], n)""",
+        new="""for a in range(w[j] + 1, n)""",
+        tests=("test_lyndon.py",),
+    ),
+    Mutant(
+        name="lyndon-prune-never-resets",
+        file="lyndon.py",
+        old="""j + 1 if a == w[j] else 0)""",
+        new="""j + 1)""",
+        tests=("test_lyndon.py",),
+    ),
+    Mutant(
+        name="lyndon-enumeration-drops-the-filter",
+        file="lyndon.py",
+        old="""        if is_lyndon(m):
+            assert len(initial_vertices(m)) == 1""",
+        new="""        if True:
+            assert len(initial_vertices(m)) == 1""",
         tests=("test_lyndon.py",),
     ),
     # -- the auditor: each check of _rule_problem and _shape_problem --

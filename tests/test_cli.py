@@ -13,7 +13,7 @@ from raagcert import cli
 from raagcert.cli import build_parser, main, parse_builtin
 from raagcert.lyndon import enumerate_lyndon
 
-from conftest import counted_searches
+from conftest import classes, counted_searches
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -242,6 +242,22 @@ PINNED_OUTPUTS = [
 def test_ranks_and_lyndon_outputs_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("ranks", "--upto", "5"),
+     "f7bedc2036fbd2e0bcb78cbf8baeeefe74ee91a9a96ea155e142f1cf08b6436d"),
+    (("lyndon", "--length", "5"),
+     "3084723b6bd29626d1feb9db91bebbf222c233fa86c3ab969a9831cef1c47e64"),
+], ids=["ranks", "lyndon"])
+def test_ranks_and_lyndon_on_every_class_are_pinned(tmp_path, capsys, argv, digest):
+    # the JSON stdout over all 208 classes with n <= 6, recorded before the
+    # enumeration pruned prefixes by Duval's scan
+    path = tmp_path / "classes.txt"
+    path.write_text("".join(to_graph6(g) + "\n" for n in range(1, 7) for g in classes(n)))
+    code, out, _ = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 0 and len(out.splitlines()) == 208
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

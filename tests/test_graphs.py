@@ -158,9 +158,12 @@ def test_is_connected_matches_oracle():
     lambda g: VertexSet(True, g.n),
     lambda g: VertexSet(1.0, g.n),
     lambda g: VertexSet(1, float(g.n)),
+    lambda g: True in VertexSet.of([1], g.n),
+    lambda g: 1.0 in VertexSet.of([1], g.n),
 ], ids=["relabel-floats", "relabel-bools", "relabel-one-float", "induced-floats",
         "induced-bool", "adjacent-float", "adjacent-bool", "degree", "link", "closure",
-        "set-of-bool", "set-of-float", "set-bool-mask", "set-float-mask", "set-float-size"])
+        "set-of-bool", "set-of-float", "set-bool-mask", "set-float-mask", "set-float-size",
+        "set-contains-bool", "set-contains-float"])
 def test_vertices_must_be_exact_integers(call):
     with pytest.raises(InputError, match="exact integer"):
         call(cycle_graph(4))

@@ -27,7 +27,7 @@ from raagcert.lyndon import (
     TraceClass,
     _class_words,
     _factorizations,
-    _standard_words,
+    _lyndon_candidates,
 )
 
 import trace_oracle as oracle
@@ -192,7 +192,7 @@ def _check_against_oracle(g, length, every_word=True):
     """Every heap-based query on every trace of ``length`` equals the oracle's;
     with ``every_word``, so does the standard word of every word."""
     stds = oracle.standard_words(g, length)
-    assert _standard_words(g, length) == stds
+    assert oracle.anisimov_knuth_words(g, length) == stds
     lyndon = []
     for std in stds:
         m = TraceClass(g, std)
@@ -281,8 +281,16 @@ def test_word_lemma_by_brute_force():
 
 
 def _check_against_heap_oracle(g, length):
-    for std in _standard_words(g, length):
-        assert is_lyndon(TraceClass(g, std)) == oracle.is_lyndon_by_heap(g, std), (g, std)
+    """``is_lyndon`` equals the heap oracle on every standard word, including
+    those the pruned enumeration never builds, and the pruned enumeration
+    equals every standard word filtered by ``is_lyndon``."""
+    lyndon = []
+    for std in oracle.anisimov_knuth_words(g, length):
+        expected = oracle.is_lyndon_by_heap(g, std)
+        assert is_lyndon(TraceClass(g, std)) == expected, (g, std)
+        if expected:
+            lyndon.append(std)
+    assert [m.std for m in enumerate_lyndon(g, length)] == lyndon, g
 
 
 def test_is_lyndon_matches_heap_oracle_on_every_class():
@@ -301,6 +309,24 @@ def test_is_lyndon_matches_heap_oracle_at_the_word_budget():
         length = max(k for k in range(1, LYNDON_MAX_LENGTH + 1) if n**k <= LYNDON_MAX_WORDS)
         for _ in range(5):
             _check_against_heap_oracle(random_graph(rng, n), length)
+
+
+def _no_suffix_below_prefix(w) -> bool:
+    """No proper suffix of w is smaller than the prefix of w of its length,
+    which holds iff w followed by a letter above all of its own is Lyndon."""
+    return all(w[i:] >= w[:len(w) - i] for i in range(1, len(w)))
+
+
+def test_candidates_are_the_standard_words_whose_prefixes_pass_the_scan():
+    """The pruned build keeps exactly the standard words every prefix of which
+    Duval's scan passes, in order; the scan fails on a prefix iff some proper
+    suffix of it falls below the prefix of the same length."""
+    for n in range(1, 6):
+        for g in classes(n):
+            for length in range(1, 6):
+                expected = [w for w in oracle.standard_words(g, length)
+                            if all(_no_suffix_below_prefix(w[:k]) for k in range(1, length + 1))]
+                assert _lyndon_candidates(g, length) == expected, (g, length)
 
 
 def test_enumeration_fills_no_class_cache():

@@ -10,6 +10,10 @@ repeated closures of one test cheap.
 ``is_lyndon_by_heap`` is a second, faster oracle for the Lyndon test: it
 compares the trace with the largest word of every proper right factor of its
 dependence heap, so it reaches graphs and lengths the class closure cannot.
+
+``anisimov_knuth_words`` builds every standard word of a length letter by
+letter, without the Lyndon pruning ``raagcert.lyndon`` applies, so the
+Lyndon test can be checked on the standard words the enumeration skips.
 """
 
 from __future__ import annotations
@@ -116,6 +120,22 @@ def standard_words(g: Graph, length: int) -> list[TraceWord]:
             seen |= words
             out.append(max(words))
     return sorted(out)
+
+
+def anisimov_knuth_words(g: Graph, length: int) -> list[TraceWord]:
+    """The standard word of every trace of the given length, sorted.
+
+    ``blocked`` is the mask of letters that may not come next: a letter b is
+    blocked after a suffix c u when c < b and b commutes with c and every
+    letter of u, since b could then move left over u and c.
+    """
+    rows = g.rows
+    above = [((1 << g.n) - 1) >> (a + 1) << (a + 1) for a in range(g.n)]
+    level: list[tuple[TraceWord, int]] = [((), 0)]
+    for _ in range(length):
+        level = [(w + (a,), rows[a] & (above[a] | blocked))
+                 for w, blocked in level for a in range(g.n) if not blocked >> a & 1]
+    return [w for w, _ in level]
 
 
 def enumerate_lyndon(g: Graph, length: int) -> list[TraceWord]:
