@@ -120,6 +120,8 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # rows given as a list would leave the graph mutable and unhashable
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.n < 0:
             raise InputError("vertex count must be non-negative")
         if len(self.rows) != self.n:

@@ -42,6 +42,7 @@ outside a scope every call searches afresh.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
@@ -69,18 +70,25 @@ def invert_permutation(p: Sequence[int]) -> VertexPermutation:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1)
+def _edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The edges ``u < v`` of ``g``.  A scan asks about one graph many times
+    in a row, so one entry suffices."""
+    return tuple(g.edges())
+
+
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     """True iff ``perm`` permutes the vertices, as exact integers, and maps
-    each bit row onto the row of the image vertex."""
+    every edge onto an edge; any other input gives False.
+
+    One lookup per edge is exact: a bijection of the vertices that maps every
+    edge to an edge maps the finite edge set into itself injectively, so onto
+    itself, and then non-edges go to non-edges."""
     if list(map(type, perm)).count(int) != len(perm) or sorted(perm) != list(range(g.n)):
         return False
-    for u, row in enumerate(g.rows):
-        image = 0
-        while row:
-            low = row & -row
-            image |= 1 << perm[low.bit_length() - 1]
-            row ^= low
-        if image != g.rows[perm[u]]:
+    rows = g.rows
+    for u, v in _edge_list(g):
+        if not rows[perm[u]] >> perm[v] & 1:
             return False
     return True
 

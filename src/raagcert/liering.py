@@ -17,10 +17,23 @@ Each matrix is held as a ``SignedAut`` on basis indices, and eigenvalue 1 is
 read off its cycles: det(I - M) is the product over the cycles of (1 - the
 cycle's sign product), so no matrix is built and no float appears.
 
+The witness level of a signed automorphism (pi, e) depends only on pi and the
+sign product of each cycle of pi.  If e and e' have the same product on every
+cycle, then following each cycle from its least vertex gives a d in {+1, -1}^n
+with e'_i = d_pi(i) * e_i * d_i, so (pi, e') is (pi, e) conjugated by the
+inversion automorphism d.  Each graded piece is a functor, so the two have
+conjugate matrices, with the same eigenvalues, on every level.  On level 1,
+eigenvalue 1 appears iff some cycle has sign product +1.  So of the 2^n sign
+vectors, 2^n - 2^(n - c(pi)) have a level-1 witness, where c(pi) counts the
+cycles, and the other 2^(n - c(pi)) all have the level of the one that is -1
+on the least vertex of each cycle and +1 elsewhere.  The scan below does not
+use this yet: it still builds every signed automorphism's matrices.
+
 A scan asks for one graph's matrices many times in a row, so the sign vectors
-are built once per graph and the level-2 basis with its column map is cached
-for the most recent graph.  ``induced_matrix`` still checks on every call that
-its permutation is a graph automorphism.  The signed automorphisms built from
+are built once per graph, and the level-2 basis with its column map, like the
+edge list ``is_automorphism`` reads, is cached for the most recent graph.
+``induced_matrix`` still checks on every call that its permutation is a graph
+automorphism, by one bit lookup per edge.  The signed automorphisms built from
 Aut(g), and the matrices of one that passed that check, are valid by
 construction and skip ``SignedAut`` validation.
 """
@@ -169,9 +182,9 @@ def _pair_columns(g: Graph) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int
 
 
 def _check_signed_aut(g: Graph, a: SignedAut) -> None:
-    if len(a.perm) != g.n:
-        raise InputError("signed automorphism acts on a different vertex count")
     if not is_automorphism(g, a.perm):
+        if len(a.perm) != g.n:
+            raise InputError("signed automorphism acts on a different vertex count")
         raise InputError("permutation is not a graph automorphism")
 
 

@@ -202,10 +202,52 @@ MUTANTS = (
         name="lyndon-enumeration-drops-the-filter",
         file="lyndon.py",
         old="""        if is_lyndon(m):
-            assert len(initial_vertices(m)) == 1""",
+            found.append(m)""",
         new="""        if True:
-            assert len(initial_vertices(m)) == 1""",
+            found.append(m)""",
         tests=("test_lyndon.py",),
+    ),
+    # -- the automorphism check: a permutation check, then one lookup per edge --
+    Mutant(
+        name="is-automorphism-skips-permutation-check",
+        file="isomorphism.py",
+        old="""    if list(map(type, perm)).count(int) != len(perm) or sorted(perm) != list(range(g.n)):
+        return False
+""",
+        new="",
+        tests=("test_isomorphism.py",),
+    ),
+    Mutant(
+        name="is-automorphism-reads-unpermuted-row",
+        file="isomorphism.py",
+        old="""        if not rows[perm[u]] >> perm[v] & 1:""",
+        new="""        if not rows[u] >> perm[v] & 1:""",
+        tests=("test_isomorphism.py",),
+    ),
+    Mutant(
+        name="edge-list-cached-by-vertex-count",
+        file="isomorphism.py",
+        old="""@functools.lru_cache(maxsize=1)
+def _edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
+""",
+        new="""def _edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
+    return _edge_lists.setdefault(g.n, _edges(g))
+
+
+_edge_lists: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
+""",
+        tests=("test_isomorphism.py",),
+    ),
+    Mutant(
+        name="graph-keeps-list-rows",
+        file="graphs.py",
+        old="""        object.__setattr__(self, "rows", tuple(self.rows))
+""",
+        new="",
+        tests=("test_graphs.py", "test_liering.py"),
     ),
     # -- the auditor: each check of _rule_problem and _shape_problem --
     Mutant(

@@ -288,6 +288,19 @@ def test_autcheck_scan_is_pinned(monkeypatch, capsys):
     assert len(searches) == 207
 
 
+@pytest.mark.slow
+def test_autcheck_scan_is_pinned_at_seven_vertices(capsys):
+    # the largest scan --max-n allows: every non-complete class with n <= 7
+    code, out, _ = run_cli(capsys, "autcheck", "--max-n", "7")
+    assert code == 0
+    rows = json_lines(out)
+    assert len(rows) == 1245
+    assert sum(row["total"] for row in rows) == 2_134_264
+    assert not any(row["failures"] for row in rows)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "53b25fa577e7e690a71097f7644c1d1f2df43607f7d4ab97ec6faa7c7e8bd329")
+
+
 def test_autcheck_max_n_takes_no_inputs(tmp_path, capsys):
     # --max-n scans every class, so an input beside it would go unread
     for extra in (("--builtin", "petersen"), ("--input", str(tmp_path / "missing"))):

@@ -62,6 +62,18 @@ def test_graph_validation():
         from_edges(3, [(0, 0)])
 
 
+def test_rows_given_as_a_list_are_stored_as_a_tuple():
+    rows = [2, 5, 2]
+    g = Graph(3, rows)
+    path = from_edges(3, [(0, 1), (1, 2)])
+    assert g.rows == (2, 5, 2) and type(g.rows) is tuple
+    assert g == path and hash(g) == hash(path) and {g: 1}[path] == 1
+    rows[0] = 0
+    assert g == path
+    with pytest.raises(TypeError):
+        g.rows[0] = 0
+
+
 def test_dominates_examples():
     c4 = cycle_graph(4)
     assert dominates(c4, 1, 3) and dominates(c4, 3, 1)

@@ -86,7 +86,12 @@ def test_is_automorphism_matches_pairwise_definition():
                 maps += 1
             for perm in ((), tuple(range(n - 1)), tuple(range(n + 1)), (0,) * (n + 1)):
                 assert not is_automorphism(g, perm)
-    assert maps == 1 * 1 + 2 * 4 + 4 * 27 + 11 * 256
+    for g in classes(5):
+        for perm in itertools.permutations(range(5)):
+            expected = _preserves_adjacency_pairwise(g, perm)
+            assert is_automorphism(g, perm) == is_automorphism(g, list(perm)) == expected, (g, perm)
+            maps += 1
+    assert maps == 1 * 1 + 2 * 4 + 4 * 27 + 11 * 256 + 34 * 120
 
 
 def test_is_automorphism_rejects_non_int_entries():
@@ -94,6 +99,54 @@ def test_is_automorphism_rejects_non_int_entries():
     assert not is_automorphism(cycle_graph(4), (0.0, 1.0, 2.0, 3.0))
     assert not is_automorphism(cycle_graph(4), (0, 1, 2, 3.0))
     assert not is_automorphism(edgeless_graph(2), (False, True))
+
+
+def test_is_automorphism_rejects_non_permutations_without_edges():
+    # the edge loop has nothing to check, so the permutation check decides
+    g = edgeless_graph(3)
+    assert is_automorphism(g, (2, 0, 1)) and is_automorphism(g, [2, 0, 1])
+    for perm in ((0, 0, 1), [1, 1, 1], (0, 1, 3), (-1, 0, 1), (0, 1), (0, 1, 2, 3), (),
+                 (0, 1, 2.0), (True, False, 2)):
+        assert not is_automorphism(g, perm), perm
+    assert not is_automorphism(edgeless_graph(1), (1,))
+
+
+def test_edge_cache_keeps_graphs_apart():
+    # the same vertex and edge counts, different edges: a stale edge list
+    # would check each graph against another's edges
+    graphs = (
+        cycle_graph(4),
+        from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]),
+        from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    )
+    for perm in itertools.permutations(range(4)):
+        for g in graphs:
+            assert is_automorphism(g, perm) == _preserves_adjacency_pairwise(g, perm), (g, perm)
+
+
+def test_is_automorphism_on_64_vertices():
+    # a circulant on Z_64 has the rotations and the reflection i -> -i as
+    # automorphisms; relabelled by sigma, they become sigma rho sigma^-1
+    rng = random.Random(64)
+    n = 64
+    steps = {k for k in range(1, n // 2 + 1) if rng.random() < 0.5}
+    g = from_edges(n, [(i, (i + k) % n) for i in range(n) for k in steps])
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    h = g.relabel(sigma)
+    inverse = invert_permutation(sigma)
+    for k in range(0, n, 5):
+        for rho in ([(v + k) % n for v in range(n)], [(k - v) % n for v in range(n)]):
+            tau = compose_permutations(sigma, compose_permutations(rho, inverse))
+            assert is_automorphism(h, tau) and _preserves_adjacency_pairwise(h, tau)
+            near = list(tau)
+            i, j = rng.sample(range(n), 2)
+            near[i], near[j] = near[j], near[i]
+            assert is_automorphism(h, near) == _preserves_adjacency_pairwise(h, near)
+    for _ in range(10):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert is_automorphism(h, perm) == _preserves_adjacency_pairwise(h, perm)
 
 
 def test_automorphism_count_matches_networkx():

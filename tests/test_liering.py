@@ -4,6 +4,7 @@ import random
 import pytest
 
 from raagcert import (
+    Graph,
     InputError,
     ResourceError,
     SignedAut,
@@ -19,6 +20,7 @@ from raagcert import (
     l3_sub_basis,
     signed_automorphisms,
 )
+from raagcert.isomorphism import automorphisms
 
 from conftest import classes, random_graph
 from matrix_oracle import (
@@ -305,5 +307,48 @@ def test_non_automorphism_rejected_with_cached_bases():
     swap = SignedAut((1, 0, 2, 3), (1, 1, 1, 1))
     for level, dim in ((1, 4), (2, 2), (3, 4)):
         assert induced_matrix(g, SignedAut.identity(4), level) == SignedAut.identity(dim)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not a graph automorphism"):
             induced_matrix(g, swap, level)
+        with pytest.raises(InputError, match="different vertex count"):
+            induced_matrix(g, SignedAut.identity(3), level)
+        with pytest.raises(InputError, match="different vertex count"):
+            induced_matrix(g, SignedAut.identity(5), level)
+
+
+def test_graph_with_list_rows_scans_like_its_tuple_twin():
+    # C4 plus a pendant vertex, its rows given as a list
+    g = Graph(5, [0b01010, 0b00101, 0b01010, 0b10101, 0b01000])
+    twin = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    assert g == twin
+    for a in signed_automorphisms(g):
+        assert induced_matrix(g, a, 1) == a
+        for level in (2, 3):
+            assert induced_matrix(g, a, level) == induced_matrix_oracle(twin, a, level)
+    assert eigenvalue_witness_report(g) == eigenvalue_witness_report(twin)
+
+
+def _check_witness_level_lemma(g):
+    """The module docstring's lemma on the brute scan: the witness level
+    depends only on the permutation and its cycles' sign products, and all
+    sign vectors without a level-1 witness share one representative's level."""
+    levels = dict(zip(signed_automorphisms(g), eigenvalue_witness_report(g).witness_levels))
+    assert len(levels) == len(automorphisms(g)) << g.n
+    by_cycle_signs = {}
+    for a, level in levels.items():
+        key = (a.perm, tuple(product for _, product in a.cycles()))
+        assert by_cycle_signs.setdefault(key, level) == level, (g, a)
+    for perm in automorphisms(g):
+        starts = {cycle[0] for cycle, _ in SignedAut(perm, (1,) * g.n).cycles()}
+        rep = levels[SignedAut(perm, tuple(-1 if v in starts else 1 for v in range(g.n)))]
+        coset = [levels[SignedAut(perm, signs)]
+                 for signs in itertools.product((1, -1), repeat=g.n)]
+        assert coset.count(1) == 2**g.n - 2**(g.n - len(starts)), (g, perm)
+        assert rep != 1 and all(level == rep for level in coset if level != 1), (g, perm)
+
+
+@pytest.mark.parametrize("sizes", [range(1, 6), pytest.param((6,), marks=pytest.mark.slow)])
+def test_witness_level_depends_on_cycle_sign_products_alone(sizes):
+    for n in sizes:
+        for g in classes(n):
+            if not g.is_complete():
+                _check_witness_level_lemma(g)

@@ -290,7 +290,9 @@ def _check_against_heap_oracle(g, length):
         assert is_lyndon(TraceClass(g, std)) == expected, (g, std)
         if expected:
             lyndon.append(std)
-    assert [m.std for m in enumerate_lyndon(g, length)] == lyndon, g
+    found = enumerate_lyndon(g, length)
+    assert [m.std for m in found] == lyndon, g
+    return found
 
 
 def test_is_lyndon_matches_heap_oracle_on_every_class():
@@ -302,13 +304,14 @@ def test_is_lyndon_matches_heap_oracle_on_every_class():
 
 @pytest.mark.slow
 def test_is_lyndon_matches_heap_oracle_at_the_word_budget():
-    for g in classes(6):
-        _check_against_heap_oracle(g, 6)
+    sample = list(classes(6))
     rng = random.Random(29)
     for n in range(7, 11):
-        length = max(k for k in range(1, LYNDON_MAX_LENGTH + 1) if n**k <= LYNDON_MAX_WORDS)
-        for _ in range(5):
-            _check_against_heap_oracle(random_graph(rng, n), length)
+        sample += [random_graph(rng, n) for _ in range(5)]
+    for g in sample:
+        length = max(k for k in range(1, LYNDON_MAX_LENGTH + 1) if g.n**k <= LYNDON_MAX_WORDS)
+        for m in _check_against_heap_oracle(g, length):
+            assert len(initial_vertices(m)) == 1, (g, m.std)
 
 
 def _no_suffix_below_prefix(w) -> bool:
@@ -337,13 +340,12 @@ def test_enumeration_fills_no_class_cache():
 
 
 def test_initial_vertex_singleton_for_lyndon():
-    rng = random.Random(17)
-    for _ in range(10):
-        g = random_graph(rng, 5)
-        for length in (1, 2, 3, 4):
-            for m in enumerate_lyndon(g, length):
-                assert len(initial_vertices(m)) == 1
-                assert support(m) <= set(range(g.n))
+    for n in range(1, 6):
+        for g in classes(n):
+            for length in range(1, 6):
+                for m in enumerate_lyndon(g, length):
+                    assert len(initial_vertices(m)) == 1, (g, m.std)
+                    assert support(m) <= set(range(g.n))
 
 
 def necklace_count(alphabet: int, length: int) -> int:
