@@ -4,8 +4,8 @@ Artin group of a graph, and an independent auditor for its certificates.
 A certificate is a tree of rule applications.  Leaves invoke base facts
 (disconnectedness, transvection-freeness); internal nodes reduce to strictly
 smaller instances through characteristic quotients or join decompositions,
-strong regularity with mu = k among them, so every recursion strictly
-decreases the pair (vertex count, non-edge count) lexicographically.
+so every recursion strictly decreases the pair (vertex count, non-edge count)
+lexicographically.
 Complete graphs are the definite negative case, and UNDECIDED is an honest
 first-class verdict rather than an error.
 
@@ -42,7 +42,6 @@ from .graphs import (
     from_graph6,
     induced,
     mba_parameters,
-    srg_parameters,
     to_graph6,
 )
 from .isomorphism import CANONICAL_MAX_N, canonical_relabelled
@@ -186,16 +185,6 @@ def _deletion(g: Graph, deleted: VertexSet, citation: str) -> Iterator[Reduction
             yield Reduction(citation, (quotient,), deleted)
 
 
-def _srg(g: Graph) -> Iterator[Reduction]:
-    params = srg_parameters(g)
-    if params is not None and params.mu == params.k:
-        yield Reduction(
-            "strongly regular with mu = k: complete multipartite, a join of edgeless "
-            "blocks, hence a direct product of non-abelian free groups",
-            max_join_decomposition(g).factors,
-        )
-
-
 def _join_factor(g: Graph) -> Iterator[Reduction]:
     # A connected complement is one factor and no centre, so no reduction;
     # that is also the case of every disconnected g.  Two or more complement
@@ -304,7 +293,6 @@ RULES: tuple[Rule, ...] = (
         "transvection-free graph: every automorphism acts through signed graph "
         "symmetries and partial conjugations, and some graded piece of the lower "
         "central series carries eigenvalue 1")),
-    Rule("SRG", RINF, _srg),
     Rule("JOIN_FACTOR", RINF, _join_factor),
     Rule("SIMPLIFICATION", RINF, _simplification),
     Rule("MBA_K_N1", RINF, _mba_k_n1),

@@ -122,6 +122,8 @@ class Graph:
     def __post_init__(self) -> None:
         # rows given as a list would leave the graph mutable and unhashable
         object.__setattr__(self, "rows", tuple(self.rows))
+        if type(self.n) is not int or any(type(row) is not int for row in self.rows):
+            raise InputError("vertex count and rows must be exact integers")
         if self.n < 0:
             raise InputError("vertex count must be non-negative")
         if len(self.rows) != self.n:

@@ -121,6 +121,13 @@ MUTANTS = (
         tests=("test_certify.py",),
     ),
     Mutant(
+        name="join-factors-drop-pairs",
+        file="certify.py",
+        old="""if len(comp) > 1)""",
+        new="""if len(comp) > 2)""",
+        tests=("test_certify.py",),
+    ),
+    Mutant(
         name="vertex-type-check-dropped",
         file="graphs.py",
         old="""        if type(v) is not int:
@@ -143,6 +150,13 @@ MUTANTS = (
         name="vertex-set-type-check-dropped",
         file="graphs.py",
         old="""        if type(self.mask) is not int or type(self.n) is not int:""",
+        new="""        if False:""",
+        tests=("test_graphs.py",),
+    ),
+    Mutant(
+        name="graph-type-check-dropped",
+        file="graphs.py",
+        old="""        if type(self.n) is not int or any(type(row) is not int for row in self.rows):""",
         new="""        if False:""",
         tests=("test_graphs.py",),
     ),

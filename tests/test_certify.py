@@ -29,6 +29,7 @@ from raagcert import (
     path_graph,
     petersen_graph,
     simplify,
+    srg_parameters,
     to_graph6,
 )
 from raagcert.certify import FIELDS, RULES, RULES_BY_NAME, Reduction, Rule
@@ -37,6 +38,7 @@ from raagcert.isomorphism import (
     are_isomorphic,
     automorphisms,
     canonical_form,
+    canonical_relabelled,
     shared_searches,
 )
 
@@ -133,7 +135,7 @@ def test_simplify(fig_mba_5_4_3):
 
 def test_certify_examples():
     cert = certify(cycle_graph(4))
-    assert cert.verdict == RINF and cert.rule == "SRG"
+    assert cert.verdict == RINF and cert.rule == "JOIN_FACTOR"
     assert [c.rule for c in cert.children] == ["DISCONNECTED", "DISCONNECTED"]
     assert all(c.graph == edgeless_graph(2) for c in cert.children)
 
@@ -185,7 +187,7 @@ def test_small_degree_regular_graphs_settle_early():
                 and g.degree(0) in (1, 2, g.n - 2, g.n - 3)):
             cert = certify(g)
             assert cert.verdict == RINF
-            assert cert.rule in ("DISCONNECTED", "TRANSVECTION_FREE", "SRG", "JOIN_FACTOR")
+            assert cert.rule in ("DISCONNECTED", "TRANSVECTION_FREE", "JOIN_FACTOR")
             settled += 1
     assert settled > len(small_degree_regular())
 
@@ -334,11 +336,22 @@ def test_audit_rechecks_deleted_sets(monkeypatch):
     assert problems == ["root: deleted vertex set fails the characteristic-set test"]
 
 
-def test_audit_accepts_multipartite_srg_certs():
-    for parts in ([2, 2], [2, 2, 2], [3, 3]):
-        cert = certify(complete_multipartite_graph(parts))
-        assert cert.rule == "SRG" and cert.verdict == RINF
-        assert audit_certificate(cert.to_dict()) == []
+def test_complete_multipartite_graphs_reduce_to_their_join_factors():
+    # the strongly regular graphs with mu = k are exactly the complete
+    # multipartite graphs K_{m,...,m} with at least two parts of size m >= 2
+    cases = [g for n in range(1, 8) for g in classes(n)
+             if (params := srg_parameters(g)) is not None and params.mu == params.k]
+    assert len(cases) == 3  # C4, K_{3,3} and K_{2,2,2}
+    cases += [complete_multipartite_graph(parts)
+              for parts in ([2, 2], [3, 3], [5, 5], [2, 2, 2], [2, 2, 2, 2, 2])]
+    for g in cases:
+        cert = certify(g)
+        assert cert.rule == "JOIN_FACTOR" and cert.verdict == RINF
+        factors = max_join_decomposition(g).factors
+        tree = cert.to_dict()
+        assert ([child["graph6"] for child in tree["children"]]
+                == [to_graph6(canonical_relabelled(f)) for f in factors])
+        assert audit_certificate(tree) == []
 
 
 def _certificate_digest(top: int) -> str:
@@ -353,12 +366,12 @@ def test_certificates_byte_identical_up_to_six_vertices():
     # every certificate of the 208 classes on at most 6 vertices, in
     # enumeration order, one JSON line each
     assert _certificate_digest(6) == (
-        "080b78a013a9708adbd78a29e902c66d32b030dc02ec8f8819058dea61b5d0b2")
+        "20e9cd0b0a2a732068395162ec66bbb5b4ef026d55917d1978cc71a25d094773")
 
 
 def test_certificates_byte_identical_up_to_seven_vertices():
     assert _certificate_digest(7) == (
-        "d2e73242c761bc7eecbbc18febae10bf9ec0438dfae995e38b591b7e3010c2be")
+        "33c2c274874a7485aa6a5afb6d58762c467dd12740a98f8a5209678b047d6c27")
 
 
 def _char_closure_forgery(g):
@@ -420,6 +433,16 @@ def test_audit_rejects_a_leaf_only_one_check_can_catch(change, problem):
             "graph6": "B?", "children": []}
     assert audit_certificate(leaf) == []
     assert audit_certificate({**leaf, **change}) == [f"root: {problem}"]
+
+
+def test_audit_rejects_a_retired_srg_node():
+    # C4's certificate as it was written while a separate SRG rule proved
+    # K_{m,...,m}; JOIN_FACTOR now covers those graphs, and the auditor fails
+    # closed on a rule it no longer has
+    cert = {**certify(cycle_graph(4)).to_dict(), "rule": "SRG", "citation": (
+        "strongly regular with mu = k: complete multipartite, a join of edgeless "
+        "blocks, hence a direct product of non-abelian free groups")}
+    assert audit_certificate(cert) == ["root: unknown rule 'SRG'"]
 
 
 def _replace_child(cert, idx, child):
@@ -626,4 +649,4 @@ def test_eight_vertex_sweep():
     assert rules == {rule.name for rule in RULES} - {"FALLBACK"}
     # every certificate on at most 8 vertices, as _certificate_digest writes them
     assert digest.hexdigest() == (
-        "bb155542163dee036bf24b717dbb4b67a4075c1783e047d3d4d29e9afc7d6082")
+        "f882a78edf2607e4d997956e6e76c685670aa88f7544175ae87e15c189ee06c3")

@@ -121,7 +121,7 @@ def test_sweep_output_is_pinned(monkeypatch, capsys):
     assert json_lines(out)[-1]["summary"] == {
         "classes": 1252, "RINF": 1245, "NOT_RINF_ABELIAN": 7}
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "85fed4998bb8126469ff28fa88b3d43665515a11998d68ef2e4a491fa8780b3e")
+        "93590d5742804bf164853b7784648fc2729b319e11718bf51cc16282efdeaffc")
     # one search per distinct labelled graph of the command: the levels
     # enumerate_graphs rebuilds, the serializer and the auditor share them,
     # and the auditor's characteristic-set test searches only where colour

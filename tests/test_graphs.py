@@ -172,10 +172,15 @@ def test_is_connected_matches_oracle():
     lambda g: VertexSet(1, float(g.n)),
     lambda g: True in VertexSet.of([1], g.n),
     lambda g: 1.0 in VertexSet.of([1], g.n),
+    lambda g: Graph(2.0, [0, 0]),
+    lambda g: Graph(2, [0.0, 0.0]),
+    lambda g: Graph(True, [0]),
+    lambda g: Graph(2, [False, False]),
 ], ids=["relabel-floats", "relabel-bools", "relabel-one-float", "induced-floats",
         "induced-bool", "adjacent-float", "adjacent-bool", "degree", "link", "closure",
         "set-of-bool", "set-of-float", "set-bool-mask", "set-float-mask", "set-float-size",
-        "set-contains-bool", "set-contains-float"])
+        "set-contains-bool", "set-contains-float", "graph-float-size", "graph-float-rows",
+        "graph-bool-size", "graph-bool-rows"])
 def test_vertices_must_be_exact_integers(call):
     with pytest.raises(InputError, match="exact integer"):
         call(cycle_graph(4))
