@@ -313,6 +313,8 @@ def _transpose(n: int, rows: Sequence[int]) -> list[int]:
 
 def _check_vertex_count(n: int) -> None:
     """Reject a public graph of ``n`` vertices before anything is built for it."""
+    if type(n) is not int:
+        raise InputError(f"vertex count {n!r} is not an exact integer")
     if n < 1:
         raise InputError("graphs at the public boundary must have at least one vertex")
     if n > MAX_VERTICES:
@@ -328,6 +330,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     _check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise InputError(f"edge ({u!r}, {v!r}) needs exact integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) out of range")
         if u == v:
@@ -341,6 +345,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     return from_edges(n, itertools.combinations(range(n), 2))
 
 
@@ -362,6 +367,8 @@ def path_graph(n: int) -> Graph:
 
 def complete_multipartite_graph(parts: Sequence[int]) -> Graph:
     """Join of edgeless blocks; two vertices are adjacent iff they lie in different blocks."""
+    if any(type(p) is not int for p in parts):
+        raise InputError("block sizes must be exact integers")
     if not parts or any(p < 1 for p in parts):
         raise InputError("every block must have at least one vertex")
     n = sum(parts)

@@ -51,7 +51,7 @@ from .graphs import Graph, _graph6_from_columns, _trusted_graph, from_edges, to_
 
 VertexPermutation = tuple[int, ...]
 
-AUTOMORPHISM_MAX_N = 10
+# the one search behind automorphisms, orbits and canonical labelling
 CANONICAL_MAX_N = 10
 ENUMERATE_MAX_N = 8
 
@@ -310,18 +310,18 @@ def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _search_within(g: Graph, cap: int, what: str) -> _Search:
+def _search_within(g: Graph, what: str) -> _Search:
     if g.n < 1:
         raise InputError(f"{what} needs at least one vertex")
-    if g.n > cap:
-        raise ResourceError(f"{what} capped at {cap} vertices")
+    if g.n > CANONICAL_MAX_N:
+        raise ResourceError(f"{what} capped at {CANONICAL_MAX_N} vertices")
     return _search(g)
 
 
 def automorphisms(g: Graph) -> list[VertexPermutation]:
     """All adjacency-preserving vertex bijections, sorted by image tuple: the
     group the canonical search's generators generate."""
-    _, generators, _ = _search_within(g, AUTOMORPHISM_MAX_N, "the automorphism search")
+    _, generators, _ = _search_within(g, "the automorphism search")
     group = {tuple(range(g.n))}
     frontier = list(group)
     while frontier:
@@ -336,7 +336,7 @@ def automorphisms(g: Graph) -> list[VertexPermutation]:
 
 def vertex_orbits(g: Graph) -> tuple[int, ...]:
     """Bit mask of each vertex's orbit under Aut(g)."""
-    _, generators, _ = _search_within(g, CANONICAL_MAX_N, "the orbit search")
+    _, generators, _ = _search_within(g, "the orbit search")
     roots = _orbit_roots(g.n, generators)
     masks = [0] * g.n
     for v, root in enumerate(roots):
@@ -346,7 +346,7 @@ def vertex_orbits(g: Graph) -> tuple[int, ...]:
 
 def canonical_relabelled(g: Graph) -> Graph:
     """Isomorphic copy of ``g`` in its canonical labelling."""
-    order, _, _ = _search_within(g, CANONICAL_MAX_N, "canonical labelling")
+    order, _, _ = _search_within(g, "canonical labelling")
     return g.relabel(order)
 
 

@@ -19,8 +19,10 @@ their letters do not commute.  The factorizations m = xy of its trace are the
 splits of the heap into a down-closed and an up-closed set of positions
 (Diekert–Rozenberg, *The Book of Traces*, 1995), and the largest word of
 either part is the greedy walk that always takes the largest available letter.
-The factorization queries work on the heap; only ``TraceClass.words``
-materialises a class, by breadth-first closure over single swaps.
+The proofs below argue on the heap, but the code reads the standard word
+alone: ``is_lyndon`` scans it, and ``standard_factorization`` cuts it at its
+least proper suffix.  Only ``TraceClass.words`` materialises a class, by
+breadth-first closure over single swaps.
 
 A trace is a Lyndon element iff it is nontrivial and smaller than every proper
 right factor; bracketing a Lyndon element via its standard factorization
@@ -61,6 +63,38 @@ induction on the number of factors; and f₁^k < w for every k, because z > w.
 Together these give L′ < w, hence z < w.  But z is a proper suffix of the
 Lyndon word w, so z > w, a contradiction.
 
+**Standard factorization.**  Let t be a Lyndon trace of length ℓ ≥ 2,
+w = std(t), v = w[i:] the least proper suffix of w and u = w[:i].  Then the
+standard factorization of t is (trace of u, trace of v).  Two facts about the
+greedy walk carry the proof: positions available at the same step carry
+distinct letters, since equal letters never commute; and the first letter of
+a Lyndon word is its least.
+
+*(a)*  [0, i) is down-closed and [i, ℓ) is up-closed, since the heap orders
+positions only forwards, so t = xy with std(x) = u, as in (⇐), and
+std(y) = v by the greedy lemma.  u and v are Lyndon words with u < w < v
+(Reutenauer, *Free Lie Algebras*, 1993, ch. 5), so by the lemma x and y are
+Lyndon traces, and x < y.
+
+*(b)*  No position z > 0 of a Lyndon standard word lacks a heap predecessor:
+otherwise z is available at step 0 beside position 0, the walk took 0, and
+w[z] < w[0], against the least first letter.  Applied to v, y has the single
+initial vertex v[0].  Applied to z = i in w, some position before i holds a
+letter equal to v[0] or not commuting with it, so v[0] lies in dep(x).
+
+*(c)*  Let Y be any proper, nonempty up-closed set of positions, j = min Y
+and s the standard word of Y.  Then j ≥ 1: otherwise the least position z
+outside Y has its heap predecessors outside Y and before z, so none, against
+(b).  If Y = [j, ℓ), then s = w[j:] ≥ v, with equality only for j = i.
+Otherwise let z be the least position after j outside Y.  Its predecessors
+lie outside Y and before z, so before j, and z was available when the walk
+took j.  Hence w[z] < w[j] ≤ s[0], since j is minimal in Y, and
+s > w[z:] ≥ v.  So (u, v) is the least candidate, Y = [i, ℓ) is the only
+right factor with std(y) = v, and x is determined.
+
+The word-level form of (c) is false, so the heap's up-closure is needed: the
+Lyndon word 00101, with v = 01, is a shuffle of p = 0 and q = 0011 < v.
+
 **Pruning** (Duval, J. Algorithms 4, 1983).  Duval's scan compares letter i
 of a word with letter j, where w[i - j:i] = w[:j] and j < i.  If w[i] < w[j],
 the proper suffix w[i - j:i + 1] is smaller than the prefix w[:j + 1] of the
@@ -79,7 +113,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .graphs import Graph
@@ -129,25 +163,6 @@ def _largest_word(rows: tuple[int, ...], w: TraceWord, part: int) -> TraceWord:
         out.append(w[best])
         part ^= 1 << best
     return tuple(out)
-
-
-def _right_factors(rows: tuple[int, ...], w: TraceWord) -> Iterator[int]:
-    """Position masks of the nonempty, proper, up-closed sets of the heap of
-    ``w``, produced lazily by deciding positions from the first to the last.
-    A position may stay out only when its letter commutes with every letter
-    already in."""
-    full = (1 << len(w)) - 1
-    stack = [(0, 0, 0)]
-    while stack:
-        j, up, letters = stack.pop()
-        if j == len(w):
-            if 0 < up < full:
-                yield up
-            continue
-        a = w[j]
-        stack.append((j + 1, up | 1 << j, letters | 1 << a))
-        if not letters & ~rows[a]:
-            stack.append((j + 1, up, letters))
 
 
 @dataclass(frozen=True)
@@ -217,15 +232,6 @@ def dependence_set(m: TraceClass) -> frozenset[int]:
         if i != j and not g.adjacent(i, j)
     }
     return supp | extra
-
-
-def _factorizations(m: TraceClass) -> set[tuple[TraceWord, TraceWord]]:
-    """All (std(x), std(y)) with m = xy and x, y nontrivial."""
-    w = m.std
-    rows = m.graph.rows
-    full = (1 << len(w)) - 1
-    return {(_largest_word(rows, w, full ^ up), _largest_word(rows, w, up))
-            for up in _right_factors(rows, w)}
 
 
 def is_lyndon(m: TraceClass) -> bool:
@@ -332,25 +338,27 @@ def closed_form_lyndon(g: Graph, length: int) -> list[TraceClass]:
 
 def standard_factorization(m: TraceClass) -> tuple[TraceClass, TraceClass]:
     """The factorization m = xy into Lyndon traces x < y with the initial vertex
-    of y in the dependence set of x, with y minimal."""
+    of y in the dependence set of x, with y minimal.
+
+    y is the trace of the least proper suffix of the standard word, and x the
+    trace of the prefix before it (proof in the module docstring).
+
+    >>> from raagcert.graphs import from_edges
+    >>> x, y = standard_factorization(trace_class(from_edges(3, [(1, 2)]), (0, 0, 1)))
+    >>> x.std, y.std
+    ((0,), (0, 1))
+    """
     if not is_lyndon(m):
         raise InputError("standard factorization is defined for Lyndon traces")
     if m.length < 2:
         raise InputError("needs length at least 2")
-    g = m.graph
-    best: Optional[tuple[TraceClass, TraceClass]] = None
-    for x_std, y_std in _factorizations(m):
-        x = TraceClass(g, x_std)
-        y = TraceClass(g, y_std)
-        if not (x.std < y.std and is_lyndon(x) and is_lyndon(y)):
-            continue
-        (init_y,) = initial_vertices(y)
-        if init_y not in dependence_set(x):
-            continue
-        if best is None or y.std < best[1].std:
-            best = (x, y)
-    assert best is not None
-    return best
+    i = _least_proper_suffix(m.std)
+    return TraceClass(m.graph, m.std[:i]), TraceClass(m.graph, m.std[i:])
+
+
+def _least_proper_suffix(w: TraceWord) -> int:
+    """Start of the least proper suffix of ``w``, which has length at least 2."""
+    return min(range(1, len(w)), key=lambda i: w[i:])
 
 
 @dataclass(frozen=True)
@@ -389,7 +397,13 @@ def bracketing(m: TraceClass) -> BracketTree:
     """Iterated-commutator tree obtained from repeated standard factorization."""
     if not is_lyndon(m):
         raise InputError("bracketing is defined for Lyndon traces")
-    if m.length == 1:
-        return BracketTree.leaf(m.std[0])
-    x, y = standard_factorization(m)
-    return BracketTree.node(bracketing(x), bracketing(y))
+    return _bracket(m.std)
+
+
+def _bracket(w: TraceWord) -> BracketTree:
+    """Bracketing of a Lyndon standard word; both parts of its standard
+    factorization are Lyndon standard words again, so no level re-checks."""
+    if len(w) == 1:
+        return BracketTree.leaf(w[0])
+    i = _least_proper_suffix(w)
+    return BracketTree.node(_bracket(w[:i]), _bracket(w[i:]))

@@ -161,6 +161,22 @@ MUTANTS = (
         tests=("test_graphs.py",),
     ),
     Mutant(
+        name="vertex-count-type-check-dropped",
+        file="graphs.py",
+        old="""    if type(n) is not int:
+        raise InputError(f"vertex count""",
+        new="""    if False:
+        raise InputError(f"vertex count""",
+        tests=("test_graphs.py",),
+    ),
+    Mutant(
+        name="edge-endpoint-type-check-dropped",
+        file="graphs.py",
+        old="""        if type(u) is not int or type(v) is not int:""",
+        new="""        if False:""",
+        tests=("test_graphs.py",),
+    ),
+    Mutant(
         name="vertex-set-membership-type-check-dropped",
         file="graphs.py",
         old="""        if type(v) is not int:
@@ -193,6 +209,23 @@ MUTANTS = (
         file="lyndon.py",
         old="""    if not w:
         raise InputError("the trivial trace is not eligible")
+""",
+        new="",
+        tests=("test_lyndon.py",),
+    ),
+    # -- standard factorization: the least proper suffix of the standard word --
+    Mutant(
+        name="standard-factor-takes-the-largest-suffix",
+        file="lyndon.py",
+        old="""    return min(range(1, len(w)), key=lambda i: w[i:])""",
+        new="""    return max(range(1, len(w)), key=lambda i: w[i:])""",
+        tests=("test_lyndon.py",),
+    ),
+    Mutant(
+        name="bracketing-skips-the-lyndon-check",
+        file="lyndon.py",
+        old="""    if not is_lyndon(m):
+        raise InputError("bracketing is defined for Lyndon traces")
 """,
         new="",
         tests=("test_lyndon.py",),

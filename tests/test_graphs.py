@@ -176,11 +176,20 @@ def test_is_connected_matches_oracle():
     lambda g: Graph(2, [0.0, 0.0]),
     lambda g: Graph(True, [0]),
     lambda g: Graph(2, [False, False]),
+    lambda g: from_edges(2.0, []),
+    lambda g: from_edges(3, [(0, 1.0)]),
+    lambda g: from_edges(3, [("0", 1)]),
+    lambda g: from_edges(3, [(True, 0)]),
+    lambda g: complete_graph(2.0),
+    lambda g: complete_multipartite_graph([True, 2]),
+    lambda g: complete_multipartite_graph(["1", 2]),
 ], ids=["relabel-floats", "relabel-bools", "relabel-one-float", "induced-floats",
         "induced-bool", "adjacent-float", "adjacent-bool", "degree", "link", "closure",
         "set-of-bool", "set-of-float", "set-bool-mask", "set-float-mask", "set-float-size",
         "set-contains-bool", "set-contains-float", "graph-float-size", "graph-float-rows",
-        "graph-bool-size", "graph-bool-rows"])
+        "graph-bool-size", "graph-bool-rows", "from-edges-float-size",
+        "from-edges-float-endpoint", "from-edges-str-endpoint", "from-edges-bool-endpoint",
+        "complete-float-size", "multipartite-bool-block", "multipartite-str-block"])
 def test_vertices_must_be_exact_integers(call):
     with pytest.raises(InputError, match="exact integer"):
         call(cycle_graph(4))

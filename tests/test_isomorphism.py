@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -224,6 +226,53 @@ def test_enumerate_orbit_counting_identity():
             math.factorial(n) // len(automorphisms(g)) for g in classes(n)
         )
         assert labelled == 2 ** (n * (n - 1) // 2)
+
+
+def _partitions(n, most=None):
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def _burnside_count(n: int) -> int:
+    """Graphs on n vertices up to isomorphism: by Burnside's lemma, the mean
+    over S_n of 2 ** (orbits of a permutation on vertex pairs), summed over
+    cycle types (Harary–Palmer, *Graphical Enumeration*, 1973)."""
+    total = Fraction(0)
+    for cycles in _partitions(n):
+        orbits = (sum(k // 2 for k in cycles)
+                  + sum(math.gcd(a, b) for a, b in itertools.combinations(cycles, 2)))
+        centralizer = math.prod(k**m * math.factorial(m)
+                                for k, m in collections.Counter(cycles).items())
+        total += Fraction(2**orbits, centralizer)
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_burnside_count_matches_oeis_a000088():
+    assert [_burnside_count(n) for n in range(1, 11)] == [
+        1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+
+
+# networkx warns that its hash values changed in 3.5; only bucket equality is used
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_enumeration_is_complete_by_counting(n):
+    """As many classes as Burnside's count, pairwise non-isomorphic by
+    networkx (Weisfeiler–Lehman hash buckets, then a full check within each),
+    so the enumeration misses no class, independently of raagcert's search."""
+    found = classes(n)
+    assert len(found) == _burnside_count(n)
+    buckets = {}
+    for g in found:
+        h = _networkx(g)
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+    for bucket in buckets.values():
+        for a, b in itertools.combinations(bucket, 2):
+            assert not nx.is_isomorphic(a, b)
 
 
 def test_enumeration_matches_atlas_totals(graph_classes):
@@ -650,10 +699,12 @@ def test_stored_searches_are_tuples():
 
 
 def test_budget_errors():
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="^the automorphism search capped at 10 vertices$"):
         automorphisms(edgeless_graph(11))
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="^the orbit search capped at 10 vertices$"):
         vertex_orbits(edgeless_graph(11))
+    with pytest.raises(ResourceError, match="^canonical labelling capped at 10 vertices$"):
+        canonical_relabelled(edgeless_graph(11))
     with pytest.raises(ResourceError):
         enumerate_graphs(9)
     with pytest.raises(InputError):

@@ -26,7 +26,6 @@ from raagcert.lyndon import (
     LYNDON_MAX_WORDS,
     TraceClass,
     _class_words,
-    _factorizations,
     _lyndon_candidates,
 )
 
@@ -151,6 +150,21 @@ def test_standard_factorization_and_bracketing():
 
     with pytest.raises(InputError):
         standard_factorization(trace_class(g, (1, 0)))
+    with pytest.raises(InputError):
+        bracketing(trace_class(g, (1, 0)))
+
+
+def test_bracketing_a_wide_heap():
+    """0 commutes with nothing and 1..13 pairwise commute, so the heap of the
+    trace of 0 1 ... 13 has 2**13 - 1 proper right factors; the least is the
+    last letter alone at every level."""
+    g = from_edges(14, itertools.combinations(range(1, 14), 2))
+    m = trace_class(g, range(14))
+    assert m.std == (0, *range(13, 0, -1))
+    expected = "v0"
+    for v in range(13, 0, -1):
+        expected = f"[{expected},v{v}]"
+    assert str(bracketing(m)) == expected
 
 
 def test_bracket_leaves_spell_a_class_word():
@@ -189,7 +203,7 @@ def test_lyndon_criteria_agree():
 
 
 def _check_against_oracle(g, length, every_word=True):
-    """Every heap-based query on every trace of ``length`` equals the oracle's;
+    """Every query on every trace of ``length`` equals the oracle's;
     with ``every_word``, so does the standard word of every word."""
     stds = oracle.standard_words(g, length)
     assert oracle.anisimov_knuth_words(g, length) == stds
@@ -198,7 +212,6 @@ def _check_against_oracle(g, length, every_word=True):
         m = TraceClass(g, std)
         expected = oracle.is_lyndon(g, std)
         assert is_lyndon(m) == expected, (g, std)
-        assert _factorizations(m) == oracle.factorizations(g, std), (g, std)
         assert initial_vertices(m) == oracle.initial_vertices(g, std), (g, std)
         if expected:
             lyndon.append(std)
@@ -425,10 +438,23 @@ def test_standard_factorization_x_is_determined_by_minimal_y():
                     x, y = standard_factorization(m)
                     others = {
                         xs
-                        for xs, ys in _factorizations(m)
+                        for xs, ys in oracle.factorizations(g, m.std)
                         if ys == y.std
                     }
                     assert others == {x.std}
+
+
+def test_least_right_factor_is_the_least_proper_suffix():
+    """Step (c) of the standard factorization proof: over every factorization
+    of a Lyndon trace, the least right factor is the least proper suffix of
+    its standard word, and exactly one factorization has it."""
+    for n in range(1, 5):
+        for g in classes(n):
+            for length in range(2, 6):
+                for std in oracle.enumerate_lyndon(g, length):
+                    ys = [y for _, y in oracle.factorizations(g, std)]
+                    least = min(std[i:] for i in range(1, length))
+                    assert min(ys) == least and ys.count(least) == 1, (g, std)
 
 
 def test_class_words_all_same_length():
