@@ -93,6 +93,10 @@ def read_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
             stream = open(args.input, encoding="ascii")
         with stream as handle:
             for lineno, raw in enumerate(handle, start=1):
+                # stdin arrives decoded, so it is held to the ASCII that a
+                # file is decoded as
+                if not raw.isascii():
+                    raise InputError(f"line {lineno}: input is not ASCII")
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue

@@ -630,23 +630,30 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
-    """Parse the ``"n; u-v, u-v"`` edge-list form."""
+    """Parse the ``"n; u-v, u-v"`` edge-list form.  It must be ASCII, and each
+    number decimal digits only: ``int`` would also read ``"1_0"``."""
+    if not text.isascii():
+        raise InputError("edge list must be ASCII")
     head, sep, rest = text.partition(";")
     if not sep:
         raise InputError("edge list must look like 'n; u-v, u-v'")
-    try:
-        n = int(head.strip())
-    except ValueError as exc:
-        raise InputError(f"bad vertex count {head.strip()!r}") from exc
+    n = _decimal(head)
+    if n is None:
+        raise InputError(f"bad vertex count {head.strip()!r}")
     edges = []
     rest = rest.strip()
     if rest:
         for chunk in rest.split(","):
             u_text, sep2, v_text = chunk.partition("-")
-            if not sep2:
+            u, v = _decimal(u_text), _decimal(v_text)
+            if not sep2 or u is None or v is None:
                 raise InputError(f"bad edge {chunk.strip()!r}")
-            try:
-                edges.append((int(u_text.strip()), int(v_text.strip())))
-            except ValueError as exc:
-                raise InputError(f"bad edge {chunk.strip()!r}") from exc
+            edges.append((u, v))
     return from_edges(n, edges)
+
+
+def _decimal(text: str) -> Optional[int]:
+    """The number that ASCII ``text`` spells in decimal digits between blanks,
+    else None."""
+    digits = text.strip()
+    return int(digits) if digits.isdigit() else None

@@ -16,16 +16,9 @@ orbits on vertex masks are all derived from the search's generators.  The
 isolated vertices are placed first, in ascending order, before the search
 starts: every minimal ordering begins with them (the lemma in
 ``_canonical_search``), so the search never branches over them.
-Enumeration extends each class representative by one new vertex per orbit of
-its automorphism group on neighbourhood masks, taking the generators from the
-search that admitted the representative.  Each vertex carries a colour that
-isomorphisms preserve (its degree, its neighbours' degree sum and the edges
-among its neighbours), updated from the parent's colours, and the
-representatives kept at a level are bucketed by their sorted colours.  An
-extension that a colour-preserving backtracking check maps onto a
-representative in its bucket is dropped; any other one runs the search,
-whose best columns pack into the canonical graph6 that deduplicates it.  So
-each class costs one search, and a weak colouring costs time, never a class.
+Enumeration is McKay's canonical augmentation (``enumerate_graphs``): a
+representative's extension by a new vertex is kept iff that vertex lies in
+the orbit of a canonically chosen vertex, which the extension's search gives.
 The sizes this package targets (at most 8 to 10 vertices) keep the search
 small, so no external canonical-labelling machinery is used.
 
@@ -390,113 +383,60 @@ def _extension(h: Graph, mask: int) -> Graph:
     return _trusted_graph(n, tuple(rows))
 
 
-def _extension_colours(h: Graph, colours: Sequence[int], mask: int) -> list[int]:
-    """Vertex colours of ``_extension(h, mask)``, given those of ``h``.
-
-    A vertex's colour packs three invariants that every isomorphism preserves
-    into one int: its degree, the sum of its neighbours' degrees, and twice
-    the number of edges among its neighbours.  Each is below 2**12 up to 64
-    vertices, so the packing is exact.  A vertex v with c neighbours in
-    ``mask`` gains c in the sum; if v is in ``mask`` it also gains 1 in
-    degree, the new vertex's degree in the sum, and 2c in the edge count.
-    """
-    k = mask.bit_count()
-    out = []
-    total = links = 0
-    for v, row in enumerate(h.rows):
-        c = (row & mask).bit_count()
-        if mask >> v & 1:
-            out.append(colours[v] + (1 << 24 | (c + k) << 12 | 2 * c))
-            total += (colours[v] >> 24) + 1
-            links += c
-        else:
-            out.append(colours[v] + (c << 12))
-    out.append(k << 24 | total << 12 | links)
-    return out
-
-
-def _isomorphism(
-    a: Graph, a_colours: Sequence[int], b: Graph, b_colours: Sequence[int]
-) -> VertexPermutation | None:
-    """A vertex bijection (vertex of ``a`` -> vertex of ``b``) that maps
-    ``a`` onto ``b`` and each colour onto itself, or None if there is none.
-
-    The vertices of ``a`` are placed in order by backtracking.  Vertex v goes
-    only to an unused vertex of ``b`` of its colour whose adjacency to the
-    images of 0..v-1 is v's adjacency to 0..v-1, so every pair of vertices is
-    checked, adjacent or not, before a mapping is returned.
-    """
-    n = a.n
-    if b.n != n:
-        return None
-    by_colour: dict[int, int] = {}
-    for u, colour in enumerate(b_colours):
-        by_colour[colour] = by_colour.get(colour, 0) | 1 << u
-    options = [by_colour.get(colour, 0) for colour in a_colours]
-    a_rows, b_rows = a.rows, b.rows
-    image = [0] * n
-
-    def place(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        # the images of v's neighbours among the placed vertices
-        want = 0
-        row = a_rows[v] & ((1 << v) - 1)
-        while row:
-            low = row & -row
-            want |= 1 << image[low.bit_length() - 1]
-            row ^= low
-        free = options[v] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            u = low.bit_length() - 1
-            if b_rows[u] & used == want:
-                image[v] = u
-                if place(v + 1, used | low):
-                    return True
-        return False
-
-    return tuple(image) if place(0, 0) else None
-
-
 def enumerate_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class of graphs on ``n`` vertices.
+    """One representative per isomorphism class of graphs on ``n`` vertices,
+    sorted by the canonical graph6 that its search's columns pack.
 
-    Classes are produced by extending the (n-1)-vertex representatives one
-    vertex at a time, once per orbit of neighbourhood masks; the result comes
-    back sorted by canonical form, and each class is represented by its first
-    extension in (parent, mask) order.  An extension is dropped when a
-    colour-preserving backtracking search (``_isomorphism``) maps it onto a
-    representative already kept at its level whose sorted vertex colours
-    equal its own.  Any other extension goes through the canonical search,
-    and its canonical graph6 deduplicates it as before, so a weak colouring
-    costs time, never a class, and each class costs one canonical search.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): each representative h on m - 1 vertices gets a
+    new vertex v = m - 1 joined to each orbit-least mask M of Aut(h), and the
+    extension C = h + M is kept iff v lies in the Aut(C)-orbit of m(C): among
+    the vertices with the largest pair (degree, sum of the neighbours'
+    degrees), the one C's canonical order places last.  If v's pair is not
+    the largest, C is dropped before its search; otherwise that one search
+    gives C's canonical order and the generators of Aut(C).
+
+    m(C) is canonical: an isomorphism f: C -> D maps m(C) into the orbit of
+    m(D).  The pair is invariant, so the canonical relabellings k_C and k_D
+    send m(C) and m(D) to one position of the canonical graph, the last with
+    the largest pair; so k_D^-1 k_C f^-1, in Aut(D), maps f(m(C)) to m(D).
+    Hence, given one representative per class on m - 1 vertices, each class
+    on m vertices is kept exactly once:
+
+    - at least once: for X in the class, an isomorphism from X - m(X) onto
+      a representative h carries m(X)'s neighbourhood into the orbit of an
+      orbit-least mask M, so X is isomorphic to C = h + M by a map sending
+      m(X) to v, and v then lies in the orbit of m(C);
+    - at most once: if kept extensions h + M and h' + M' are isomorphic, some
+      isomorphism between them fixes v, as both new vertices lie in the
+      orbits of the canonical vertices; it restricts to h -> h', so h = h',
+      and to an automorphism of h mapping M to M', so M = M'.
     """
     if n < 1:
         raise InputError("enumeration needs at least one vertex")
     if n > ENUMERATE_MAX_N:
         raise ResourceError(f"enumeration capped at {ENUMERATE_MAX_N} vertices")
-    # each representative with the generators of its automorphism group and
-    # its vertex colours
-    level: list[tuple[Graph, tuple[VertexPermutation, ...], list[int]]] = [
-        (from_edges(1, []), (), [0])]
+    # each representative with the generators of its automorphism group
+    level: list[tuple[Graph, tuple[VertexPermutation, ...]]] = [(from_edges(1, []), ())]
     for m in range(2, n + 1):
-        seen: dict[str, tuple[Graph, tuple[VertexPermutation, ...], list[int]]] = {}
-        # the representatives kept at this level, by sorted colours
-        buckets: dict[tuple[int, ...], list[tuple[Graph, list[int]]]] = {}
-        for h, generators, h_colours in level:
+        kept: list[tuple[str, Graph, tuple[VertexPermutation, ...]]] = []
+        for h, generators in level:
             for mask in _orbit_least_masks(h.n, generators):
                 cand = _extension(h, mask)
-                colours = _extension_colours(h, h_colours, mask)
-                bucket = buckets.setdefault(tuple(sorted(colours)), [])
-                if any(_isomorphism(cand, colours, rep, rep_colours) is not None
-                       for rep, rep_colours in bucket):
+                degrees = [row.bit_count() for row in cand.rows]
+                if max(degrees) > degrees[-1]:
                     continue
-                _, cand_generators, columns = _search(cand)
-                key = _graph6_from_columns(m, columns)
-                if key not in seen:
-                    seen[key] = (cand, cand_generators, colours)
-                    bucket.append((cand, colours))
-        level = [seen[key] for key in sorted(seen)]
-    return [h for h, _, _ in level]
+                # the neighbours' degree sum of each vertex of v's (largest) degree
+                sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
+                        for u, row in enumerate(cand.rows) if degrees[u] == degrees[-1]}
+                top = max(sums.values())
+                if sums[m - 1] != top:
+                    continue
+                order, cand_generators, columns = _search(cand)
+                last = max((u for u, s in sums.items() if s == top), key=order.__getitem__)
+                roots = _orbit_roots(m, cand_generators)
+                if roots[last] == roots[m - 1]:
+                    kept.append((_graph6_from_columns(m, columns), cand, cand_generators))
+        kept.sort(key=lambda item: item[0])
+        level = [(g, g_generators) for _, g, g_generators in kept]
+    return [h for h, _ in level]

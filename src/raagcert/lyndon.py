@@ -283,9 +283,15 @@ def _lyndon_candidates(g: Graph, length: int) -> list[TraceWord]:
     return [w for w, _, _ in level]
 
 
+def _check_length(length: object) -> None:
+    if type(length) is not int:
+        raise InputError(f"length {length!r} is not an exact integer")
+
+
 def enumerate_lyndon(g: Graph, length: int) -> list[TraceClass]:
     """All Lyndon traces of the given length, sorted; their count is the rank
     of the corresponding graded piece of the lower central series."""
+    _check_length(length)
     if length < 1:
         raise InputError("length must be positive")
     if length > LYNDON_MAX_LENGTH:
@@ -310,6 +316,7 @@ def closed_form_lyndon(g: Graph, length: int) -> list[TraceClass]:
     with both j and k non-commuting with i, i j j, and i j k with j != k where
     k fails to commute with i or with j.
     """
+    _check_length(length)
     if length not in (1, 2, 3):
         raise InputError("closed forms cover lengths 1, 2 and 3 only")
 

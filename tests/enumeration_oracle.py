@@ -1,43 +1,40 @@
-"""The deduplication that ``raagcert.isomorphism.enumerate_graphs`` replaced by
-a colour-bucketed isomorphism check, kept only as an oracle for it.
+"""The canonical augmentation of ``raagcert.isomorphism.enumerate_graphs`` in
+brute-force form, kept as an oracle for it.
 
-``enumerate_graphs`` runs the canonical search on every extension of every
-representative, once per orbit of neighbourhood masks, and keeps the first
-extension of each canonical graph6; ``vertex_colours`` computes the colours
-that the enumeration updates one added vertex at a time from scratch.
+Every extension of every representative, once per orbit of neighbourhood
+masks, runs the canonical search, with no degree prefilter.  The pair (degree,
+sum of the neighbours' degrees) of each vertex is computed by definition from
+``Graph.adjacent``, and the extension is kept iff some automorphism, from the
+full group ``automorphisms`` lists, maps its new vertex to the largest-pair
+vertex that the canonical order places last.
 """
 
 from __future__ import annotations
 
-from raagcert import Graph, from_edges
-from raagcert.graphs import _graph6_from_columns
+from raagcert import Graph, automorphisms, from_edges, to_graph6
 from raagcert.isomorphism import _canonical_search, _extension, _orbit_least_masks
 
 
+def _pairs(g: Graph) -> list[tuple[int, int]]:
+    degrees = [sum(g.adjacent(v, w) for w in range(g.n)) for v in range(g.n)]
+    return [(degrees[v], sum(degrees[w] for w in range(g.n) if g.adjacent(v, w)))
+            for v in range(g.n)]
+
+
 def enumerate_graphs(n: int) -> list[Graph]:
-    """One representative per isomorphism class on ``n`` vertices: the first
-    extension in (parent, mask) order, sorted by canonical graph6."""
-    level = [(from_edges(1, []), [])]
+    """One representative per isomorphism class on ``n`` vertices: the kept
+    extension, sorted by canonical graph6."""
+    level = [from_edges(1, [])]
     for m in range(2, n + 1):
-        seen = {}
-        for h, generators in level:
-            for mask in _orbit_least_masks(h.n, generators):
+        kept = []
+        for h in level:
+            for mask in _orbit_least_masks(h.n, _canonical_search(h)[1]):
                 cand = _extension(h, mask)
-                _, cand_generators, columns = _canonical_search(cand)
-                key = _graph6_from_columns(m, columns)
-                if key not in seen:
-                    seen[key] = (cand, cand_generators)
-        level = [seen[key] for key in sorted(seen)]
-    return [h for h, _ in level]
-
-
-def vertex_colours(g: Graph) -> list[int]:
-    """Per vertex: degree << 24 | sum of the neighbours' degrees << 12 | twice
-    the number of edges among the neighbours."""
-    neighbours = [[w for w in range(g.n) if g.adjacent(v, w)] for v in range(g.n)]
-    return [
-        len(ns) << 24
-        | sum(len(neighbours[w]) for w in ns) << 12
-        | sum(g.adjacent(u, w) for u in ns for w in ns)
-        for ns in neighbours
-    ]
+                order, _, _ = _canonical_search(cand)
+                pairs = _pairs(cand)
+                last = max((v for v in range(m) if pairs[v] == max(pairs)), key=order.__getitem__)
+                if any(a[m - 1] == last for a in automorphisms(cand)):
+                    kept.append((to_graph6(cand.relabel(order)), cand))
+        kept.sort(key=lambda item: item[0])
+        level = [g for _, g in kept]
+    return level

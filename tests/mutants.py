@@ -3,9 +3,9 @@ can run them again (``test_mutants.py``, marked ``slow``).
 
 Each entry names a file of the package, the exact text the mutant replaces
 (it must occur exactly once in that file), the replacement, and either the
-test files that must fail with the mutant applied or, for a mutant that
-changes no behaviour, the reason no test can catch it.  A change that runs a
-mutation check adds the mutants it ran here.
+test files or test ids (``file::test``) that must fail with the mutant
+applied or, for a mutant that changes no behaviour, the reason no test can
+catch it.  A change that runs a mutation check adds the mutants it ran here.
 """
 
 from __future__ import annotations
@@ -253,6 +253,41 @@ MUTANTS = (
         new="""        if True:
             found.append(m)""",
         tests=("test_lyndon.py",),
+    ),
+    # -- canonical augmentation: one orbit test per extension, no dedup --
+    # the counting oracle alone (Burnside's count, networkx pairwise) must see
+    # a duplicated or a missing class, with no digest pinned
+    Mutant(
+        name="augmentation-accepts-without-orbit-test",
+        file="isomorphism.py",
+        old="""                if roots[last] == roots[m - 1]:""",
+        new="""                if True:""",
+        tests=("test_isomorphism.py::test_enumeration_is_complete_by_counting",),
+    ),
+    Mutant(
+        name="augmentation-skips-last-orbit-least-mask",
+        file="isomorphism.py",
+        old="""            for mask in _orbit_least_masks(h.n, generators):""",
+        new="""            for mask in _orbit_least_masks(h.n, generators)[:-1]:""",
+        tests=("test_isomorphism.py::test_enumeration_is_complete_by_counting",),
+    ),
+    # the smallest pair also gives a canonical vertex, so every class is still
+    # kept once; only the representatives move, which the oracle sees
+    Mutant(
+        name="augmentation-picks-the-smallest-pair",
+        file="isomorphism.py",
+        old="""                if max(degrees) > degrees[-1]:
+                    continue
+                # the neighbours' degree sum of each vertex of v's (largest) degree
+                sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
+                        for u, row in enumerate(cand.rows) if degrees[u] == degrees[-1]}
+                top = max(sums.values())""",
+        new="""                if min(degrees) < degrees[-1]:
+                    continue
+                sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
+                        for u, row in enumerate(cand.rows) if degrees[u] == degrees[-1]}
+                top = min(sums.values())""",
+        tests=("test_isomorphism.py::test_enumerate_matches_oracle",),
     ),
     # -- the automorphism check: a permutation check, then one lookup per edge --
     Mutant(

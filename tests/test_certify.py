@@ -366,12 +366,12 @@ def test_certificates_byte_identical_up_to_six_vertices():
     # every certificate of the 208 classes on at most 6 vertices, in
     # enumeration order, one JSON line each
     assert _certificate_digest(6) == (
-        "20e9cd0b0a2a732068395162ec66bbb5b4ef026d55917d1978cc71a25d094773")
+        "87074ad9614d398c46a6080c03735d97b4ff79630a9601190bdb8e677b0b005d")
 
 
 def test_certificates_byte_identical_up_to_seven_vertices():
     assert _certificate_digest(7) == (
-        "33c2c274874a7485aa6a5afb6d58762c467dd12740a98f8a5209678b047d6c27")
+        "9a0f91d05baca94950f3f7d954c31bda66ee65a702b00900bf96f0599f352ba4")
 
 
 def _char_closure_forgery(g):
@@ -649,4 +649,4 @@ def test_eight_vertex_sweep():
     assert rules == {rule.name for rule in RULES} - {"FALLBACK"}
     # every certificate on at most 8 vertices, as _certificate_digest writes them
     assert digest.hexdigest() == (
-        "f882a78edf2607e4d997956e6e76c685670aa88f7544175ae87e15c189ee06c3")
+        "169129c361883d93076167f9a667af8b22ef3a6fa0d6e5b7a35e50b03dc03bf1")

@@ -347,6 +347,19 @@ def test_edge_list_roundtrip():
         from_edge_list("3; 0+1")
     with pytest.raises(InputError):
         from_edge_list("x; 0-1")
+    # ASCII blanks and leading zeros are still read
+    assert from_edge_list(" 03 ;\t0 -  2 ,1-2 ") == from_edges(3, [(0, 2), (1, 2)])
+
+
+@pytest.mark.parametrize("text", [
+    "1_0;", "+3;", "3; 0-+1", "3; 0-0_2", "\u0663; \u0660-\u0661", "\uff13;",
+    "3\u00a0; 0-1", "3; 0-1\u2003",
+], ids=["underscore", "plus", "plus-vertex", "underscore-vertex", "arabic-indic",
+        "fullwidth", "nbsp", "em-space"])
+def test_edge_list_accepts_ascii_decimal_digits_only(text):
+    # each is a valid graph if read through int() and str.strip()
+    with pytest.raises(InputError):
+        from_edge_list(text)
 
 
 def test_builtin_shapes():

@@ -12,6 +12,7 @@ from raagcert import (
     Graph,
     InputError,
     ResourceError,
+    certify,
     complement,
     complete_graph,
     complete_multipartite_graph,
@@ -42,8 +43,6 @@ from raagcert import isomorphism
 from raagcert.isomorphism import (
     _canonical_search,
     _extension,
-    _extension_colours,
-    _isomorphism,
     _orbit_least_masks,
     shared_searches,
 )
@@ -498,19 +497,33 @@ def test_symmetry_matches_oracle_on_shuffled_families():
 
 def test_enumerate_representatives_unchanged_by_orbit_skipping():
     assert [len(classes(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
-    # the representatives and their order, graph6 per line, as first emitted
-    # when every mask of every parent was tried
+    # the representatives and their order, graph6 per line, as kept by
+    # canonical augmentation
     digest = hashlib.sha256()
     for n in range(1, 8):
         for g in classes(n):
             digest.update((to_graph6(g) + "\n").encode("ascii"))
     assert digest.hexdigest() == (
-        "f6c2c0432761b45390c08c30d49e3fce9bbc211f7c71eb606d908b75360f50a3")
+        "7a1a46cdd07ae23f2a8e3be035d3d3ec233f142373ec27f1048ce205e921f0ef")
     # level 7 extends the n = 6 classes once per orbit of masks
     assert sum(len(_orbit_least_masks(6, _canonical_search(h)[1])) for h in classes(6)) == 5096
 
 
-# -- enumeration: one canonical search per class ---------------------------------
+def test_classes_and_root_verdicts_are_pinned():
+    # the canonical graph6, root verdict and root rule of every class with
+    # n <= 7, in output order: none depends on which labelled representative
+    # the enumeration keeps, so this held before canonical augmentation too
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for g in classes(n):
+            cert = certify(g)
+            digest.update(b"%s %s %s\n" % (
+                canonical_form(g), cert.verdict.encode(), cert.rule.encode()))
+    assert digest.hexdigest() == (
+        "0825f349c9d919532adf3e8c573365b0e8d1eaad6a87b90f56296d17da339df4")
+
+
+# -- enumeration: canonical augmentation -------------------------------------------
 
 
 def test_enumerate_matches_oracle():
@@ -523,51 +536,13 @@ def test_enumerate_n8_matches_oracle():
     assert list(classes(8)) == enumeration_oracle.enumerate_graphs(8)
 
 
-def test_enumerate_runs_one_canonical_search_per_class(monkeypatch):
-    searches = []
-    mappings = []
-    search, check = isomorphism._canonical_search, isomorphism._isomorphism
-
-    def counted_search(g):
-        searches.append(g)
-        return search(g)
-
-    def counted_check(*args):
-        mapping = check(*args)
-        mappings.append(mapping)
-        return mapping
-
-    monkeypatch.setattr(isomorphism, "_canonical_search", counted_search)
-    monkeypatch.setattr(isomorphism, "_isomorphism", counted_check)
+def test_enumerate_search_count_is_pinned(monkeypatch):
+    searches = counted_searches(monkeypatch)
     enumerate_graphs(7)
-    # the classes on 2..7 vertices, each searched once
-    assert len(searches) == 2 + 4 + 11 + 34 + 156 + 1044 == 1251
-    # every other extension is matched by the first check it gets
-    assert len(mappings) == 4507
-    assert None not in mappings
-
-
-def test_extension_colours_match_oracle():
-    for n in range(1, 6):
-        for h in classes(n):
-            colours = enumeration_oracle.vertex_colours(h)
-            for mask in range(1 << n):
-                assert _extension_colours(h, colours, mask) == enumeration_oracle.vertex_colours(
-                    _extension(h, mask)), (h, mask)
-
-
-def _check_isomorphism(a, b):
-    """``_isomorphism`` on ``a`` and ``b``, with every pair of a returned
-    mapping checked."""
-    a_colours = enumeration_oracle.vertex_colours(a)
-    b_colours = enumeration_oracle.vertex_colours(b)
-    mapping = _isomorphism(a, a_colours, b, b_colours)
-    if mapping is not None:
-        assert sorted(mapping) == list(range(b.n))
-        assert [b_colours[u] for u in mapping] == a_colours
-        for u, v in itertools.combinations(range(a.n), 2):
-            assert a.adjacent(u, v) == b.adjacent(mapping[u], mapping[v]), (a, b, mapping)
-    return mapping
+    # each class on 2..7 vertices is searched once, as the extension kept for
+    # it; 55 extensions pass the degree-pair test but lie outside the
+    # canonical vertex's orbit, and are searched and dropped
+    assert len(searches) == 1306 == 2 + 4 + 11 + 34 + 156 + 1044 + 55
 
 
 def _networkx(g):
@@ -575,50 +550,6 @@ def _networkx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
-
-
-def test_isomorphism_finds_relabelled_classes():
-    rng = random.Random(14)
-    for n in range(1, 8):
-        for g in classes(n):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            assert _check_isomorphism(g.relabel(perm), g) is not None, (g, perm)
-
-
-def _cube():
-    return from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
-                          if (u ^ v).bit_count() == 1])
-
-
-def _wagner():
-    return from_edges(8, [(i, (i + d) % 8) for i in range(8) for d in (1, 4)])
-
-
-def test_isomorphism_agrees_with_networkx_within_buckets():
-    two_squares = from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
-                             + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
-    named = [(cycle_graph(8), two_squares), (_cube(), _wagner())]
-    rng = random.Random(8)
-    pairs = list(itertools.combinations(range(8), 2))
-    buckets = {}
-    for a, b in named:
-        for g in (a, b, a.relabel(rng.sample(range(8), 8))):
-            buckets.setdefault(tuple(sorted(enumeration_oracle.vertex_colours(g))), []).append(g)
-    for _ in range(400):
-        g = from_edges(8, rng.sample(pairs, 8))
-        buckets.setdefault(tuple(sorted(enumeration_oracle.vertex_colours(g))), []).append(g)
-    outcomes = {True: 0, False: 0}
-    for bucket in buckets.values():
-        for a, b in itertools.combinations(bucket, 2):
-            found = _check_isomorphism(a, b) is not None
-            assert found == nx.is_isomorphic(_networkx(a), _networkx(b)), (a, b)
-            outcomes[found] += 1
-    for a, b in named:
-        assert sorted(enumeration_oracle.vertex_colours(a)) == sorted(
-            enumeration_oracle.vertex_colours(b))
-        assert _check_isomorphism(a, b) is None
-    assert outcomes[True] > 500 and outcomes[False] > 70
 
 
 # -- one search per labelled graph within a shared_searches() scope ---------------

@@ -103,6 +103,13 @@ def test_enumerate_lyndon_small(monkeypatch):
         enumerate_lyndon(edgeless_graph(3), 2)
 
 
+@pytest.mark.parametrize("function", [enumerate_lyndon, closed_form_lyndon])
+@pytest.mark.parametrize("length", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_length_must_be_an_exact_integer(function, length):
+    with pytest.raises(InputError, match="exact integer"):
+        function(edgeless_graph(3), length)
+
+
 def test_closed_form_matches_enumeration_small(mixed_graph):
     from raagcert import cycle_graph
 
