@@ -17,7 +17,9 @@ closed: a node it cannot re-derive within the search budgets is a problem, and
 so are malformed JSON values, which it reports instead of raising.  In
 particular ``CHAR_CLOSURE_GENERIC`` needs the vertex orbits, so ``certify``
 never emits it above ``CANONICAL_MAX_N`` (10) vertices and the auditor rejects
-it there.
+it there.  The auditor re-tests every deleted vertex set as characteristic, at
+every size; above 10 vertices a set that colour refinement leaves undecided
+fails closed the same way.
 """
 
 from __future__ import annotations
@@ -371,8 +373,7 @@ def _rule_problem(node: dict) -> Optional[str]:
         measure = (g.n, g.non_edge_count)
         if any((h.n, h.non_edge_count) >= measure for h in graphs):
             return "a child does not decrease the (n, non-edges) measure"
-    if (deleted is not None and g.n <= CANONICAL_MAX_N
-            and not is_characteristic_vertex_set(g, deleted)):
+    if deleted is not None and not is_characteristic_vertex_set(g, deleted):
         return "deleted vertex set fails the characteristic-set test"
     if node["citation"] != citation:
         return f"citation is not rule {rule.name}'s"
@@ -386,10 +387,10 @@ def audit_certificate(node: object) -> list[str]:
     graph6 string alone.  A node passes when its rule is in ``RULES``, its
     verdict is the rule's, its children match one reduction of the rule, some
     child has R-infinity, every child strictly decreases (vertex count,
-    non-edge count), within the symmetry budget a deleted vertex set is
-    characteristic, and its citation is that reduction's.  Returns the problems,
-    each prefixed by the node's path; an empty list means the certificate is
-    sound.  Any JSON value is accepted; a node it cannot re-derive fails.
+    non-edge count), a deleted vertex set is characteristic, and its citation
+    is that reduction's.  Returns the problems, each prefixed by the node's
+    path; an empty list means the certificate is sound.  Any JSON value is
+    accepted; a node it cannot re-derive fails.
     """
     problems: list[str] = []
     stack: list[tuple[str, object]] = [("root", node)]

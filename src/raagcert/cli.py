@@ -35,6 +35,7 @@ from .graphs import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    decimal,
     edgeless_graph,
     from_edge_list,
     from_graph6,
@@ -67,10 +68,7 @@ def parse_builtin(text: str) -> Graph:
         return builder()
     if not sep or not argtext:
         raise InputError(f"builtin {name!r} needs arguments, e.g. {name}:5")
-    try:
-        values = [int(x) for x in argtext.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad builtin arguments {argtext!r}") from exc
+    values = [decimal(x) for x in argtext.split(",")]
     if arity == "list":
         return builder(values)
     if len(values) != arity:
@@ -275,24 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("certify", help="emit one certificate per input graph")
     _add_io_arguments(sub)
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sub.add_argument("--jobs", type=decimal, default=1, help="parallel workers")
 
     sub = commands.add_parser("enumerate", help="sweep isomorphism classes up to --max-n")
-    sub.add_argument("--max-n", type=int, required=True)
+    sub.add_argument("--max-n", type=decimal, required=True)
     sub.add_argument("--certify", action="store_true", help="certify every class")
     _add_io_arguments(sub, with_inputs=False)
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    sub.add_argument("--jobs", type=decimal, default=1, help="parallel workers")
 
     sub = commands.add_parser("lyndon", help="list Lyndon traces of a given length")
-    sub.add_argument("--length", type=int, required=True)
+    sub.add_argument("--length", type=decimal, required=True)
     _add_io_arguments(sub)
 
     sub = commands.add_parser("ranks", help="ranks of the graded lower-central pieces")
-    sub.add_argument("--upto", type=int, required=True)
+    sub.add_argument("--upto", type=decimal, required=True)
     _add_io_arguments(sub)
 
     sub = commands.add_parser("autcheck", help="eigenvalue-witness scan of signed automorphisms")
-    sub.add_argument("--max-n", type=int, help="scan all non-complete classes up to this size")
+    sub.add_argument("--max-n", type=decimal, help="scan all non-complete classes up to this size")
     _add_io_arguments(sub)
 
     sub = commands.add_parser("simplify", help="iterated maximal-degree deletion trace")

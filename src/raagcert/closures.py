@@ -26,7 +26,13 @@ union of cells contains each member's orbit.  Refinement can stabilise on
 cells coarser than the orbits: on C3 ⊔ C4 every vertex has degree 2 and two
 neighbours of degree 2, so the partition never leaves one cell, and only the
 orbit search shows that the triangle and the square are characteristic.  The
-search runs only in such a case.
+search runs only in such a case, so the test takes the same path at every
+size: closures, then refined cells, then orbits, and the orbit search's
+budget (10 vertices, ``ResourceError`` above it) is its only size limit.
+The sets that the deletion rules remove above that budget, the
+maximal-degree vertices and the two sets of ``mba_characteristic_sets``, are
+unions of degree cells or of cells after one round, so refinement settles
+their orbit half without the search.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import InputError
 from .graphs import Graph, VertexSet
-from .isomorphism import CANONICAL_MAX_N, vertex_orbits
+from .isomorphism import vertex_orbits
 
 
 def _closure_mask(g: Graph, v: int) -> int:
@@ -130,12 +136,13 @@ def is_characteristic_vertex_set(g: Graph, s: VertexSet) -> bool:
 
     Equivalently, ``s`` contains the domination closure and the orbit of each
     member.  The orbits are searched only when no refined degree partition
-    has ``s`` as a union of cells.
+    has ``s`` as a union of cells, and that search raises ``ResourceError``
+    above its budget.
     """
     if s.n != g.n:
         raise InputError("vertex set belongs to a different graph")
-    if not 1 <= g.n <= CANONICAL_MAX_N:
-        vertex_orbits(g)  # raises the orbit search's size error, on every s
+    if g.n < 1:
+        raise InputError("the characteristic-set test needs at least one vertex")
     if any(_closure_mask(g, v) & ~s.mask for v in s):
         return False
     for cells in _refined_partitions(g):

@@ -2,8 +2,9 @@
 
 Graphs are immutable, have vertices 0..n-1, and store adjacency as one bit-row
 per vertex, so every set-valued query is a couple of mask operations.
-The public boundary caps graphs at 64 vertices; the empty graph can only arise
-internally as a quotient result and is rejected by every parser and builder.
+Every graph has at most 64 vertices, ``Graph(...)`` included, so a row fits in
+one machine word; the empty graph can only arise internally as a quotient
+result and is rejected by every parser and builder.
 
 ``Graph(...)`` and ``from_edges`` validate their rows; the symmetry check
 compares the rows with their transpose.  Graphs derived from valid graphs
@@ -126,6 +127,8 @@ class Graph:
             raise InputError("vertex count and rows must be exact integers")
         if self.n < 0:
             raise InputError("vertex count must be non-negative")
+        if self.n > MAX_VERTICES:
+            raise InputError(f"at most {MAX_VERTICES} vertices are supported")
         if len(self.rows) != self.n:
             raise InputError("adjacency needs one bit-row per vertex")
         full = (1 << self.n) - 1
@@ -292,10 +295,7 @@ _DELTA_SWAPS = {code: _delta_swaps(8 * array(code).itemsize) for code in "BHIQ"}
 
 def _transpose(n: int, rows: Sequence[int]) -> list[int]:
     """Rows of the transposed bit matrix: bit v of the w-th is bit w of
-    ``rows[v]``, for n rows of at most n bits."""
-    if n > 64:
-        # wider than a machine word; only a direct Graph(...) call gets here
-        return [sum((row >> w & 1) << v for v, row in enumerate(rows)) for w in range(n)]
+    ``rows[v]``, for n <= 64 rows of at most n bits."""
     code = "B" if n <= 8 else "H" if n <= 16 else "I" if n <= 32 else "Q"
     words = array(code, rows)
     if sys.byteorder == "big":
@@ -631,29 +631,34 @@ def to_edge_list(g: Graph) -> str:
 
 def from_edge_list(text: str) -> Graph:
     """Parse the ``"n; u-v, u-v"`` edge-list form.  It must be ASCII, and each
-    number decimal digits only: ``int`` would also read ``"1_0"``."""
+    number is read by ``decimal``."""
     if not text.isascii():
         raise InputError("edge list must be ASCII")
     head, sep, rest = text.partition(";")
     if not sep:
         raise InputError("edge list must look like 'n; u-v, u-v'")
-    n = _decimal(head)
-    if n is None:
-        raise InputError(f"bad vertex count {head.strip()!r}")
+    n = decimal(head)
     edges = []
     rest = rest.strip()
     if rest:
         for chunk in rest.split(","):
             u_text, sep2, v_text = chunk.partition("-")
-            u, v = _decimal(u_text), _decimal(v_text)
-            if not sep2 or u is None or v is None:
+            if not sep2:
                 raise InputError(f"bad edge {chunk.strip()!r}")
-            edges.append((u, v))
+            edges.append((decimal(u_text), decimal(v_text)))
     return from_edges(n, edges)
 
 
-def _decimal(text: str) -> Optional[int]:
-    """The number that ASCII ``text`` spells in decimal digits between blanks,
-    else None."""
-    digits = text.strip()
-    return int(digits) if digits.isdigit() else None
+def decimal(text: str) -> int:
+    """The integer that ``text`` spells in ASCII decimal digits, optionally
+    after a minus sign, between ASCII blanks: ``int`` would also read
+    ``"1_0"``, ``"+2"`` and ``"\u0663"``.  The edge-list parser, builtin
+    arguments and the CLI's integer options all read numbers through it.
+
+    >>> decimal(" 07 "), decimal("-2")
+    (7, -2)
+    """
+    number = text.strip()
+    if not (text.isascii() and number.removeprefix("-").isdigit()):
+        raise InputError(f"{text!r} is not a decimal integer")
+    return int(number)

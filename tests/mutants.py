@@ -69,13 +69,11 @@ MUTANTS = (
         tests=("test_closures.py",),
     ),
     Mutant(
-        name="size-guard-dropped",
-        file="closures.py",
-        old="""    if not 1 <= g.n <= CANONICAL_MAX_N:
-        vertex_orbits(g)""",
-        new="""    if False:
-        vertex_orbits(g)""",
-        tests=("test_closures.py",),
+        name="audit-skips-char-sets-above-10",
+        file="certify.py",
+        old="""    if deleted is not None and not is_characteristic_vertex_set(g, deleted):""",
+        new="""    if deleted is not None and g.n <= 10 and not is_characteristic_vertex_set(g, deleted):""",
+        tests=("test_certify.py::test_audit_rechecks_deleted_sets_on_64_vertices",),
     ),
     # -- exact shortcuts: isolated vertices first, and stops once the answer is known --
     Mutant(
@@ -335,8 +333,8 @@ def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
     Mutant(
         name="auditor-skips-characteristic-check",
         file="certify.py",
-        old="""            and not is_characteristic_vertex_set(g, deleted)):""",
-        new="""            and False):""",
+        old="""and not is_characteristic_vertex_set(g, deleted):""",
+        new="""and False:""",
         tests=("test_certify.py",),
     ),
     Mutant(
@@ -412,6 +410,15 @@ def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
         tests=("test_graphs.py",),
     ),
     Mutant(
+        name="graph-cap-dropped",
+        file="graphs.py",
+        old="""        if self.n > MAX_VERTICES:
+            raise InputError""",
+        new="""        if False:
+            raise InputError""",
+        tests=("test_graphs.py",),
+    ),
+    Mutant(
         name="graph6-skips-vertex-cap",
         file="graphs.py",
         old="""    if n > MAX_VERTICES:
@@ -450,6 +457,21 @@ def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
         _parser = build_parser()""",
         new="""    if True:
         _parser = build_parser()""",
+        tests=("test_cli.py",),
+    ),
+    # -- builtin arguments and integer options: ASCII decimal digits only --
+    Mutant(
+        name="builtin-args-through-int",
+        file="cli.py",
+        old="""    values = [decimal(x) for x in argtext.split(",")]""",
+        new="""    values = [int(x) for x in argtext.split(",")]""",
+        tests=("test_cli.py",),
+    ),
+    Mutant(
+        name="max-n-option-through-int",
+        file="cli.py",
+        old="""    sub.add_argument("--max-n", type=decimal, required=True)""",
+        new="""    sub.add_argument("--max-n", type=int, required=True)""",
         tests=("test_cli.py",),
     ),
 )

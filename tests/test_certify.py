@@ -212,6 +212,25 @@ def test_certify_above_the_canonical_budget(seed):
         assert certify(g.relabel(perm)).verdict == cert.verdict
 
 
+@pytest.mark.slow
+def test_audit_tests_deleted_sets_above_the_orbit_budget(monkeypatch):
+    # real certificates above 10 vertices audit clean with every deleted set
+    # re-tested: refinement settles each one without the orbit search
+    module = sys.modules["raagcert.certify"]
+    real = module.is_characteristic_vertex_set
+    sizes = []
+
+    def counted(g, s):
+        sizes.append(g.n)
+        return real(g, s)
+
+    monkeypatch.setattr(module, "is_characteristic_vertex_set", counted)
+    for seed in range(10):
+        for _, g in large_families(seed):
+            assert audit_certificate(certify(g).to_dict()) == [], seed
+    assert sum(n > CANONICAL_MAX_N for n in sizes) > 0
+
+
 def test_certify_rejects_empty():
     from raagcert import Graph
 
@@ -318,22 +337,43 @@ def test_audit_rejects_circular_reduction():
     assert problems == ["root: a child does not decrease the (n, non-edges) measure"]
 
 
-def test_audit_rechecks_deleted_sets(monkeypatch):
-    # a faulty rule deleting one end of a path, a set that the path's
-    # reflection moves, so the quotient is not characteristic
-    g = path_graph(4)
-    end = VertexSet.of([0], 4)
-    quotient = induced(g, end.complement())
+def _audit_forged_deletion(monkeypatch, g, deleted):
+    """The audit of a SIMPLIFICATION node on ``g`` whose rule, made faulty on
+    ``g`` alone, deletes ``deleted``, over the quotient's real certificate."""
+    quotient = induced(g, deleted.complement())
+    real = RULES_BY_NAME["SIMPLIFICATION"].reductions
 
     def reductions(h):
-        yield Reduction("", (quotient,), end)
+        if h != g:
+            yield from real(h)
+            return
+        yield Reduction("", (quotient,), deleted)
 
     faulty = Rule("SIMPLIFICATION", RINF, reductions)
     monkeypatch.setitem(RULES_BY_NAME, "SIMPLIFICATION", faulty)
     node = {"verdict": RINF, "rule": "SIMPLIFICATION", "citation": "",
             "graph6": to_graph6(g), "children": [certify(quotient).to_dict()]}
-    problems = audit_certificate(node)
+    return audit_certificate(node)
+
+
+def test_audit_rechecks_deleted_sets(monkeypatch):
+    # a faulty rule deleting one end of a path, a set that the path's
+    # reflection moves, so the quotient is not characteristic
+    problems = _audit_forged_deletion(monkeypatch, path_graph(4), VertexSet.of([0], 4))
     assert problems == ["root: deleted vertex set fails the characteristic-set test"]
+
+
+def test_audit_rechecks_deleted_sets_on_64_vertices(monkeypatch):
+    # above the orbit search's budget: vertex 2 dominates the end vertex 0, so
+    # {0} fails the closure check; {0, 1, 2} passes it, but no refined cell
+    # {i, 63 - i} lies inside it, so only the search could decide, and the
+    # node fails closed
+    g = path_graph(64)
+    problems = _audit_forged_deletion(monkeypatch, g, VertexSet.of([0], 64))
+    assert problems == ["root: deleted vertex set fails the characteristic-set test"]
+    problems = _audit_forged_deletion(monkeypatch, g, VertexSet.of([0, 1, 2], 64))
+    assert problems == [
+        "root: cannot re-derive the node: the orbit search capped at 10 vertices"]
 
 
 def test_complete_multipartite_graphs_reduce_to_their_join_factors():

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,12 @@ def test_parse_builtin():
     assert parse_builtin("complete_multipartite:2,2,2").edge_count == 12
     for bad in ("cycle", "petersen:3", "cycle:x", "wheel:4"):
         with pytest.raises(Exception):
+            parse_builtin(bad)
+    # arguments are ASCII decimal digits between blanks, as in an edge list
+    assert parse_builtin("complete_multipartite: 2, 02 ").edge_count == 4
+    for bad, arg in (("cycle:1_0", "1_0"), ("edgeless:\u0663", "\u0663"),
+                     ("complete_multipartite: 2,+2", "+2"), ("cycle:\u00a05", "\u00a05")):
+        with pytest.raises(InputError, match=re.escape(f"{arg!r} is not a decimal integer")):
             parse_builtin(bad)
 
 
@@ -404,6 +411,12 @@ def test_usage_errors_exit_one(capsys):
     # exit status 2 is kept for UNDECIDED verdicts
     for argv, needle in ((("certify", "--builtin", "cycle:5", "--jobs", "x"), "--jobs"),
                          (("enumerate",), "--max-n"),
+                         # the integer options read ASCII decimal digits only
+                         (("certify", "--builtin", "cycle:5", "--jobs", "1_0"), "--jobs"),
+                         (("enumerate", "--max-n", "+3"), "--max-n"),
+                         (("lyndon", "--length", "\u0663", "--builtin", "cycle:5"), "--length"),
+                         (("ranks", "--upto", "2.0", "--builtin", "cycle:5"), "--upto"),
+                         (("autcheck", "--max-n", "\uff13"), "--max-n"),
                          (("wheel",), "invalid choice"),
                          ((), "command")):
         with pytest.raises(SystemExit) as exc:
@@ -492,6 +505,13 @@ def test_rebound_commands_take_effect_after_the_first_call(monkeypatch, capsys):
     (("certify", "--input", "-"), "\u0663; \u0660-\u0661\n", 1),
     # stdin is held to ASCII as a file is, comments included
     (("certify", "--input", "-"), "# \u2603\nA_\n", 1),
+    # builtin arguments and integer options: int() would read each of these
+    (("certify", "--builtin", "cycle:1_0"), "", 1),
+    (("certify", "--builtin", "edgeless:\u0663"), "", 1),
+    (("certify", "--builtin", "complete_multipartite: 2,+2"), "", 1),
+    (("enumerate", "--max-n", "1_0"), "", 1),
+    (("ranks", "--upto", "+2", "--builtin", "cycle:5"), "", 1),
+    (("enumerate", "--max-n", " 03 "), "", 0),
 ])
 def test_exit_status_of_a_cli_process(argv, stdin, code):
     # a fresh interpreter builds the parser on its first and only call

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -30,6 +31,7 @@ from raagcert import (
     to_graph6,
 )
 from raagcert.certify import _add_cross_edges
+from raagcert.graphs import decimal
 from raagcert.isomorphism import _extension, are_isomorphic
 
 import graph_oracle
@@ -362,6 +364,19 @@ def test_edge_list_accepts_ascii_decimal_digits_only(text):
         from_edge_list(text)
 
 
+@given(st.text(st.sampled_from("0123456789-+_ \t\x1c\u00a0\u0663\uff13x"), max_size=6))
+def test_decimal_reads_ascii_digits_or_raises_input_error(text):
+    # every number of an edge list, a builtin or a CLI option is read here
+    stripped = text.strip()
+    try:
+        value = decimal(text)
+    except InputError:
+        assert not (text.isascii() and re.fullmatch("-?[0-9]+", stripped))
+    else:
+        assert text.isascii() and re.fullmatch("-?[0-9]+", stripped)
+        assert value == int(stripped)
+
+
 def test_builtin_shapes():
     pete = petersen_graph()
     assert pete.n == 10 and pete.edge_count == 15
@@ -447,7 +462,7 @@ def test_induced_matches_oracle():
 
 
 def _wide_graph(rng, n):
-    """A graph above the public 64-vertex cap, which only Graph(...) builds."""
+    """A graph above the 64-vertex cap, which Graph(...) refuses too."""
     rows = [0] * n
     for u, v in itertools.combinations(range(n), 2):
         if rng.random() < 0.5:
@@ -458,7 +473,10 @@ def _wide_graph(rng, n):
 
 def test_symmetry_check_matches_oracle():
     rng = random.Random(101)
-    for g in _oracle_pool() + [_wide_graph(rng, n) for n in (65, 70)]:
+    for n in (65, 70):
+        with pytest.raises(InputError, match="^at most 64 vertices are supported$"):
+            _wide_graph(rng, n)
+    for g in _oracle_pool():
         if g.n < 2:
             continue
         assert Graph(g.n, g.rows) == g
