@@ -46,7 +46,7 @@ from .graphs import (
     mba_parameters,
     to_graph6,
 )
-from .isomorphism import CANONICAL_MAX_N, canonical_relabelled
+from .isomorphism import CANONICAL_MAX_N, canonical_form
 # unused: benchmarks/tests/test_bench_trace.py reads raagcert.certify.automorphisms
 from .isomorphism import automorphisms  # noqa: F401
 
@@ -55,7 +55,7 @@ def _serial6(g: Graph) -> str:
     """graph6 for certificates: canonical below the labelling budget, so
     isomorphic graphs serialize identically; verbatim labelling above it."""
     if g.n <= CANONICAL_MAX_N:
-        return to_graph6(canonical_relabelled(g))
+        return canonical_form(g).decode("ascii")
     return to_graph6(g)
 
 
@@ -248,12 +248,17 @@ def _mba_k_n1(g: Graph) -> Iterator[Reduction]:
 
 def _mba_k_n2_split(g: Graph) -> Iterator[Reduction]:
     links = _mba_links(g, 2)
-    if links is not None and _links_partition(g, *links):
+    if links is None or not _links_partition(g, *links):
+        return
+    # with every cross edge already there the quotient is g itself, which
+    # would not decrease the measure
+    joined = _add_cross_edges(g, *links)
+    if joined != g:
         yield Reduction(
             "the links of the two non-maximal vertices partition the vertices: adding "
             "all cross edges is a characteristic quotient onto a join of two "
             "disconnected graphs",
-            (_add_cross_edges(g, *links),),
+            (joined,),
         )
 
 

@@ -95,7 +95,7 @@ def read_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
                 # file is decoded as
                 if not raw.isascii():
                     raise InputError(f"line {lineno}: input is not ASCII")
-                line = raw.strip()
+                line = raw.strip(" \t\r\n")
                 if not line or line.startswith("#"):
                     continue
                 try:

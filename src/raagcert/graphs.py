@@ -639,26 +639,29 @@ def from_edge_list(text: str) -> Graph:
         raise InputError("edge list must look like 'n; u-v, u-v'")
     n = decimal(head)
     edges = []
-    rest = rest.strip()
+    rest = rest.strip(" \t")
     if rest:
         for chunk in rest.split(","):
             u_text, sep2, v_text = chunk.partition("-")
             if not sep2:
-                raise InputError(f"bad edge {chunk.strip()!r}")
+                bad = chunk.strip(" \t")
+                raise InputError(f"bad edge {bad!r}")
             edges.append((decimal(u_text), decimal(v_text)))
     return from_edges(n, edges)
 
 
 def decimal(text: str) -> int:
     """The integer that ``text`` spells in ASCII decimal digits, optionally
-    after a minus sign, between ASCII blanks: ``int`` would also read
-    ``"1_0"``, ``"+2"`` and ``"\u0663"``.  The edge-list parser, builtin
-    arguments and the CLI's integer options all read numbers through it.
+    after a minus sign, between blanks (spaces and tabs): ``int`` would also
+    read ``"1_0"``, ``"+2"`` and ``"\u0663"``, and ``str.strip`` would also
+    drop the ASCII control characters 0x0b, 0x0c and 0x1c to 0x1f.  The
+    edge-list parser, builtin arguments and the CLI's integer options all
+    read numbers through it.
 
     >>> decimal(" 07 "), decimal("-2")
     (7, -2)
     """
-    number = text.strip()
+    number = text.strip(" \t")
     if not (text.isascii() and number.removeprefix("-").isdigit()):
         raise InputError(f"{text!r} is not a decimal integer")
     return int(number)

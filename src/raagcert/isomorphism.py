@@ -12,7 +12,11 @@ child whose least column already loses to the best ordering, and by skipping
 candidates in the orbit of an explored sibling under the automorphisms met at
 equal leaves.  Those automorphisms, with the transpositions of twins,
 generate the automorphism group, so the full group, the vertex orbits and the
-orbits on vertex masks are all derived from the search's generators.  The
+orbits on vertex masks are all derived from the search's generators.  Its
+columns are the canonical graph's upper triangle in graph6 bit order, so
+every canonical graph6 (``canonical_form``, the certificate serializer and
+enumeration's sort key) packs them directly; ``canonical_relabelled`` builds
+the canonical graph for callers that want a ``Graph``.  The
 isolated vertices are placed first, in ascending order, before the search
 starts: every minimal ordering begins with them (the lemma in
 ``_canonical_search``), so the search never branches over them.
@@ -40,7 +44,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceError
-from .graphs import Graph, _graph6_from_columns, _trusted_graph, from_edges, to_graph6
+from .graphs import Graph, _graph6_from_columns, _trusted_graph, from_edges
 
 VertexPermutation = tuple[int, ...]
 
@@ -344,8 +348,15 @@ def canonical_relabelled(g: Graph) -> Graph:
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Byte string equal for two graphs iff they are isomorphic."""
-    return to_graph6(canonical_relabelled(g)).encode("ascii")
+    """Byte string equal for two graphs iff they are isomorphic: the graph6 of
+    ``canonical_relabelled(g)``, packed from the search's columns.
+
+    >>> from raagcert.graphs import path_graph, to_graph6
+    >>> canonical_form(path_graph(3)), to_graph6(path_graph(3))
+    (b'BW', 'Bg')
+    """
+    _, _, columns = _search_within(g, "canonical labelling")
+    return _graph6_from_columns(g.n, columns).encode("ascii")
 
 
 def are_isomorphic(a: Graph, b: Graph) -> bool:

@@ -287,6 +287,21 @@ MUTANTS = (
                 top = min(sums.values())""",
         tests=("test_isomorphism.py::test_enumerate_matches_oracle",),
     ),
+    # -- canonical graph6: the search's columns packed, never a relabelled graph --
+    Mutant(
+        name="canonical-form-packs-reversed-columns",
+        file="isomorphism.py",
+        old="""    return _graph6_from_columns(g.n, columns).encode("ascii")""",
+        new="""    return _graph6_from_columns(g.n, columns[::-1]).encode("ascii")""",
+        tests=("test_isomorphism.py::test_canonical_graph6_packs_the_relabelled_graph",),
+    ),
+    Mutant(
+        name="serial6-encodes-the-given-labelling",
+        file="certify.py",
+        old="""        return canonical_form(g).decode("ascii")""",
+        new="""        return to_graph6(g)""",
+        tests=("test_certify.py",),
+    ),
     # -- the automorphism check: a permutation check, then one lookup per edge --
     Mutant(
         name="is-automorphism-skips-permutation-check",
@@ -328,6 +343,14 @@ def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
 """,
         new="",
         tests=("test_graphs.py", "test_liering.py"),
+    ),
+    # -- every reduction strictly decreases (n, non-edges), whatever the table order --
+    Mutant(
+        name="split-yields-itself",
+        file="certify.py",
+        old="""    if joined != g:""",
+        new="""    if True:""",
+        tests=("test_certify.py::test_every_reduction_decreases_the_measure",),
     ),
     # -- the auditor: each check of _rule_problem and _shape_problem --
     Mutant(

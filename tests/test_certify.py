@@ -327,14 +327,34 @@ def test_auditor_flags_tampering():
     assert problems == ["root: no child has R-infinity"]
 
 
-def test_audit_rejects_circular_reduction():
+def test_audit_rejects_circular_reduction(monkeypatch):
     # the join of two copies of K1+K2 is max-by-abelian with two non-maximal
     # vertices whose links partition it, and every cross edge is already
-    # there, so the split rule's child is the graph itself
-    joined = certify(compose(k1_plus_k2(), k1_plus_k2(), "simplicial_join")).to_dict()
+    # there, so the split rule would reduce it to itself and yields nothing
+    g = compose(k1_plus_k2(), k1_plus_k2(), "simplicial_join")
+    assert list(RULES_BY_NAME["MBA_K_N2_SPLIT"].reductions(g)) == []
+    joined = certify(g).to_dict()
     circular = {**joined, "rule": "MBA_K_N2_SPLIT", "children": [joined]}
     problems = audit_certificate(circular)
+    assert problems == ["root: children match no reduction of rule MBA_K_N2_SPLIT"]
+    # a faulty rule that does reduce the graph to itself meets the measure check
+    faulty = Rule("MBA_K_N2_SPLIT", RINF, lambda h: iter([Reduction("", (h,))]))
+    monkeypatch.setitem(RULES_BY_NAME, "MBA_K_N2_SPLIT", faulty)
+    problems = audit_certificate(circular)
     assert problems == ["root: a child does not decrease the (n, non-edges) measure"]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_every_reduction_decreases_the_measure(rule):
+    # each rule terminates on its own, whatever the order of RULES: no
+    # reduction on any class with n <= 7 has a child of measure at least its
+    # graph's, (vertex count, non-edge count) in lexicographic order
+    for n in range(1, 8):
+        for g in classes(n):
+            measure = (g.n, g.non_edge_count)
+            for reduction in rule.reductions(g):
+                for h in reduction.children:
+                    assert (h.n, h.non_edge_count) < measure, to_graph6(g)
 
 
 def _audit_forged_deletion(monkeypatch, g, deleted):

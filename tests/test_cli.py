@@ -39,7 +39,8 @@ def test_parse_builtin():
     # arguments are ASCII decimal digits between blanks, as in an edge list
     assert parse_builtin("complete_multipartite: 2, 02 ").edge_count == 4
     for bad, arg in (("cycle:1_0", "1_0"), ("edgeless:\u0663", "\u0663"),
-                     ("complete_multipartite: 2,+2", "+2"), ("cycle:\u00a05", "\u00a05")):
+                     ("complete_multipartite: 2,+2", "+2"), ("cycle:\u00a05", "\u00a05"),
+                     ("cycle:\x1e5", "\x1e5"), ("edgeless:3\x0b", "3\x0b")):
         with pytest.raises(InputError, match=re.escape(f"{arg!r} is not a decimal integer")):
             parse_builtin(bad)
 
@@ -99,6 +100,16 @@ def test_certify_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "certify", "--input", str(path))
     assert code == 1
     assert "line 1" in err and "offset" in err
+
+
+def test_control_characters_in_an_input_line_exit_one(tmp_path, capsys):
+    # a line is stripped of blanks and line ends only, so the separator
+    # reaches the edge-list parser, which rejects it
+    path = tmp_path / "controls.txt"
+    path.write_text("3; 0-1\n\x1c3; 0-2\n")
+    code, out, err = run_cli(capsys, "certify", "--input", str(path))
+    assert code == 1 and out == ""
+    assert "line 2" in err and "'\\x1c3' is not a decimal integer" in err
 
 
 def test_certify_no_input(capsys):

@@ -355,19 +355,30 @@ def test_edge_list_roundtrip():
 
 @pytest.mark.parametrize("text", [
     "1_0;", "+3;", "3; 0-+1", "3; 0-0_2", "\u0663; \u0660-\u0661", "\uff13;",
-    "3\u00a0; 0-1", "3; 0-1\u2003",
+    "3\u00a0; 0-1", "3; 0-1\u2003", "\x1c3;\x1f", "3;\x0b", "3; 0-1\x0c", "3; 0-\x1e1",
 ], ids=["underscore", "plus", "plus-vertex", "underscore-vertex", "arabic-indic",
-        "fullwidth", "nbsp", "em-space"])
+        "fullwidth", "nbsp", "em-space", "file-and-unit-separators", "vertical-tab",
+        "form-feed", "record-separator"])
 def test_edge_list_accepts_ascii_decimal_digits_only(text):
     # each is a valid graph if read through int() and str.strip()
     with pytest.raises(InputError):
         from_edge_list(text)
 
 
-@given(st.text(st.sampled_from("0123456789-+_ \t\x1c\u00a0\u0663\uff13x"), max_size=6))
+def test_bad_edge_shows_the_chunk_between_blanks():
+    # a control character is not a blank, so it stays in the message
+    with pytest.raises(InputError, match=re.escape("bad edge '\\x1c'")):
+        from_edge_list("3; 0-1,\x1c")
+    with pytest.raises(InputError, match=re.escape("bad edge '1'")):
+        from_edge_list("3; 0-2, \t1 ")
+
+
+@given(st.text(st.sampled_from("0123456789-+_ \t\x0b\x1c\x1e\u00a0\u0663\uff13x"),
+               max_size=6))
 def test_decimal_reads_ascii_digits_or_raises_input_error(text):
-    # every number of an edge list, a builtin or a CLI option is read here
-    stripped = text.strip()
+    # every number of an edge list, a builtin or a CLI option is read here;
+    # the blanks are spaces and tabs, not every character str.strip drops
+    stripped = text.strip(" \t")
     try:
         value = decimal(text)
     except InputError:

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import hashlib
 import itertools
 import math
@@ -37,6 +38,7 @@ from raagcert.isomorphism import (
     is_automorphism,
     vertex_orbits,
 )
+from raagcert.certify import _serial6
 from raagcert.cli import main
 from raagcert.graphs import _graph6_from_columns
 from raagcert import isomorphism
@@ -392,6 +394,30 @@ def test_search_columns_pack_the_canonical_graph6():
         assert _graph6_from_columns(g.n, columns) == to_graph6(g.relabel(order)), g
 
 
+def _canonical_graph6_cases():
+    rng = random.Random(32)
+    for n in range(1, 8):
+        for g in classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield g.relabel(perm)
+    yield from _shuffled_families()
+    # the 10-vertex builtins
+    yield from (petersen_graph(), cycle_graph(10), complete_graph(10), edgeless_graph(10),
+                complete_multipartite_graph([5, 5]), complete_multipartite_graph([1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "shared"])
+def test_canonical_graph6_packs_the_relabelled_graph(shared):
+    # canonical_form and the certificate serializer pack the search's
+    # columns; re-encoding the canonically relabelled graph is their oracle
+    with shared_searches() if shared else contextlib.nullcontext():
+        for g in _canonical_graph6_cases():
+            expected = to_graph6(canonical_relabelled(g))
+            assert canonical_form(g) == expected.encode("ascii"), g
+            assert _serial6(g) == expected, g
+
+
 def test_canonical_form_of_large_twin_classes():
     # each took 13-17 s under the unpruned search; the forms were checked
     # against the oracle once
@@ -634,8 +660,12 @@ def test_budget_errors():
         automorphisms(edgeless_graph(11))
     with pytest.raises(ResourceError, match="^the orbit search capped at 10 vertices$"):
         vertex_orbits(edgeless_graph(11))
-    with pytest.raises(ResourceError, match="^canonical labelling capped at 10 vertices$"):
-        canonical_relabelled(edgeless_graph(11))
+    for labelling in (canonical_relabelled, canonical_form):
+        with pytest.raises(ResourceError, match="^canonical labelling capped at 10 vertices$"):
+            labelling(edgeless_graph(11))
+    # above the budget a certificate keeps the node's own labelling
+    g = cycle_graph(11).relabel([3, 1, 4, 10, 5, 9, 2, 6, 8, 7, 0])
+    assert _serial6(g) == to_graph6(g) != to_graph6(cycle_graph(11))
     with pytest.raises(ResourceError):
         enumerate_graphs(9)
     with pytest.raises(InputError):
