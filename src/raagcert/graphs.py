@@ -576,7 +576,7 @@ def _graph6(n: int, bits: int) -> str:
 
 def from_graph6(text: str) -> Graph:
     """Parse one graph6 string; malformed input reports the offending offset."""
-    s = text.strip()
+    s = text.strip(" \t\r\n")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:

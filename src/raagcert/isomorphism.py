@@ -39,7 +39,6 @@ outside a scope every call searches afresh.
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
@@ -67,11 +66,26 @@ def invert_permutation(p: Sequence[int]) -> VertexPermutation:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
+# the graph whose edges _edge_list listed last, with that list; the pair is
+# replaced as one tuple, so a thread never reads one graph with another's edges
+_last_edges: tuple[Optional[Graph], tuple[tuple[int, int], ...]] = (None, ())
+
+
 def _edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
     """The edges ``u < v`` of ``g``.  A scan asks about one graph many times
-    in a row, so one entry suffices."""
-    return tuple(g.edges())
+    in a row, so one entry suffices.  It is found by identity: a lookup by
+    value would hash the whole ``Graph`` each time."""
+    global _last_edges
+    last, edges = _last_edges
+    if last is not g:
+        edges = tuple(g.edges())
+        _last_edges = g, edges
+    return edges
+
+
+# the last (graph, tuple permutation) pair that is_automorphism accepted; the
+# two fresh objects are no caller's arguments
+_accepted: tuple[object, object] = (object(), object())
 
 
 def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
@@ -80,13 +94,25 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
 
     One lookup per edge is exact: a bijection of the vertices that maps every
     edge to an edge maps the finite edge set into itself injectively, so onto
-    itself, and then non-edges go to non-edges."""
+    itself, and then non-edges go to non-edges.
+
+    The last pair accepted is remembered, so a scan that asks about one
+    automorphism many times in a row checks it once.  A call is answered from
+    it only with the very same graph object and permutation object, compared
+    by identity, and only a tuple permutation is remembered: a ``Graph`` and a
+    tuple of integers cannot change after the check, a list can."""
+    global _accepted
+    last_g, last_perm = _accepted
+    if perm is last_perm and g is last_g:
+        return True
     if list(map(type, perm)).count(int) != len(perm) or sorted(perm) != list(range(g.n)):
         return False
     rows = g.rows
     for u, v in _edge_list(g):
         if not rows[perm[u]] >> perm[v] & 1:
             return False
+    if type(perm) is tuple:
+        _accepted = g, perm
     return True
 
 

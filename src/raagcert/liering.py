@@ -26,25 +26,29 @@ conjugate matrices, with the same eigenvalues, on every level.  On level 1,
 eigenvalue 1 appears iff some cycle has sign product +1.  So of the 2^n sign
 vectors, 2^n - 2^(n - c(pi)) have a level-1 witness, where c(pi) counts the
 cycles, and the other 2^(n - c(pi)) all have the level of the one that is -1
-on the least vertex of each cycle and +1 elsewhere.  The scan below does not
-use this yet: it still builds every signed automorphism's matrices.
+on the least vertex of each cycle and +1 elsewhere.  The scan uses this on
+levels 2 and 3: per permutation it builds their matrices only for the first
+sign vector without a level-1 witness, and gives that level to the
+permutation's later sign vectors without one.  Level 1 is still checked for
+every signed automorphism.
 
 A scan asks for one graph's matrices many times in a row, so the sign vectors
 are built once per graph, and the level-2 basis with its column map, like the
-edge list ``is_automorphism`` reads, is cached for the most recent graph.
-``induced_matrix`` still checks on every call that its permutation is a graph
-automorphism, by one bit lookup per edge.  The signed automorphisms built from
-Aut(g), and the matrices of one that passed that check, are valid by
-construction and skip ``SignedAut`` validation.
+edge list ``is_automorphism`` reads, is kept for the most recent graph object,
+found by identity so that no lookup hashes the ``Graph``.  ``induced_matrix``
+checks on every call that its permutation is a graph automorphism, through
+``is_automorphism``, which answers a repeat of the pair it last accepted at
+once; so a scan looks up the edges once per permutation.  The signed
+automorphisms built from Aut(g), and the matrices of one that passed that
+check, are valid by construction and skip ``SignedAut`` validation.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import InputError, ResourceError
 from .graphs import Graph
@@ -173,12 +177,23 @@ def l3_sub_basis(g: Graph) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
-def _pair_columns(g: Graph) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
+_PairColumns = tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]
+
+# the graph whose level-2 basis _pair_columns built last, with its result
+_last_pairs: tuple[Optional[Graph], _PairColumns] = (None, ((), {}))
+
+
+def _pair_columns(g: Graph) -> _PairColumns:
     """The level-2 basis of ``g`` and the column of each of its pairs.  A scan
-    asks for one graph's matrices many times in a row, so one entry suffices."""
-    pairs = l2_basis(g)
-    return pairs, {pair: c for c, pair in enumerate(pairs)}
+    asks for one graph's matrices many times in a row, so one entry, found by
+    identity as in ``isomorphism._edge_list``, suffices."""
+    global _last_pairs
+    last, columns = _last_pairs
+    if last is not g:
+        pairs = l2_basis(g)
+        columns = pairs, {pair: c for c, pair in enumerate(pairs)}
+        _last_pairs = g, columns
+    return columns
 
 
 def _check_signed_aut(g: Graph, a: SignedAut) -> None:
@@ -257,19 +272,32 @@ class WitnessReport:
 def eigenvalue_witness_report(g: Graph) -> WitnessReport:
     """For each signed automorphism, the least level in {1, 2, 3} whose matrix
     has eigenvalue 1; failures (expected never, for non-complete graphs) are
-    reported rather than raised."""
+    reported rather than raised.
+
+    Levels 2 and 3 are tried once per permutation, by the module docstring's
+    lemma: its sign vectors without a level-1 witness all share one level.
+
+    >>> from raagcert.graphs import cycle_graph
+    >>> report = eigenvalue_witness_report(cycle_graph(4))
+    >>> report.total, report.level_counts
+    (128, {1: 95, 2: 33, 3: 0})
+    """
     if g.n > SIGNED_AUT_MAX_N:
         raise ResourceError(f"witness scan capped at {SIGNED_AUT_MAX_N} vertices")
     if g.is_complete():
         raise InputError("the scan requires a non-complete graph")
     levels = []
     failures = []
+    # the permutation whose levels 2 and 3 were tried last, and its level
+    perm, witness = None, 0
     for a in signed_automorphisms(g):
-        witness = 0
-        for level in WITNESS_LEVELS:
-            if has_eigenvalue_one(induced_matrix(g, a, level)):
-                witness = level
-                break
+        if has_eigenvalue_one(induced_matrix(g, a, 1)):
+            levels.append(1)
+            continue
+        if a.perm != perm:
+            perm = a.perm
+            witness = next((level for level in WITNESS_LEVELS[1:]
+                            if has_eigenvalue_one(induced_matrix(g, a, level))), 0)
         levels.append(witness)
         if not witness:
             failures.append(a)

@@ -45,7 +45,7 @@ def to_graph6(g: Graph) -> str:
 
 def from_graph6(text: str) -> Graph:
     """Parse one graph6 string; malformed input reports the offending offset."""
-    s = text.strip()
+    s = text.strip(" \t\r\n")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:

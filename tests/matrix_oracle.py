@@ -1,12 +1,14 @@
 """Dense exact-integer matrices, kept only as an oracle for the signed
-permutations of ``raagcert.liering``.
+permutations of ``raagcert.liering``, and the brute witness scan that
+``eigenvalue_witness_report`` shortens by its lemma.
 
 Matrices are tuples of rows of Python integers.  ``det_exact`` is fraction-free
 (Bareiss) elimination and ``det_by_cofactors`` the Laplace expansion it is
 checked against; neither uses floats.
 """
 
-from raagcert import SignedAut
+from raagcert import SignedAut, has_eigenvalue_one, induced_matrix, signed_automorphisms
+from raagcert.liering import WITNESS_LEVELS, WitnessReport
 
 
 def dense(m: SignedAut) -> tuple[tuple[int, ...], ...]:
@@ -109,3 +111,21 @@ def induced_matrix_oracle(g, a: SignedAut, level: int) -> SignedAut:
         images.append(((p, q) + tuple(perm[rep] for rep in element[2:]), sign))
     column = {element: c for c, element in enumerate(basis)}
     return SignedAut(tuple(column[x] for x, _ in images), tuple(s for _, s in images))
+
+
+def witness_report_oracle(g) -> WitnessReport:
+    """``eigenvalue_witness_report`` without the lemma: every signed
+    automorphism's matrices on levels 1, 2 and 3 in turn, up to the first
+    with eigenvalue 1."""
+    levels = []
+    failures = []
+    for a in signed_automorphisms(g):
+        witness = 0
+        for level in WITNESS_LEVELS:
+            if has_eigenvalue_one(induced_matrix(g, a, level)):
+                witness = level
+                break
+        levels.append(witness)
+        if not witness:
+            failures.append(a)
+    return WitnessReport(len(levels), tuple(levels), tuple(failures))

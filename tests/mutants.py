@@ -322,19 +322,34 @@ MUTANTS = (
     Mutant(
         name="edge-list-cached-by-vertex-count",
         file="isomorphism.py",
-        old="""@functools.lru_cache(maxsize=1)
-def _edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
-""",
-        new="""def _edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
-    return _edge_lists.setdefault(g.n, _edges(g))
-
-
-_edge_lists: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
-""",
+        old="""    if last is not g:
+        edges = tuple(g.edges())""",
+        new="""    if last is None or last.n != g.n:
+        edges = tuple(g.edges())""",
         tests=("test_isomorphism.py",),
+    ),
+    Mutant(
+        name="automorphism-memo-ignores-graph",
+        file="isomorphism.py",
+        old="""    if perm is last_perm and g is last_g:""",
+        new="""    if perm is last_perm:""",
+        tests=("test_isomorphism.py::test_accepted_pair_memo_compares_identities",),
+    ),
+    Mutant(
+        name="automorphism-memo-keeps-lists",
+        file="isomorphism.py",
+        old="""    if type(perm) is tuple:
+        _accepted = g, perm""",
+        new="""    _accepted = g, perm""",
+        tests=("test_isomorphism.py::test_accepted_pair_memo_compares_identities",),
+    ),
+    # -- the witness scan: levels 2 and 3 once per permutation, by the lemma --
+    Mutant(
+        name="witness-level-kept-across-permutations",
+        file="liering.py",
+        old="""        if a.perm != perm:""",
+        new="""        if perm is None:""",
+        tests=("test_liering.py::test_witness_scan_matches_brute_oracle",),
     ),
     Mutant(
         name="graph-keeps-list-rows",

@@ -523,6 +523,8 @@ def test_rebound_commands_take_effect_after_the_first_call(monkeypatch, capsys):
     (("enumerate", "--max-n", "1_0"), "", 1),
     (("ranks", "--upto", "+2", "--builtin", "cycle:5"), "", 1),
     (("enumerate", "--max-n", " 03 "), "", 0),
+    # a control character is not a blank on the graph6 path either
+    (("certify", "--input", "-"), "\x1cBW\n", 1),
 ])
 def test_exit_status_of_a_cli_process(argv, stdin, code):
     # a fresh interpreter builds the parser on its first and only call

@@ -333,6 +333,13 @@ def test_graph6_parse_errors_carry_offsets():
         from_graph6("A@")  # n=2 with a stray bit below the pair bit
     with pytest.raises(InputError):
         from_graph6("?")  # empty graph rejected publicly
+    # only spaces, tabs and line ends are blanks; str.strip would take these
+    # control characters for blanks and read P3
+    for text, char in (("\x1cBW\x0b", "\x1c"), ("BW\x0b", "\x0b"), ("BW\x0c", "\x0c"),
+                       ("\x1fBW", "\x1f")):
+        with pytest.raises(InputError, match=re.escape(f"invalid graph6 character {char!r} at offset")):
+            from_graph6(text)
+    assert from_graph6(" \tBW\r\n") == from_graph6("BW") == from_edges(3, [(0, 2), (1, 2)])
     with pytest.raises(InputError):
         from_graph6("")
 
@@ -514,7 +521,7 @@ def _malformed_graph6():
     corpus = ["", "   ", ">>graph6<<", "?", "~", "~?", "~??", "~~??????", "~???", "~?@A",
               "~??~", "~?A?", "A" + chr(20), "Bé", "D?", "A??", "A@", "C^ ", " C^\t",
               "Dxz!", "D\x7f??", "@" + "?" * 3, "Bw☃", "éA", "A_\n", "~??}",
-              ">>graph6<<C~", ">>graph6<<A\x00"]
+              ">>graph6<<C~", ">>graph6<<A\x00", "\x1cBW\x0b", "BW\x0c", "\x1dBW", "\x1eBW\x1f"]
     for n in list(range(1, 13)) + [20, 33, 61, 62, 63, 64]:
         text = to_graph6(random_graph(rng, n))
         head = 1 if n <= 62 else 4

@@ -115,16 +115,62 @@ def test_is_automorphism_rejects_non_permutations_without_edges():
 
 
 def test_edge_cache_keeps_graphs_apart():
-    # the same vertex and edge counts, different edges: a stale edge list
-    # would check each graph against another's edges
+    # the same vertex and edge counts, different edges, and an equal copy of
+    # the first: a stale edge list would check each graph against another's
+    # edges
     graphs = (
         cycle_graph(4),
         from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]),
         from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+        Graph(4, cycle_graph(4).rows),
     )
     for perm in itertools.permutations(range(4)):
         for g in graphs:
+            assert isomorphism._edge_list(g) == tuple(g.edges()), g
             assert is_automorphism(g, perm) == _preserves_adjacency_pairwise(g, perm), (g, perm)
+
+
+def _is_automorphism_oracle(g, perm):
+    return all(type(x) is int for x in perm) and _preserves_adjacency_pairwise(g, perm)
+
+
+def test_accepted_pair_memo_compares_identities():
+    c4, p4 = cycle_graph(4), path_graph(4)
+    rotation = (1, 2, 3, 0)
+    assert is_automorphism(c4, rotation)
+    # the accepted tuple on another graph object, where it is no automorphism
+    assert not is_automorphism(p4, rotation)
+    # a rejected call in between leaves no pair that accepts a wrong answer
+    assert not is_automorphism(p4, rotation)
+    assert is_automorphism(c4, rotation)
+    # equal tuples of other objects, with entries that are not exact integers
+    ident = (0, 1, 2, 3)
+    assert is_automorphism(c4, ident)
+    assert not is_automorphism(c4, (0, True, 2, 3))
+    assert not is_automorphism(c4, (0, 1.0, 2, 3))
+    assert is_automorphism(c4, ident)
+    # a list is checked again after it changes
+    perm = [1, 2, 3, 0]
+    assert is_automorphism(c4, perm)
+    perm[:] = [1, 0, 2, 3]
+    assert not is_automorphism(c4, perm)
+    perm[:] = [0, 0, 0, 0]
+    assert not is_automorphism(edgeless_graph(4), perm)
+
+
+def test_accepted_pair_memo_on_an_interleaved_stream():
+    # calls that reuse graph and permutation objects in a seeded order, with
+    # lists changed in place between calls, each answered as the definition says
+    rng = random.Random(33)
+    graphs = [cycle_graph(4), path_graph(4), edgeless_graph(4), Graph(4, cycle_graph(4).rows),
+              from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)])]
+    perms = [tuple(p) for p in itertools.permutations(range(4))]
+    perms += [list(p) for p in perms[::5]] + [(0, True, 2, 3), (1.0, 0, 2, 3)]
+    for _ in range(4000):
+        g, perm = rng.choice(graphs), rng.choice(perms)
+        if type(perm) is list and rng.random() < 0.3:
+            perm[:] = rng.sample(range(4), 4)
+        assert is_automorphism(g, perm) == _is_automorphism_oracle(g, perm), (g, perm)
 
 
 def test_is_automorphism_on_64_vertices():

@@ -20,6 +20,7 @@ from raagcert import (
     l3_sub_basis,
     signed_automorphisms,
 )
+from raagcert import isomorphism, liering
 from raagcert.isomorphism import automorphisms
 
 from conftest import classes, random_graph
@@ -32,6 +33,7 @@ from matrix_oracle import (
     identity,
     induced_matrix_oracle,
     matmul,
+    witness_report_oracle,
 )
 
 
@@ -325,13 +327,15 @@ def test_graph_with_list_rows_scans_like_its_tuple_twin():
         for level in (2, 3):
             assert induced_matrix(g, a, level) == induced_matrix_oracle(twin, a, level)
     assert eigenvalue_witness_report(g) == eigenvalue_witness_report(twin)
+    assert eigenvalue_witness_report(g) == witness_report_oracle(twin)
 
 
 def _check_witness_level_lemma(g):
     """The module docstring's lemma on the brute scan: the witness level
     depends only on the permutation and its cycles' sign products, and all
-    sign vectors without a level-1 witness share one representative's level."""
-    levels = dict(zip(signed_automorphisms(g), eigenvalue_witness_report(g).witness_levels))
+    sign vectors without a level-1 witness share one representative's level.
+    The scan itself relies on the lemma, so the levels come from the oracle."""
+    levels = dict(zip(signed_automorphisms(g), witness_report_oracle(g).witness_levels))
     assert len(levels) == len(automorphisms(g)) << g.n
     by_cycle_signs = {}
     for a, level in levels.items():
@@ -352,3 +356,38 @@ def test_witness_level_depends_on_cycle_sign_products_alone(sizes):
         for g in classes(n):
             if not g.is_complete():
                 _check_witness_level_lemma(g)
+
+
+@pytest.mark.parametrize("sizes", [range(1, 6), pytest.param((6,), marks=pytest.mark.slow)])
+def test_witness_scan_matches_brute_oracle(sizes):
+    # graphs where one permutation's sign vectors without a level-1 witness
+    # reach level 2 and another's level 3: a level kept across permutations
+    # would give one of them the other's level
+    mixed = dict.fromkeys(sizes, 0)
+    for n in sizes:
+        for g in classes(n):
+            if g.is_complete():
+                continue
+            expected = witness_report_oracle(g)
+            assert eigenvalue_witness_report(g) == expected, g
+            mixed[n] += {2, 3} <= set(expected.witness_levels)
+    assert mixed == {n: {1: 0, 2: 0, 3: 1, 4: 2, 5: 4, 6: 7}[n] for n in sizes}
+
+
+def test_witness_scan_checks_each_permutation_once(monkeypatch):
+    # one edge check per automorphism, and levels 2 and 3 built at most once
+    # per automorphism on top of one level-1 matrix per signed automorphism
+    for g in (cycle_graph(5), edgeless_graph(4), from_edges(5, [(0, 1), (1, 2), (3, 4)])):
+        edge_lists, matrices = [], []
+        edge_list, matrix = isomorphism._edge_list, liering.induced_matrix
+        monkeypatch.setattr(isomorphism, "_edge_list",
+                            lambda h: edge_lists.append(h) or edge_list(h))
+        monkeypatch.setattr(liering, "induced_matrix",
+                            lambda h, a, level: matrices.append(level) or matrix(h, a, level))
+        report = eigenvalue_witness_report(g)
+        monkeypatch.undo()
+        auts = len(automorphisms(g))
+        assert report == witness_report_oracle(g)
+        assert len(edge_lists) == auts
+        assert matrices.count(1) == report.total
+        assert 0 < matrices.count(2) <= auts and matrices.count(3) <= matrices.count(2)
