@@ -88,11 +88,11 @@ def read_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
         if args.input == "-":
             stream = nullcontext(sys.stdin)
         else:
-            stream = open(args.input, encoding="ascii")
+            # a byte outside ASCII becomes U+FFFD, which the line check
+            # below rejects with its line number, as on stdin
+            stream = open(args.input, encoding="ascii", errors="replace")
         with stream as handle:
             for lineno, raw in enumerate(handle, start=1):
-                # stdin arrives decoded, so it is held to the ASCII that a
-                # file is decoded as
                 if not raw.isascii():
                     raise InputError(f"line {lineno}: input is not ASCII")
                 line = raw.strip(" \t\r\n")

@@ -354,9 +354,9 @@ def edgeless_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     if n < 3:
         raise InputError("a cycle needs at least 3 vertices")
-    _check_vertex_count(n)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -437,7 +437,7 @@ def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
         mask = keep.mask
     else:
         mask = 0
-        for v in sorted(set(keep)):
+        for v in keep:
             g.check_vertex(v)
             mask |= 1 << v
     # each run of consecutive kept vertices as (first, bit mask of its length,

@@ -30,7 +30,9 @@ on the least vertex of each cycle and +1 elsewhere.  The scan uses this on
 levels 2 and 3: per permutation it builds their matrices only for the first
 sign vector without a level-1 witness, and gives that level to the
 permutation's later sign vectors without one.  Level 1 is still checked for
-every signed automorphism.
+every signed automorphism.  The report counts the signed automorphisms per
+witness level and lists only those with no witness, so a scan's memory does
+not grow with the group.
 
 A scan asks for one graph's matrices many times in a row, so the sign vectors
 are built once per graph, and the level-2 basis with its column map, like the
@@ -54,7 +56,7 @@ from .errors import InputError, ResourceError
 from .graphs import Graph
 from .isomorphism import VertexPermutation, automorphisms, compose_permutations, is_automorphism
 
-SIGNED_AUT_MAX_N = 7
+SIGNED_AUT_MAX_N = 8
 WITNESS_LEVELS = (1, 2, 3)
 
 
@@ -214,6 +216,8 @@ def induced_matrix(g: Graph, a: SignedAut, level: int) -> SignedAut:
     the triple (i, j, i) picks up e_j and (i, j, j) picks up e_i, with a
     further -1 and a shape exchange when the image pair needs reordering.
     """
+    if type(level) is not int:
+        raise InputError(f"level {level!r} is not an exact integer")
     _check_signed_aut(g, a)
     if level == 1:
         return a
@@ -254,25 +258,19 @@ def induced_matrix(g: Graph, a: SignedAut, level: int) -> SignedAut:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Outcome of scanning every signed automorphism for an eigenvalue-1 witness."""
+    """Outcome of scanning every signed automorphism for an eigenvalue-1
+    witness: how many were scanned, how many have their least witness on each
+    level, and those with none, in scan order."""
 
     total: int
-    witness_levels: tuple[int, ...]
+    level_counts: dict[int, int]
     failures: tuple[SignedAut, ...]
-
-    @property
-    def level_counts(self) -> dict[int, int]:
-        counts = {level: 0 for level in WITNESS_LEVELS}
-        for lv in self.witness_levels:
-            if lv:
-                counts[lv] += 1
-        return counts
 
 
 def eigenvalue_witness_report(g: Graph) -> WitnessReport:
-    """For each signed automorphism, the least level in {1, 2, 3} whose matrix
-    has eigenvalue 1; failures (expected never, for non-complete graphs) are
-    reported rather than raised.
+    """How many signed automorphisms have each level in {1, 2, 3} as the least
+    whose matrix has eigenvalue 1, and those with none (expected never, for
+    non-complete graphs), reported rather than raised.
 
     Levels 2 and 3 are tried once per permutation, by the module docstring's
     lemma: its sign vectors without a level-1 witness all share one level.
@@ -286,19 +284,20 @@ def eigenvalue_witness_report(g: Graph) -> WitnessReport:
         raise ResourceError(f"witness scan capped at {SIGNED_AUT_MAX_N} vertices")
     if g.is_complete():
         raise InputError("the scan requires a non-complete graph")
-    levels = []
+    counts = dict.fromkeys(WITNESS_LEVELS, 0)
     failures = []
     # the permutation whose levels 2 and 3 were tried last, and its level
     perm, witness = None, 0
     for a in signed_automorphisms(g):
         if has_eigenvalue_one(induced_matrix(g, a, 1)):
-            levels.append(1)
+            counts[1] += 1
             continue
         if a.perm != perm:
             perm = a.perm
             witness = next((level for level in WITNESS_LEVELS[1:]
                             if has_eigenvalue_one(induced_matrix(g, a, level))), 0)
-        levels.append(witness)
-        if not witness:
+        if witness:
+            counts[witness] += 1
+        else:
             failures.append(a)
-    return WitnessReport(len(levels), tuple(levels), tuple(failures))
+    return WitnessReport(sum(counts.values()) + len(failures), counts, tuple(failures))

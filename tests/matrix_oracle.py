@@ -7,7 +7,7 @@ Matrices are tuples of rows of Python integers.  ``det_exact`` is fraction-free
 checked against; neither uses floats.
 """
 
-from raagcert import SignedAut, has_eigenvalue_one, induced_matrix, signed_automorphisms
+from raagcert import SignedAut, has_eigenvalue_one, induced_matrix, liering, signed_automorphisms
 from raagcert.liering import WITNESS_LEVELS, WitnessReport
 
 
@@ -113,19 +113,36 @@ def induced_matrix_oracle(g, a: SignedAut, level: int) -> SignedAut:
     return SignedAut(tuple(column[x] for x, _ in images), tuple(s for _, s in images))
 
 
+def witness_levels_oracle(g) -> list[int]:
+    """The least witness level of each signed automorphism, in the order of
+    ``signed_automorphisms``, 0 where there is none: without the lemma
+    ``eigenvalue_witness_report`` relies on, every signed automorphism's
+    matrices on levels 1, 2 and 3 in turn, up to the first with eigenvalue 1."""
+    return [
+        next((level for level in WITNESS_LEVELS
+              if has_eigenvalue_one(induced_matrix(g, a, level))), 0)
+        for a in signed_automorphisms(g)
+    ]
+
+
 def witness_report_oracle(g) -> WitnessReport:
-    """``eigenvalue_witness_report`` without the lemma: every signed
-    automorphism's matrices on levels 1, 2 and 3 in turn, up to the first
-    with eigenvalue 1."""
-    levels = []
-    failures = []
-    for a in signed_automorphisms(g):
-        witness = 0
-        for level in WITNESS_LEVELS:
-            if has_eigenvalue_one(induced_matrix(g, a, level)):
-                witness = level
-                break
-        levels.append(witness)
-        if not witness:
-            failures.append(a)
-    return WitnessReport(len(levels), tuple(levels), tuple(failures))
+    """``eigenvalue_witness_report`` built from ``witness_levels_oracle``."""
+    levels = witness_levels_oracle(g)
+    failures = [a for a, level in zip(signed_automorphisms(g), levels) if not level]
+    return WitnessReport(len(levels), {level: levels.count(level) for level in WITNESS_LEVELS},
+                         tuple(failures))
+
+
+def withhold_higher_witnesses(monkeypatch) -> None:
+    """Make levels 2 and 3 give the 1 x 1 matrix (-1), which has no eigenvalue
+    1, in ``eigenvalue_witness_report`` and in the oracle alike: no
+    non-complete graph with n <= 8 lacks a witness, so this is the way to
+    reach the failure path."""
+    real = liering.induced_matrix
+
+    def level_one_only(g, a, level):
+        m = real(g, a, level)
+        return m if level == 1 else SignedAut((0,), (-1,))
+
+    monkeypatch.setattr(liering, "induced_matrix", level_one_only)
+    monkeypatch.setitem(globals(), "induced_matrix", level_one_only)

@@ -352,6 +352,22 @@ MUTANTS = (
         tests=("test_liering.py::test_witness_scan_matches_brute_oracle",),
     ),
     Mutant(
+        name="witness-report-drops-a-failure",
+        file="liering.py",
+        old="""counts, tuple(failures))""",
+        new="""counts, tuple(failures[1:]))""",
+        tests=("test_liering.py::test_witness_scan_reports_failures_in_scan_order",),
+    ),
+    Mutant(
+        name="induced-matrix-takes-inexact-levels",
+        file="liering.py",
+        old="""    if type(level) is not int:
+        raise InputError(f"level {level!r} is not an exact integer")
+""",
+        new="",
+        tests=("test_liering.py::test_induced_matrix_level2_signs",),
+    ),
+    Mutant(
         name="graph-keeps-list-rows",
         file="graphs.py",
         old="""        object.__setattr__(self, "rows", tuple(self.rows))

@@ -101,7 +101,8 @@ def test_criterion_5_signed_automorphism_witnesses():
                 continue
             report = eigenvalue_witness_report(g)
             assert report.failures == (), f"witness missing on {g!r}"
-            assert all(level in (1, 2, 3) for level in report.witness_levels)
+            assert sorted(report.level_counts) == [1, 2, 3]
+            assert sum(report.level_counts.values()) == report.total
             scanned += report.total
     # complement check: inverting every generator of a complete graph fixes
     # nothing on the abelianization

@@ -15,6 +15,7 @@ from raagcert.cli import build_parser, main, parse_builtin
 from raagcert.lyndon import enumerate_lyndon
 
 from conftest import classes, counted_searches
+from matrix_oracle import witness_report_oracle, withhold_higher_witnesses
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -110,6 +111,17 @@ def test_control_characters_in_an_input_line_exit_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "certify", "--input", str(path))
     assert code == 1 and out == ""
     assert "line 2" in err and "'\\x1c3' is not a decimal integer" in err
+
+
+def test_a_non_ascii_byte_names_its_line_in_a_file_and_on_stdin(tmp_path, monkeypatch, capsys):
+    message = "error: line 2: input is not ASCII\n"
+    non_ascii = "3; 0-1\n3; \u0660-1\n".encode("utf-8")
+    path = tmp_path / "non_ascii.txt"
+    for data in (non_ascii, b"3; 0-1\n\xd9\n"):
+        path.write_bytes(data)
+        assert run_cli(capsys, "certify", "--input", str(path)) == (1, "", message)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(non_ascii), encoding="utf-8"))
+    assert run_cli(capsys, "certify", "--input", "-") == (1, "", message)
 
 
 def test_certify_no_input(capsys):
@@ -294,8 +306,25 @@ def test_autcheck(capsys):
     code, _, err = run_cli(capsys, "autcheck", "--builtin", "complete:3")
     assert code == 1 and "non-complete" in err
 
-    code, _, err = run_cli(capsys, "autcheck", "--max-n", "8")
+    code, _, err = run_cli(capsys, "autcheck", "--max-n", "9")
     assert code == 1 and "--max-n" in err
+
+
+def test_autcheck_exits_two_on_a_failure(monkeypatch, capsys):
+    # with levels 2 and 3 giving no witness, the sign vectors of C5 without a
+    # level-1 witness fail: 1 for the identity, 16 for each of the 4
+    # rotations and 4 for each of the 5 reflections
+    withhold_higher_witnesses(monkeypatch)
+    report = witness_report_oracle(cycle_graph(5))
+    code, out, _ = run_cli(capsys, "autcheck", "--builtin", "cycle:5")
+    assert code == 2
+    (payload,) = json_lines(out)
+    assert payload["total"] == 320
+    assert payload["witness_levels"] == {"1": 235, "2": 0, "3": 0}
+    assert payload["failures"] == [
+        {"permutation": list(a.perm), "signs": list(a.signs)} for a in report.failures]
+    code, out, _ = run_cli(capsys, "autcheck", "--builtin", "cycle:5", "--format", "text")
+    assert (code, out) == (2, "cycle:5\ttotal 320\tlevel1=235 level2=0 level3=0\tFAILURES 85\n")
 
 
 def test_autcheck_scan_is_pinned(monkeypatch, capsys):
@@ -310,16 +339,22 @@ def test_autcheck_scan_is_pinned(monkeypatch, capsys):
 
 
 @pytest.mark.slow
-def test_autcheck_scan_is_pinned_at_seven_vertices(capsys):
-    # the largest scan --max-n allows: every non-complete class with n <= 7
-    code, out, _ = run_cli(capsys, "autcheck", "--max-n", "7")
+def test_autcheck_scan_is_pinned_at_eight_vertices(capsys):
+    # the largest scan --max-n allows, every non-complete class with n <= 8,
+    # whose first 1245 rows are the n <= 7 scan
+    code, out, _ = run_cli(capsys, "autcheck", "--max-n", "8")
     assert code == 0
     rows = json_lines(out)
-    assert len(rows) == 1245
-    assert sum(row["total"] for row in rows) == 2_134_264
+    assert len(rows) == 13_590
+    assert sum(row["total"] for row in rows) == 35_462_904
     assert not any(row["failures"] for row in rows)
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert {level: sum(row["witness_levels"][level] for row in rows) for level in "123"} == {
+        "1": 32_050_042, "2": 3_370_582, "3": 42_280}
+    seven = "".join(out.splitlines(keepends=True)[:1245])
+    assert hashlib.sha256(seven.encode()).hexdigest() == (
         "9712c2f531d7e7b684885fdb6d4a3d338a346f7ed1aba39aa596de57943398c5")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0d998dc05e0e2d53180f8b58a75ce5bb821e9425d809003214647ebf1c61f3ef")
 
 
 def test_autcheck_max_n_takes_no_inputs(tmp_path, capsys):
@@ -356,7 +391,7 @@ def test_unreadable_paths_are_reported_without_a_traceback(tmp_path, capsys):
     binary.write_bytes(b"\xc3\n")
     code, out, err = run_cli(capsys, "certify", "--input", str(binary))
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "0xc3" in err
+    assert err == "error: line 1: input is not ASCII\n"
 
     target = missing / "report.jsonl"
     code, out, err = run_cli(capsys, "certify", "--builtin", "cycle:5", "--out", str(target))
@@ -525,6 +560,8 @@ def test_rebound_commands_take_effect_after_the_first_call(monkeypatch, capsys):
     (("enumerate", "--max-n", " 03 "), "", 0),
     # a control character is not a blank on the graph6 path either
     (("certify", "--input", "-"), "\x1cBW\n", 1),
+    # a file is held to ASCII line by line, as stdin is
+    (("certify", "--input", "/dev/stdin"), "3; 0-1\n3; \u0660-1\n", 1),
 ])
 def test_exit_status_of_a_cli_process(argv, stdin, code):
     # a fresh interpreter builds the parser on its first and only call

@@ -162,6 +162,8 @@ def test_is_connected_matches_oracle():
     lambda g: g.relabel((0, 1, 2, 3.0)),
     lambda g: induced(g, [0.0, 1.0]),
     lambda g: induced(g, [True, 2]),
+    lambda g: induced(g, [0, "a"]),
+    lambda g: induced(g, [[0]]),
     lambda g: g.adjacent(0, 1.0),
     lambda g: g.adjacent(True, 1),
     lambda g: g.degree(2.0),
@@ -183,15 +185,16 @@ def test_is_connected_matches_oracle():
     lambda g: from_edges(3, [("0", 1)]),
     lambda g: from_edges(3, [(True, 0)]),
     lambda g: complete_graph(2.0),
+    lambda g: cycle_graph("5"),
     lambda g: complete_multipartite_graph([True, 2]),
     lambda g: complete_multipartite_graph(["1", 2]),
 ], ids=["relabel-floats", "relabel-bools", "relabel-one-float", "induced-floats",
-        "induced-bool", "adjacent-float", "adjacent-bool", "degree", "link", "closure",
+        "induced-bool", "induced-str", "induced-list", "adjacent-float", "adjacent-bool", "degree", "link", "closure",
         "set-of-bool", "set-of-float", "set-bool-mask", "set-float-mask", "set-float-size",
         "set-contains-bool", "set-contains-float", "graph-float-size", "graph-float-rows",
         "graph-bool-size", "graph-bool-rows", "from-edges-float-size",
         "from-edges-float-endpoint", "from-edges-str-endpoint", "from-edges-bool-endpoint",
-        "complete-float-size", "multipartite-bool-block", "multipartite-str-block"])
+        "complete-float-size", "cycle-str-size", "multipartite-bool-block", "multipartite-str-block"])
 def test_vertices_must_be_exact_integers(call):
     with pytest.raises(InputError, match="exact integer"):
         call(cycle_graph(4))

@@ -33,7 +33,9 @@ from matrix_oracle import (
     identity,
     induced_matrix_oracle,
     matmul,
+    witness_levels_oracle,
     witness_report_oracle,
+    withhold_higher_witnesses,
 )
 
 
@@ -69,7 +71,7 @@ def test_signed_automorphism_stream():
     assert len(set(sa)) == 8
     assert sum(1 for _ in signed_automorphisms(cycle_graph(5))) == 320
     with pytest.raises(ResourceError):
-        next(signed_automorphisms(edgeless_graph(8)))
+        next(signed_automorphisms(edgeless_graph(9)))
 
 
 def test_bases():
@@ -100,6 +102,10 @@ def test_induced_matrix_level2_signs():
         assert induced_matrix(g, SignedAut.identity(2), level) == SignedAut.identity(dim)
     with pytest.raises(InputError):
         induced_matrix(g, swap, 4)
+    # True would read as level 1, and 2.0 and 3.0 as levels 2 and 3
+    for level in (True, 2.0, 3.0, "1"):
+        with pytest.raises(InputError, match="exact integer"):
+            induced_matrix(g, swap, level)
     with pytest.raises(InputError):
         induced_matrix(cycle_graph(4), SignedAut((1, 0, 2, 3), (1, 1, 1, 1)), 1)
 
@@ -229,7 +235,7 @@ def test_witness_report_examples():
     with pytest.raises(InputError):
         eigenvalue_witness_report(complete_graph(3))
     with pytest.raises(ResourceError):
-        eigenvalue_witness_report(edgeless_graph(8))
+        eigenvalue_witness_report(edgeless_graph(9))
 
 
 def test_complete_graph_all_inversions_has_no_level1_witness():
@@ -335,7 +341,7 @@ def _check_witness_level_lemma(g):
     depends only on the permutation and its cycles' sign products, and all
     sign vectors without a level-1 witness share one representative's level.
     The scan itself relies on the lemma, so the levels come from the oracle."""
-    levels = dict(zip(signed_automorphisms(g), witness_report_oracle(g).witness_levels))
+    levels = dict(zip(signed_automorphisms(g), witness_levels_oracle(g)))
     assert len(levels) == len(automorphisms(g)) << g.n
     by_cycle_signs = {}
     for a, level in levels.items():
@@ -370,7 +376,7 @@ def test_witness_scan_matches_brute_oracle(sizes):
                 continue
             expected = witness_report_oracle(g)
             assert eigenvalue_witness_report(g) == expected, g
-            mixed[n] += {2, 3} <= set(expected.witness_levels)
+            mixed[n] += expected.level_counts[2] > 0 and expected.level_counts[3] > 0
     assert mixed == {n: {1: 0, 2: 0, 3: 1, 4: 2, 5: 4, 6: 7}[n] for n in sizes}
 
 
@@ -391,3 +397,20 @@ def test_witness_scan_checks_each_permutation_once(monkeypatch):
         assert len(edge_lists) == auts
         assert matrices.count(1) == report.total
         assert 0 < matrices.count(2) <= auts and matrices.count(3) <= matrices.count(2)
+
+
+def test_witness_scan_reports_failures_in_scan_order(monkeypatch):
+    withhold_higher_witnesses(monkeypatch)
+    for g in (cycle_graph(5), edgeless_graph(3), from_edges(5, [(0, 1), (1, 2), (3, 4)])):
+        report = eigenvalue_witness_report(g)
+        assert report == witness_report_oracle(g), g
+        auts = automorphisms(g)
+        # 2^(n - c(pi)) sign vectors of each permutation pi lack a level-1 witness
+        cycles = [len(list(SignedAut(perm, (1,) * g.n).cycles())) for perm in auts]
+        assert len(report.failures) == sum(2**(g.n - c) for c in cycles)
+        assert report.level_counts == {1: report.total - len(report.failures), 2: 0, 3: 0}
+        assert report.total == len(auts) << g.n
+        # permutation order first, then the sign vector's bits ascending
+        order = [(auts.index(a.perm), sum(1 << v for v, e in enumerate(a.signs) if e < 0))
+                 for a in report.failures]
+        assert order == sorted(set(order)), g
