@@ -8,7 +8,7 @@ domination closure of a vertex through the graph's automorphism group.
 """
 
 from raagcert import (
-    characteristic_closure,
+    characteristic_closures,
     cycle_graph,
     domination_closure,
     is_characteristic_vertex_set,
@@ -22,7 +22,7 @@ from raagcert import (
 
 p3 = path_graph(3)
 print("domination closure of the end of P3:", list(domination_closure(p3, 0)))
-print("characteristic closure of the middle of P3:", list(characteristic_closure(p3, 1)))
+print("characteristic closure of the middle of P3:", list(characteristic_closures(p3)[1]))
 
 # The five-cycle admits no transvections at all; the four-cycle admits them
 # everywhere (opposite vertices have equal links).

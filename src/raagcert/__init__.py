@@ -23,7 +23,6 @@ from .certify import (
 )
 from .closures import (
     MbaCharacteristicSets,
-    characteristic_closure,
     characteristic_closures,
     domination_closure,
     is_characteristic_vertex_set,

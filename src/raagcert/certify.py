@@ -24,7 +24,6 @@ fails closed the same way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -80,9 +79,6 @@ class Certificate:
             "graph6": _serial6(self.graph),
             "children": [child.to_dict() for child in self.children],
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class JoinDecomposition(NamedTuple):

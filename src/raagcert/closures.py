@@ -79,12 +79,6 @@ def characteristic_closures(g: Graph) -> tuple[VertexSet, ...]:
     return tuple(out)
 
 
-def characteristic_closure(g: Graph, v: int) -> VertexSet:
-    """Union of the automorphism images of the domination closure of ``v``."""
-    g.check_vertex(v)
-    return characteristic_closures(g)[v]
-
-
 def transvection_free_vertices(g: Graph) -> VertexSet:
     """Vertices dominated by no other vertex."""
     if g.n < 1:

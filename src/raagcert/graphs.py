@@ -203,46 +203,38 @@ class Graph:
                 mask |= 1 << v
         return VertexSet(mask, self.n)
 
+    def _reach(self, seed: int) -> int:
+        """Mask of the vertices reached from the vertex mask ``seed``: each
+        layer adds the rows of the last one, and the walk stops once a layer
+        adds nothing or every vertex is reached."""
+        rows = self.rows
+        full = (1 << self.n) - 1
+        reached = layer = seed
+        while layer:
+            grow = 0
+            while layer:
+                low = layer & -layer
+                grow |= rows[low.bit_length() - 1]
+                layer ^= low
+            if reached | grow == full:
+                return full
+            layer = grow & ~reached
+            reached |= grow
+        return reached
+
     def components(self) -> tuple[VertexSet, ...]:
         out = []
         seen = 0
         for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                grow = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    grow |= self.rows[low.bit_length() - 1]
-                    m ^= low
-                frontier = grow & ~comp
-                comp |= grow
-            seen |= comp
-            out.append(VertexSet(comp, self.n))
+            if not seen >> v & 1:
+                comp = self._reach(1 << v)
+                seen |= comp
+                out.append(VertexSet(comp, self.n))
         return tuple(out)
 
     def is_connected(self) -> bool:
-        """True iff a breadth-first search from vertex 0 reaches every vertex;
-        it stops at the first layer that completes the reached set."""
-        if self.n <= 1:
-            return True
-        full = (1 << self.n) - 1
-        comp = frontier = 1
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                low = m & -m
-                grow |= self.rows[low.bit_length() - 1]
-                m ^= low
-            if comp | grow == full:
-                return True
-            frontier = grow & ~comp
-            comp |= grow
-        return False
+        """True iff the walk from vertex 0 reaches every vertex."""
+        return self.n <= 1 or self._reach(1) == (1 << self.n) - 1
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Graph whose vertex ``perm[v]`` plays the role of the old vertex ``v``."""
@@ -436,10 +428,7 @@ def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
             raise InputError("vertex set belongs to a different graph")
         mask = keep.mask
     else:
-        mask = 0
-        for v in keep:
-            g.check_vertex(v)
-            mask |= 1 << v
+        mask = VertexSet.of(keep, g.n).mask
     # each run of consecutive kept vertices as (first, bit mask of its length,
     # position of its first vertex in the subgraph)
     runs = []

@@ -66,23 +66,6 @@ def invert_permutation(p: Sequence[int]) -> VertexPermutation:
     return tuple(out)
 
 
-# the graph whose edges _edge_list listed last, with that list; the pair is
-# replaced as one tuple, so a thread never reads one graph with another's edges
-_last_edges: tuple[Optional[Graph], tuple[tuple[int, int], ...]] = (None, ())
-
-
-def _edge_list(g: Graph) -> tuple[tuple[int, int], ...]:
-    """The edges ``u < v`` of ``g``.  A scan asks about one graph many times
-    in a row, so one entry suffices.  It is found by identity: a lookup by
-    value would hash the whole ``Graph`` each time."""
-    global _last_edges
-    last, edges = _last_edges
-    if last is not g:
-        edges = tuple(g.edges())
-        _last_edges = g, edges
-    return edges
-
-
 # the last (graph, tuple permutation) pair that is_automorphism accepted; the
 # two fresh objects are no caller's arguments
 _accepted: tuple[object, object] = (object(), object())
@@ -108,7 +91,7 @@ def is_automorphism(g: Graph, perm: Sequence[int]) -> bool:
     if list(map(type, perm)).count(int) != len(perm) or sorted(perm) != list(range(g.n)):
         return False
     rows = g.rows
-    for u, v in _edge_list(g):
+    for u, v in g.edges():
         if not rows[perm[u]] >> perm[v] & 1:
             return False
     if type(perm) is tuple:
@@ -449,6 +432,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
       orbits of the canonical vertices; it restricts to h -> h', so h = h',
       and to an automorphism of h mapping M to M', so M = M'.
     """
+    if type(n) is not int:
+        raise InputError(f"vertex count {n!r} is not an exact integer")
     if n < 1:
         raise InputError("enumeration needs at least one vertex")
     if n > ENUMERATE_MAX_N:

@@ -35,14 +35,14 @@ witness level and lists only those with no witness, so a scan's memory does
 not grow with the group.
 
 A scan asks for one graph's matrices many times in a row, so the sign vectors
-are built once per graph, and the level-2 basis with its column map, like the
-edge list ``is_automorphism`` reads, is kept for the most recent graph object,
-found by identity so that no lookup hashes the ``Graph``.  ``induced_matrix``
-checks on every call that its permutation is a graph automorphism, through
-``is_automorphism``, which answers a repeat of the pair it last accepted at
-once; so a scan looks up the edges once per permutation.  The signed
-automorphisms built from Aut(g), and the matrices of one that passed that
-check, are valid by construction and skip ``SignedAut`` validation.
+are built once per graph, and the level-2 basis with its column map is kept
+for the most recent graph object, found by identity so that no lookup hashes
+the ``Graph``.  ``induced_matrix`` checks on every call that its permutation
+is a graph automorphism, through ``is_automorphism``, which answers a repeat
+of the pair it last accepted at once; so a scan walks the edges once per
+permutation.  The signed automorphisms built from Aut(g), and the matrices of
+one that passed that check, are valid by construction and skip ``SignedAut``
+validation.
 """
 
 from __future__ import annotations
@@ -54,7 +54,13 @@ from typing import Iterator, Optional
 
 from .errors import InputError, ResourceError
 from .graphs import Graph
-from .isomorphism import VertexPermutation, automorphisms, compose_permutations, is_automorphism
+from .isomorphism import (
+    VertexPermutation,
+    automorphisms,
+    compose_permutations,
+    invert_permutation,
+    is_automorphism,
+)
 
 SIGNED_AUT_MAX_N = 8
 WITNESS_LEVELS = (1, 2, 3)
@@ -81,6 +87,8 @@ class SignedAut:
 
     @classmethod
     def identity(cls, n: int) -> "SignedAut":
+        if type(n) is not int:
+            raise InputError(f"size {n!r} is not an exact integer")
         return cls(tuple(range(n)), (1,) * n)
 
     def compose(self, other: "SignedAut") -> "SignedAut":
@@ -91,12 +99,8 @@ class SignedAut:
         return SignedAut(perm, signs)
 
     def inverse(self) -> "SignedAut":
-        n = len(self.perm)
-        inv = [0] * n
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        signs = tuple(self.signs[inv[i]] for i in range(n))
-        return SignedAut(tuple(inv), signs)
+        inv = invert_permutation(self.perm)
+        return SignedAut(inv, tuple(self.signs[p] for p in inv))
 
     def cycles(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each cycle of ``perm`` from its least point, with its sign product."""
@@ -187,8 +191,9 @@ _last_pairs: tuple[Optional[Graph], _PairColumns] = (None, ((), {}))
 
 def _pair_columns(g: Graph) -> _PairColumns:
     """The level-2 basis of ``g`` and the column of each of its pairs.  A scan
-    asks for one graph's matrices many times in a row, so one entry, found by
-    identity as in ``isomorphism._edge_list``, suffices."""
+    asks for one graph's matrices many times in a row, so one entry suffices.
+    It is found by identity: a lookup by value would hash the whole ``Graph``
+    each time."""
     global _last_pairs
     last, columns = _last_pairs
     if last is not g:

@@ -107,9 +107,17 @@ MUTANTS = (
     Mutant(
         name="connected-on-layer-alone",
         file="graphs.py",
-        old="""            if comp | grow == full:""",
+        old="""            if reached | grow == full:""",
         new="""            if grow == full:""",
-        tests=("test_graphs.py",),
+        equivalent="the walk returns the set it reached, so a stop test that reads the "
+                   "last layer alone only stops later, at the layer that adds nothing",
+    ),
+    Mutant(
+        name="components-forget-earlier-ones",
+        file="graphs.py",
+        old="""                seen |= comp""",
+        new="""                seen = comp""",
+        tests=("test_graphs.py::test_components_match_networkx",),
     ),
     Mutant(
         name="join-bail-inverted",
@@ -320,15 +328,6 @@ MUTANTS = (
         tests=("test_isomorphism.py",),
     ),
     Mutant(
-        name="edge-list-cached-by-vertex-count",
-        file="isomorphism.py",
-        old="""    if last is not g:
-        edges = tuple(g.edges())""",
-        new="""    if last is None or last.n != g.n:
-        edges = tuple(g.edges())""",
-        tests=("test_isomorphism.py",),
-    ),
-    Mutant(
         name="automorphism-memo-ignores-graph",
         file="isomorphism.py",
         old="""    if perm is last_perm and g is last_g:""",
@@ -366,6 +365,15 @@ MUTANTS = (
 """,
         new="",
         tests=("test_liering.py::test_induced_matrix_level2_signs",),
+    ),
+    Mutant(
+        name="enumeration-takes-inexact-sizes",
+        file="isomorphism.py",
+        old="""    if type(n) is not int:
+        raise InputError(f"vertex count {n!r} is not an exact integer")
+""",
+        new="",
+        tests=("test_graphs.py::test_vertices_must_be_exact_integers",),
     ),
     Mutant(
         name="graph-keeps-list-rows",

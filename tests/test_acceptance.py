@@ -13,7 +13,7 @@ from sympy import divisors, mobius
 
 from raagcert import (
     SignedAut,
-    characteristic_closure,
+    characteristic_closures,
     closed_form_lyndon,
     complement,
     complete_graph,
@@ -186,7 +186,7 @@ def test_criterion_9_characteristic_set_properties():
     for _ in range(500):
         g = random_graph(rng, rng.randint(1, 7))
         v = rng.randrange(g.n)
-        s = characteristic_closure(g, v)
+        s = characteristic_closures(g)[v]
         assert is_characteristic_vertex_set(g, s)
         for perm in automorphisms(g):
             assert {perm[u] for u in s} == set(s)

@@ -418,7 +418,7 @@ def _certificate_digest(top: int) -> str:
     digest = hashlib.sha256()
     for n in range(1, top + 1):
         for g in classes(n):
-            digest.update((certify(g).to_json() + "\n").encode("ascii"))
+            digest.update((json.dumps(certify(g).to_dict()) + "\n").encode("ascii"))
     return digest.hexdigest()
 
 
@@ -561,7 +561,7 @@ def _small_graphs():
 
 @lru_cache(maxsize=None)
 def _small_certificates() -> tuple[str, ...]:
-    return tuple(certify(g).to_json() for g in _small_graphs())
+    return tuple(json.dumps(certify(g).to_dict()) for g in _small_graphs())
 
 
 def _nodes(tree):

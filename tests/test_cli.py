@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from conftest import classes, counted_searches
 from matrix_oracle import witness_report_oracle, withhold_higher_witnesses
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -571,3 +573,20 @@ def test_exit_status_of_a_cli_process(argv, stdin, code):
                           timeout=60)
     assert proc.returncode == code, proc.stderr
 
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # each line of the sh block under "Command line", its comment dropped,
+    # run in process; graphs.g6 is a file of builtin graph6 lines
+    section = README.read_text(encoding="utf-8").split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [words for line in block.splitlines()
+                if (words := shlex.split(line, comments=True))]
+    assert len(commands) == 8
+    builtins = ("cycle:5", "petersen", "complete:4", "complete_multipartite:2,3")
+    (tmp_path / "graphs.g6").write_text(
+        "".join(to_graph6(parse_builtin(b)) + "\n" for b in builtins), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert words[0] == "raagcert", words
+        code, out, err = run_cli(capsys, *words[1:])
+        assert code == 0 and out, (words, err)

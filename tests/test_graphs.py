@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from raagcert import (
     Graph,
     InputError,
+    SignedAut,
     VertexSet,
     complement,
     complete_graph,
@@ -19,6 +20,7 @@ from raagcert import (
     dominates,
     domination_closure,
     edgeless_graph,
+    enumerate_graphs,
     from_edge_list,
     from_edges,
     from_graph6,
@@ -156,6 +158,17 @@ def test_is_connected_matches_oracle():
         assert g.is_connected() == (len(g.components()) <= 1), g
 
 
+def test_components_match_networkx():
+    # as masks, in order of least vertex; JOIN_FACTOR reads the components of
+    # the complement
+    graphs = [g for n in range(1, 7) for g in classes(n)]
+    graphs += [g for seed in (7, 101) for _, g in large_families(seed)]
+    for g in graphs + [complement(g) for g in graphs]:
+        theirs = [sum(1 << v for v in c) for c in nx.connected_components(_to_networkx(g))]
+        assert [c.mask for c in g.components()] == sorted(theirs, key=lambda m: m & -m), g
+        assert all(c.n == g.n for c in g.components())
+
+
 @pytest.mark.parametrize("call", [
     lambda g: g.relabel((1.0, 0.0, 2.0, 3.0)),
     lambda g: g.relabel((True, False, 2, 3)),
@@ -188,13 +201,18 @@ def test_is_connected_matches_oracle():
     lambda g: cycle_graph("5"),
     lambda g: complete_multipartite_graph([True, 2]),
     lambda g: complete_multipartite_graph(["1", 2]),
+    lambda g: enumerate_graphs(True),
+    lambda g: enumerate_graphs(2.0),
+    lambda g: SignedAut.identity(True),
+    lambda g: SignedAut.identity(2.0),
 ], ids=["relabel-floats", "relabel-bools", "relabel-one-float", "induced-floats",
         "induced-bool", "induced-str", "induced-list", "adjacent-float", "adjacent-bool", "degree", "link", "closure",
         "set-of-bool", "set-of-float", "set-bool-mask", "set-float-mask", "set-float-size",
         "set-contains-bool", "set-contains-float", "graph-float-size", "graph-float-rows",
         "graph-bool-size", "graph-bool-rows", "from-edges-float-size",
         "from-edges-float-endpoint", "from-edges-str-endpoint", "from-edges-bool-endpoint",
-        "complete-float-size", "cycle-str-size", "multipartite-bool-block", "multipartite-str-block"])
+        "complete-float-size", "cycle-str-size", "multipartite-bool-block", "multipartite-str-block",
+        "enumerate-bool-size", "enumerate-float-size", "identity-bool-size", "identity-float-size"])
 def test_vertices_must_be_exact_integers(call):
     with pytest.raises(InputError, match="exact integer"):
         call(cycle_graph(4))

@@ -20,7 +20,7 @@ from raagcert import (
     l3_sub_basis,
     signed_automorphisms,
 )
-from raagcert import isomorphism, liering
+from raagcert import liering
 from raagcert.isomorphism import automorphisms
 
 from conftest import classes, random_graph
@@ -381,20 +381,19 @@ def test_witness_scan_matches_brute_oracle(sizes):
 
 
 def test_witness_scan_checks_each_permutation_once(monkeypatch):
-    # one edge check per automorphism, and levels 2 and 3 built at most once
+    # one edge walk per automorphism, and levels 2 and 3 built at most once
     # per automorphism on top of one level-1 matrix per signed automorphism
     for g in (cycle_graph(5), edgeless_graph(4), from_edges(5, [(0, 1), (1, 2), (3, 4)])):
-        edge_lists, matrices = [], []
-        edge_list, matrix = isomorphism._edge_list, liering.induced_matrix
-        monkeypatch.setattr(isomorphism, "_edge_list",
-                            lambda h: edge_lists.append(h) or edge_list(h))
+        edge_walks, matrices = [], []
+        edges, matrix = Graph.edges, liering.induced_matrix
+        monkeypatch.setattr(Graph, "edges", lambda h: edge_walks.append(h) or edges(h))
         monkeypatch.setattr(liering, "induced_matrix",
                             lambda h, a, level: matrices.append(level) or matrix(h, a, level))
         report = eigenvalue_witness_report(g)
         monkeypatch.undo()
         auts = len(automorphisms(g))
         assert report == witness_report_oracle(g)
-        assert len(edge_lists) == auts
+        assert len(edge_walks) == auts
         assert matrices.count(1) == report.total
         assert 0 < matrices.count(2) <= auts and matrices.count(3) <= matrices.count(2)
 
