@@ -16,8 +16,6 @@ from raagcert import (
     from_graph6,
     mba_parameters,
     path_graph,
-    petersen_graph,
-    srg_parameters,
     to_edge_list,
     to_graph6,
 )
@@ -39,10 +37,6 @@ print("complement of that join:", sorted(complement(c4).edges()))
 # Whole-graph queries: maximal-degree set, regularity, connectedness.
 print("P3: max-degree set", list(p3.max_degree_vertices()),
       "regular?", p3.is_regular(), "connected?", p3.is_connected())
-
-# Strongly regular parameters, when they exist.
-print("Petersen srg parameters:", srg_parameters(petersen_graph()))
-print("C5 srg parameters:", srg_parameters(cycle_graph(5)))
 
 # Max-by-abelian parameters: connected, non-regular, and the low-degree
 # vertices induce a complete graph.

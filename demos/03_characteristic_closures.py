@@ -10,7 +10,6 @@ domination closure of a vertex through the graph's automorphism group.
 from raagcert import (
     characteristic_closures,
     cycle_graph,
-    domination_closure,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
     mba_characteristic_sets,
@@ -21,8 +20,9 @@ from raagcert import (
 )
 
 p3 = path_graph(3)
-print("domination closure of the end of P3:", list(domination_closure(p3, 0)))
-print("characteristic closure of the middle of P3:", list(characteristic_closures(p3)[1]))
+closures = characteristic_closures(p3)
+print("characteristic closure of the end of P3:", list(closures[0]))
+print("characteristic closure of the middle of P3:", list(closures[1]))
 
 # The five-cycle admits no transvections at all; the four-cycle admits them
 # everywhere (opposite vertices have equal links).

@@ -10,7 +10,6 @@ series of the right-angled Artin group, so counting them computes ranks.
 
 from raagcert import (
     bracketing,
-    closed_form_lyndon,
     cycle_graph,
     edgeless_graph,
     enumerate_lyndon,
@@ -36,11 +35,10 @@ x, y = standard_factorization(m)
 print("standard factorization of v0.v0.v1:", x.std, "|", y.std)
 print("bracketing:", bracketing(m))
 
-# Length-3 Lyndon elements straight from adjacency agree with the search.
+# The Lyndon elements of length 3 on C5: each of the five non-adjacent pairs
+# i < j gives i.i.j and i.j.j, and five more use three distinct vertices.
 c5 = cycle_graph(5)
-direct = [m.std for m in closed_form_lyndon(c5, 3)]
-searched = [m.std for m in enumerate_lyndon(c5, 3)]
-print("closed form equals enumeration on C5, length 3:", direct == searched)
+print("length-3 Lyndon elements of C5:", [m.std for m in enumerate_lyndon(c5, 3)])
 
 # Rank table of the graded pieces: free groups recover Witt's necklace counts.
 for graph, name in ((edgeless_graph(2), "free of rank 2"), (c5, "five-cycle")):

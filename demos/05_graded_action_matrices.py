@@ -19,7 +19,6 @@ from raagcert import (
     has_eigenvalue_one,
     induced_matrix,
     l2_basis,
-    l3_sub_basis,
 )
 
 
@@ -45,7 +44,7 @@ show("level 2, both inverted", induced_matrix(g, flip, 2))
 
 # Level 3: the swap exchanges the shapes (i, j, i) and (i, j, j), each with a
 # sign -1, so the 2-cycle has sign product +1.
-print("level-3 basis:", l3_sub_basis(g))
+print("level-3 basis:", [(i, j, k) for i, j in l2_basis(g) for k in (i, j)])
 show("level 3, swap", induced_matrix(g, swap, 3))
 
 # A rotation of the 5-cycle with one inverted generator: a single 5-cycle of

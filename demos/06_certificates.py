@@ -15,7 +15,6 @@ from raagcert import (
     complete_graph,
     cycle_graph,
     enumerate_graphs,
-    max_join_decomposition,
     path_graph,
     simplify,
 )
@@ -32,8 +31,10 @@ print(json.dumps(cert.to_dict(), indent=2))
 # The independent auditor re-derives every hypothesis from the graph6 strings.
 print("audit problems:", audit_certificate(cert.to_dict()))
 
-# Reduction machinery that the rules share.
-print("join decomposition of P3:", max_join_decomposition(path_graph(3)))
+# Reduction machinery that the rules share.  P3 is its middle vertex joined
+# with an edgeless pair, so join factors reduce it to that pair.
+cert = certify(path_graph(3))
+print("P3:", cert.rule, "to", [child.graph for child in cert.children])
 result = simplify(path_graph(3))
 print("simplification of P3 ends at", result.category, "after", len(result.chain), "steps")
 

@@ -14,17 +14,14 @@ from .certify import (
     RINF,
     UNDECIDED,
     Certificate,
-    JoinDecomposition,
     SimplificationResult,
     audit_certificate,
     certify,
-    max_join_decomposition,
     simplify,
 )
 from .closures import (
     MbaCharacteristicSets,
     characteristic_closures,
-    domination_closure,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
     mba_characteristic_sets,
@@ -34,7 +31,6 @@ from .errors import InputError, ResourceError
 from .graphs import (
     Graph,
     MbaParameters,
-    SrgParameters,
     VertexSet,
     complement,
     complete_graph,
@@ -50,15 +46,12 @@ from .graphs import (
     mba_parameters,
     path_graph,
     petersen_graph,
-    srg_parameters,
     to_edge_list,
     to_graph6,
 )
 from .isomorphism import (
-    are_isomorphic,
     automorphisms,
     canonical_form,
-    canonical_relabelled,
     enumerate_graphs,
     vertex_orbits,
 )
@@ -69,14 +62,12 @@ from .liering import (
     has_eigenvalue_one,
     induced_matrix,
     l2_basis,
-    l3_sub_basis,
     signed_automorphisms,
 )
 from .lyndon import (
     BracketTree,
     TraceClass,
     bracketing,
-    closed_form_lyndon,
     dependence_set,
     enumerate_lyndon,
     initial_vertices,

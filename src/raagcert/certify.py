@@ -81,32 +81,6 @@ class Certificate:
         }
 
 
-class JoinDecomposition(NamedTuple):
-    centre_size: int
-    factors: tuple[Graph, ...]
-
-
-def max_join_decomposition(g: Graph) -> JoinDecomposition:
-    """Unique maximal join decomposition of a connected graph.
-
-    The singleton components of the complement form the centre (the vertices
-    adjacent to everything else); the others induce the factors, each with a
-    connected complement on at least two vertices, so never complete.
-    """
-    if g.n < 1:
-        raise InputError("decomposition needs at least one vertex")
-    if not g.is_connected():
-        raise InputError("decomposition is defined for connected graphs")
-    comps = complement(g).components()
-    factors = _join_factors(g, comps)
-    return JoinDecomposition(len(comps) - len(factors), factors)
-
-
-def _join_factors(g: Graph, co_components: tuple[VertexSet, ...]) -> tuple[Graph, ...]:
-    """The join factors of ``g``, given the components of its complement."""
-    return tuple(induced(g, comp) for comp in co_components if len(comp) > 1)
-
-
 class SimplificationResult(NamedTuple):
     terminal: Graph
     chain: tuple[Graph, ...]
@@ -190,7 +164,7 @@ def _join_factor(g: Graph) -> Iterator[Reduction]:
     comps = complement(g).components()
     if len(comps) == 1:
         return
-    factors = _join_factors(g, comps)
+    factors = tuple(induced(g, comp) for comp in comps if len(comp) > 1)
     if factors:
         yield Reduction(
             "maximal join decomposition: if one join factor has R-infinity, the whole "

@@ -21,6 +21,7 @@ at call time, so rebinding one of them takes effect on the next call.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -86,6 +87,13 @@ def read_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
         graphs.append((entry, parse_builtin(entry)))
     if args.input:
         if args.input == "-":
+            # stdin's bytes are decoded as a file's, whatever the locale; an
+            # io.StringIO, or a stream its caller has begun to read, cannot
+            # be reconfigured and is read as it is
+            try:
+                sys.stdin.reconfigure(encoding="ascii", errors="replace")
+            except (AttributeError, io.UnsupportedOperation):
+                pass
             stream = nullcontext(sys.stdin)
         else:
             # a byte outside ASCII becomes U+FFFD, which the line check

@@ -60,12 +60,6 @@ def _closure_mask(g: Graph, v: int) -> int:
     return closure
 
 
-def domination_closure(g: Graph, v: int) -> VertexSet:
-    """Least vertex set containing ``v`` and closed under taking dominating vertices."""
-    g.check_vertex(v)
-    return VertexSet(_closure_mask(g, v), g.n)
-
-
 def characteristic_closures(g: Graph) -> tuple[VertexSet, ...]:
     """The characteristic closure of every vertex, from one orbit search: the
     union of the orbits of the members of its domination closure."""

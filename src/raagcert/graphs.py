@@ -91,10 +91,6 @@ class VertexSet:
         self._check_same(other)
         return VertexSet(self.mask | other.mask, self.n)
 
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check_same(other)
-        return VertexSet(self.mask & other.mask, self.n)
-
     def complement(self) -> "VertexSet":
         return VertexSet(~self.mask & ((1 << self.n) - 1), self.n)
 
@@ -181,9 +177,6 @@ class Graph:
     @property
     def non_edge_count(self) -> int:
         return self.n * (self.n - 1) // 2 - self.edge_count
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((row.bit_count() for row in self.rows), reverse=True))
 
     def is_complete(self) -> bool:
         return all(row.bit_count() == self.n - 1 for row in self.rows)
@@ -449,46 +442,6 @@ def induced(g: Graph, keep: VertexSet | Iterable[int]) -> Graph:
                 new |= (row >> start & bits) << at
             rows.append(new)
     return _trusted_graph(size, tuple(rows))
-
-
-class SrgParameters(NamedTuple):
-    n: int
-    k: int
-    lam: int
-    mu: int
-
-
-def srg_parameters(g: Graph) -> Optional[SrgParameters]:
-    """Strong-regularity parameters (n, k, lambda, mu), or None.
-
-    Requires k-regularity with 1 <= k < n-1, a common-neighbour count of
-    lambda for every adjacent pair and mu for every distinct non-adjacent pair.
-    """
-    if g.n == 0:
-        raise InputError("the empty graph has no parameters")
-    if not g.is_regular():
-        return None
-    n, k = g.n, g.degree(0)
-    if not 1 <= k < n - 1:
-        return None
-    lam: Optional[int] = None
-    mu: Optional[int] = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = (g.rows[u] & g.rows[v]).bit_count()
-            if g.rows[u] >> v & 1:
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    assert lam is not None and mu is not None
-    assert (n - k - 1) * mu == k * (k - lam - 1)
-    return SrgParameters(n, k, lam, mu)
 
 
 class MbaParameters(NamedTuple):

@@ -15,11 +15,10 @@ generate the automorphism group, so the full group, the vertex orbits and the
 orbits on vertex masks are all derived from the search's generators.  Its
 columns are the canonical graph's upper triangle in graph6 bit order, so
 every canonical graph6 (``canonical_form``, the certificate serializer and
-enumeration's sort key) packs them directly; ``canonical_relabelled`` builds
-the canonical graph for callers that want a ``Graph``.  The
-isolated vertices are placed first, in ascending order, before the search
-starts: every minimal ordering begins with them (the lemma in
-``_canonical_search``), so the search never branches over them.
+enumeration's sort key) packs them directly.  The isolated vertices are
+placed first, in ascending order, before the search starts: every minimal
+ordering begins with them (the lemma in ``_canonical_search``), so the search
+never branches over them.
 Enumeration is McKay's canonical augmentation (``enumerate_graphs``): a
 representative's extension by a new vertex is kept iff that vertex lies in
 the orbit of a canonically chosen vertex, which the extension's search gives.
@@ -350,15 +349,9 @@ def vertex_orbits(g: Graph) -> tuple[int, ...]:
     return tuple(masks[root] for root in roots)
 
 
-def canonical_relabelled(g: Graph) -> Graph:
-    """Isomorphic copy of ``g`` in its canonical labelling."""
-    order, _, _ = _search_within(g, "canonical labelling")
-    return g.relabel(order)
-
-
 def canonical_form(g: Graph) -> bytes:
     """Byte string equal for two graphs iff they are isomorphic: the graph6 of
-    ``canonical_relabelled(g)``, packed from the search's columns.
+    ``g`` relabelled by its canonical ordering, packed from the search's columns.
 
     >>> from raagcert.graphs import path_graph, to_graph6
     >>> canonical_form(path_graph(3)), to_graph6(path_graph(3))
@@ -366,14 +359,6 @@ def canonical_form(g: Graph) -> bytes:
     """
     _, _, columns = _search_within(g, "canonical labelling")
     return _graph6_from_columns(g.n, columns).encode("ascii")
-
-
-def are_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    if a.degree_sequence() != b.degree_sequence():
-        return False
-    return canonical_form(a) == canonical_form(b)
 
 
 def _orbit_least_masks(n: int, generators: Sequence[VertexPermutation]) -> list[int]:

@@ -87,8 +87,8 @@ class SignedAut:
 
     @classmethod
     def identity(cls, n: int) -> "SignedAut":
-        if type(n) is not int:
-            raise InputError(f"size {n!r} is not an exact integer")
+        if type(n) is not int or n < 0:
+            raise InputError(f"size {n!r} is not a non-negative exact integer")
         return cls(tuple(range(n)), (1,) * n)
 
     def compose(self, other: "SignedAut") -> "SignedAut":
@@ -174,15 +174,6 @@ def l2_basis(g: Graph) -> tuple[tuple[int, int], ...]:
     )
 
 
-def l3_sub_basis(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """Per non-adjacent pair (i, j): the triples (i, j, i) and (i, j, j)."""
-    out = []
-    for i, j in l2_basis(g):
-        out.append((i, j, i))
-        out.append((i, j, j))
-    return tuple(out)
-
-
 _PairColumns = tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]
 
 # the graph whose level-2 basis _pair_columns built last, with its result
@@ -242,8 +233,8 @@ def induced_matrix(g: Graph, a: SignedAut, level: int) -> SignedAut:
                 rows.append(column[q, p])
                 row_signs.append(-signs[i] * signs[j])
     else:
-        # l3_sub_basis holds (i, j, i) in column 2c and (i, j, j) in column
-        # 2c + 1 for the pair (i, j) in column c of l2_basis
+        # the level-3 basis holds (i, j, i) in column 2c and (i, j, j) in
+        # column 2c + 1 for the pair (i, j) in column c of l2_basis
         for i, j in pairs:
             p, q = perm[i], perm[j]
             if p < q:

@@ -110,7 +110,6 @@ with ``is_lyndon``."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -306,41 +305,6 @@ def enumerate_lyndon(g: Graph, length: int) -> list[TraceClass]:
         if is_lyndon(m):
             found.append(m)
     return found
-
-
-def closed_form_lyndon(g: Graph, length: int) -> list[TraceClass]:
-    """Lyndon traces of length 1, 2 or 3 read off directly from adjacency.
-
-    Lengths 1 and 2 are the vertices and the non-adjacent increasing pairs.
-    Length 3 comprises four families over non-commuting pairs: i i k, i j k
-    with both j and k non-commuting with i, i j j, and i j k with j != k where
-    k fails to commute with i or with j.
-    """
-    _check_length(length)
-    if length not in (1, 2, 3):
-        raise InputError("closed forms cover lengths 1, 2 and 3 only")
-
-    def noncomm(i: int, j: int) -> bool:
-        return i != j and not g.adjacent(i, j)
-
-    words: set[TraceWord] = set()
-    if length == 1:
-        words = {(i,) for i in range(g.n)}
-    elif length == 2:
-        words = {(i, j) for i in range(g.n) for j in range(i + 1, g.n) if noncomm(i, j)}
-    else:
-        for i, j in itertools.combinations(range(g.n), 2):
-            if not noncomm(i, j):
-                continue
-            words.add((i, i, j))
-            words.add((i, j, j))
-            # the i < j < k family with both (i,j) and (i,k) non-commuting is
-            # the special case of this disjunction with k > j
-            for k in range(i + 1, g.n):
-                if k != j and (noncomm(i, k) or noncomm(j, k)):
-                    words.add((i, j, k))
-    classes = {trace_class(g, w) for w in words}
-    return sorted(classes, key=lambda m: m.std)
 
 
 def standard_factorization(m: TraceClass) -> tuple[TraceClass, TraceClass]:

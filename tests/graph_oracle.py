@@ -8,7 +8,15 @@ operations, kept only as an oracle for it.
 ``is_connected`` grows the set reached from vertex 0 one adjacent pair at a
 time.  Each raises the same ``InputError`` messages, offsets included, as the
 code it checks.
+
+``srg_parameters`` reads the strong-regularity parameters pair by pair; the
+tests use it to pick the strongly regular cases that the rules must settle.
+``to_networkx`` hands a graph to networkx, the tests' independent oracle.
 """
+
+from typing import NamedTuple, Optional
+
+import networkx as nx
 
 from raagcert import Graph, InputError, VertexSet
 from raagcert.graphs import MAX_VERTICES
@@ -134,3 +142,50 @@ def is_connected(g: Graph) -> bool:
                 reached.add(w)
                 stack.append(w)
     return len(reached) == g.n
+
+
+class SrgParameters(NamedTuple):
+    n: int
+    k: int
+    lam: int
+    mu: int
+
+
+def srg_parameters(g: Graph) -> Optional[SrgParameters]:
+    """Strong-regularity parameters (n, k, lambda, mu), or None.
+
+    Requires k-regularity with 1 <= k < n-1, a common-neighbour count of
+    lambda for every adjacent pair and mu for every distinct non-adjacent pair.
+    """
+    if g.n == 0:
+        raise InputError("the empty graph has no parameters")
+    if not g.is_regular():
+        return None
+    n, k = g.n, g.degree(0)
+    if not 1 <= k < n - 1:
+        return None
+    lam: Optional[int] = None
+    mu: Optional[int] = None
+    for u in range(n):
+        for v in range(u + 1, n):
+            common = (g.rows[u] & g.rows[v]).bit_count()
+            if g.rows[u] >> v & 1:
+                if lam is None:
+                    lam = common
+                elif lam != common:
+                    return None
+            else:
+                if mu is None:
+                    mu = common
+                elif mu != common:
+                    return None
+    assert lam is not None and mu is not None
+    assert (n - k - 1) * mu == k * (k - lam - 1)
+    return SrgParameters(n, k, lam, mu)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h

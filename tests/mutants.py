@@ -376,6 +376,13 @@ MUTANTS = (
         tests=("test_graphs.py::test_vertices_must_be_exact_integers",),
     ),
     Mutant(
+        name="identity-takes-negative-sizes",
+        file="liering.py",
+        old="""        if type(n) is not int or n < 0:""",
+        new="""        if type(n) is not int:""",
+        tests=("test_graphs.py::test_vertices_must_be_exact_integers",),
+    ),
+    Mutant(
         name="graph-keeps-list-rows",
         file="graphs.py",
         old="""        object.__setattr__(self, "rows", tuple(self.rows))
@@ -520,6 +527,21 @@ MUTANTS = (
         new="""    if True:
         _parser = build_parser()""",
         tests=("test_cli.py",),
+    ),
+    # -- stdin decoded as a file is, unless it cannot be reconfigured --
+    Mutant(
+        name="stdin-keeps-the-locale-decoding",
+        file="cli.py",
+        old="""                sys.stdin.reconfigure(encoding="ascii", errors="replace")""",
+        new="""                pass""",
+        tests=("test_cli.py::test_a_non_ascii_byte_on_stdin_names_its_line_whatever_the_locale",),
+    ),
+    Mutant(
+        name="stdin-begun-is-an-error",
+        file="cli.py",
+        old="""            except (AttributeError, io.UnsupportedOperation):""",
+        new="""            except AttributeError:""",
+        tests=("test_cli.py::test_a_stdin_its_caller_began_to_read_is_read_on",),
     ),
     # -- builtin arguments and integer options: ASCII decimal digits only --
     Mutant(

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from functools import lru_cache
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from raagcert import (
     VertexSet,
     audit_certificate,
     certify,
+    complement,
     complete_graph,
     complete_multipartite_graph,
     compose,
@@ -25,23 +27,20 @@ from raagcert import (
     edgeless_graph,
     from_graph6,
     induced,
-    max_join_decomposition,
     path_graph,
     petersen_graph,
     simplify,
-    srg_parameters,
     to_graph6,
 )
 from raagcert.certify import FIELDS, RULES, RULES_BY_NAME, Reduction, Rule
 from raagcert.isomorphism import (
     CANONICAL_MAX_N,
-    are_isomorphic,
     automorphisms,
     canonical_form,
-    canonical_relabelled,
     shared_searches,
 )
 
+import graph_oracle
 from conftest import classes, counted_searches, random_graph
 from families import large_families, small_degree_regular
 
@@ -55,21 +54,21 @@ def k1_plus_k2():
 
 
 def test_max_join_decomposition_examples():
-    d, factors = max_join_decomposition(cycle_graph(4))
-    assert d == 0 and [f.n for f in factors] == [2, 2]
-    assert all(f.edge_count == 0 for f in factors)
-
-    d, factors = max_join_decomposition(path_graph(3))
-    assert d == 1 and len(factors) == 1 and factors[0] == edgeless_graph(2)
-
-    d, factors = max_join_decomposition(complete_graph(5))
-    assert d == 5 and factors == ()
-
-    with pytest.raises(InputError):
-        max_join_decomposition(edgeless_graph(2))
+    # JOIN_FACTOR's children are the factors of the maximal join decomposition
+    rule = RULES_BY_NAME["JOIN_FACTOR"]
+    (reduction,) = rule.reductions(cycle_graph(4))
+    assert reduction.children == (edgeless_graph(2), edgeless_graph(2))
+    (reduction,) = rule.reductions(path_graph(3))  # and a centre of one vertex
+    assert reduction.children == (edgeless_graph(2),)
+    # all centre and no factor, or one factor and no centre
+    assert list(rule.reductions(complete_graph(5))) == []
+    assert list(rule.reductions(edgeless_graph(2))) == []
 
 
 def test_max_join_decomposition_reassembles():
+    # the centre, the vertices adjacent to every other one, joined with the
+    # factors rebuilds the graph, and no factor is itself a join
+    rule = RULES_BY_NAME["JOIN_FACTOR"]
     rng = random.Random(31)
     count = 0
     while count < 12:
@@ -77,26 +76,27 @@ def test_max_join_decomposition_reassembles():
         if not g.is_connected():
             continue
         count += 1
-        d, factors = max_join_decomposition(g)
-        rebuilt = complete_graph(d) if d else None
+        centre = sum(1 for v in range(g.n) if g.degree(v) == g.n - 1)
+        reduction = next(rule.reductions(g), None)
+        if reduction is not None:
+            factors = reduction.children
+        else:
+            factors = () if g.is_complete() else (g,)
+        rebuilt = complete_graph(centre) if centre else None
         for f in factors:
             rebuilt = f if rebuilt is None else compose(rebuilt, f, "simplicial_join")
-        assert rebuilt is not None and are_isomorphic(rebuilt, g)
-        from raagcert import complement
-
+        assert rebuilt is not None and canonical_form(rebuilt) == canonical_form(g)
         assert all(complement(f).is_connected() for f in factors)
 
 
 def _join_factor_by_oracle(g):
-    """JOIN_FACTOR's reductions as the rule first defined them: on a connected
-    graph, the maximal join decomposition when it has a factor and either a
-    centre or a second factor."""
-    if not g.is_connected():
-        return []
-    centre_size, factors = max_join_decomposition(g)
-    if factors and (centre_size > 0 or len(factors) > 1):
-        return [factors]
-    return []
+    """JOIN_FACTOR's reductions from networkx: when the complement has two or
+    more components, the subgraphs induced on those of two or more vertices,
+    in order of least vertex, if there are any."""
+    co = nx.complement(graph_oracle.to_networkx(g))
+    comps = sorted(nx.connected_components(co), key=min)
+    factors = tuple(graph_oracle.induced(g, c) for c in comps if len(c) > 1)
+    return [factors] if len(comps) > 1 and factors else []
 
 
 def test_join_factor_reductions_match_oracle():
@@ -148,7 +148,7 @@ def test_certify_examples():
     assert cert.rule == "JOIN_FACTOR" and cert.verdict == RINF
     assert len(cert.children) == 2
     assert all(c.rule == "DISCONNECTED" for c in cert.children)
-    assert all(are_isomorphic(c.graph, k1_plus_k2()) for c in cert.children)
+    assert all(canonical_form(c.graph) == canonical_form(k1_plus_k2()) for c in cert.children)
 
 
 def test_certify_simplification_path():
@@ -400,17 +400,18 @@ def test_complete_multipartite_graphs_reduce_to_their_join_factors():
     # the strongly regular graphs with mu = k are exactly the complete
     # multipartite graphs K_{m,...,m} with at least two parts of size m >= 2
     cases = [g for n in range(1, 8) for g in classes(n)
-             if (params := srg_parameters(g)) is not None and params.mu == params.k]
+             if (params := graph_oracle.srg_parameters(g)) is not None
+             and params.mu == params.k]
     assert len(cases) == 3  # C4, K_{3,3} and K_{2,2,2}
     cases += [complete_multipartite_graph(parts)
               for parts in ([2, 2], [3, 3], [5, 5], [2, 2, 2], [2, 2, 2, 2, 2])]
     for g in cases:
         cert = certify(g)
         assert cert.rule == "JOIN_FACTOR" and cert.verdict == RINF
-        factors = max_join_decomposition(g).factors
+        (factors,) = _join_factor_by_oracle(g)
         tree = cert.to_dict()
-        assert ([child["graph6"] for child in tree["children"]]
-                == [to_graph6(canonical_relabelled(f)) for f in factors])
+        assert ([child["graph6"].encode("ascii") for child in tree["children"]]
+                == [canonical_form(f) for f in factors])
         assert audit_certificate(tree) == []
 
 

@@ -18,7 +18,8 @@ from raagcert.lyndon import enumerate_lyndon
 from conftest import classes, counted_searches
 from matrix_oracle import witness_report_oracle, withhold_higher_witnesses
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the source tree of the raagcert imported here, so that a subprocess runs it too
+SRC = str(Path(cli.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -124,6 +125,25 @@ def test_a_non_ascii_byte_names_its_line_in_a_file_and_on_stdin(tmp_path, monkey
         assert run_cli(capsys, "certify", "--input", str(path)) == (1, "", message)
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(non_ascii), encoding="utf-8"))
     assert run_cli(capsys, "certify", "--input", "-") == (1, "", message)
+
+
+def test_a_non_ascii_byte_on_stdin_names_its_line_whatever_the_locale():
+    # stdin's bytes are decoded as a file's are, also where Python itself
+    # would decode them as strict UTF-8
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run([sys.executable, "-m", "raagcert.cli", "certify", "--input", "-"],
+                          input=b"3; 0-1\n\xff\n", env=env, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"error: line 2: input is not ASCII\n")
+
+
+def test_a_stdin_its_caller_began_to_read_is_read_on(monkeypatch, capsys):
+    # such a stream cannot be reconfigured, so it keeps its own decoding
+    stdin = io.TextIOWrapper(io.BytesIO(b"not a graph\n3; 0-1\n"), encoding="utf-8")
+    stdin.readline()
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli(capsys, "certify", "--input", "-", "--format", "text") == (
+        0, "3; 0-1\tRINF\tDISCONNECTED\n", "")
 
 
 def test_certify_no_input(capsys):

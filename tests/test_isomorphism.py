@@ -24,14 +24,11 @@ from raagcert import (
     mba_parameters,
     path_graph,
     petersen_graph,
-    srg_parameters,
     to_graph6,
 )
 from raagcert.isomorphism import (
-    are_isomorphic,
     automorphisms,
     canonical_form,
-    canonical_relabelled,
     compose_permutations,
     enumerate_graphs,
     invert_permutation,
@@ -50,6 +47,7 @@ from raagcert.isomorphism import (
 )
 
 import enumeration_oracle
+import graph_oracle
 import symmetry_oracle as oracle
 from conftest import classes, counted_searches, random_graph
 
@@ -202,9 +200,7 @@ def test_automorphism_count_matches_networkx():
     pool = [random_graph(rng, rng.randint(2, 6)) for _ in range(12)]
     pool += [cycle_graph(6), petersen_graph()]
     for g in pool:
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges())
+        h = graph_oracle.to_networkx(g)
         matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
         assert len(automorphisms(g)) == sum(1 for _ in matcher.isomorphisms_iter())
 
@@ -214,8 +210,8 @@ def test_canonical_form_basics():
     c4b = from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
     assert canonical_form(c4a) == canonical_form(c4b)
     assert canonical_form(path_graph(3)) != canonical_form(complete_graph(3))
-    relabelled = canonical_relabelled(c4b)
-    assert are_isomorphic(relabelled, c4a)
+    order, _, _ = _canonical_search(c4b)
+    assert canonical_form(c4b.relabel(order)) == canonical_form(c4a)
 
 
 def test_canonical_form_petersen_vs_kneser():
@@ -241,12 +237,12 @@ def test_isomorphism_is_equivalence_and_invariant():
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = g.relabel(tuple(perm))
-        assert are_isomorphic(g, h)
-        assert g.degree_sequence() == h.degree_sequence()
-        assert srg_parameters(g) == srg_parameters(h)
+        assert canonical_form(g) == canonical_form(h)
+        assert graph_oracle.srg_parameters(g) == graph_oracle.srg_parameters(h)
         assert mba_parameters(g) == mba_parameters(h)
     for a, b in itertools.combinations(sample, 2):
-        assert are_isomorphic(a, b) == are_isomorphic(b, a)
+        theirs = nx.is_isomorphic(graph_oracle.to_networkx(a), graph_oracle.to_networkx(b))
+        assert (canonical_form(a) == canonical_form(b)) == theirs
 
 
 def test_enumerate_counts():
@@ -314,7 +310,7 @@ def test_enumeration_is_complete_by_counting(n):
     assert len(found) == _burnside_count(n)
     buckets = {}
     for g in found:
-        h = _networkx(g)
+        h = graph_oracle.to_networkx(g)
         buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
     for bucket in buckets.values():
         for a, b in itertools.combinations(bucket, 2):
@@ -458,7 +454,8 @@ def test_canonical_graph6_packs_the_relabelled_graph(shared):
     # columns; re-encoding the canonically relabelled graph is their oracle
     with shared_searches() if shared else contextlib.nullcontext():
         for g in _canonical_graph6_cases():
-            expected = to_graph6(canonical_relabelled(g))
+            order, _, _ = _canonical_search(g)
+            expected = to_graph6(g.relabel(order))
             assert canonical_form(g) == expected.encode("ascii"), g
             assert _serial6(g) == expected, g
 
@@ -616,18 +613,11 @@ def test_enumerate_search_count_is_pinned(monkeypatch):
     assert len(searches) == 1306 == 2 + 4 + 11 + 34 + 156 + 1044 + 55
 
 
-def _networkx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
 # -- one search per labelled graph within a shared_searches() scope ---------------
 
 
 def _symmetry(g):
-    return automorphisms(g), vertex_orbits(g), canonical_relabelled(g)
+    return automorphisms(g), vertex_orbits(g), canonical_form(g)
 
 
 def test_shared_searches_change_no_result(monkeypatch):
@@ -691,7 +681,7 @@ def test_stored_searches_are_tuples():
         enumerate_graphs(5)
         for g in classes(5):
             automorphisms(g)
-            canonical_relabelled(g)
+            canonical_form(g)
         stored = isomorphism._searches
         assert stored
         for rows, (order, generators, columns) in stored.items():
@@ -705,9 +695,8 @@ def test_budget_errors():
         automorphisms(edgeless_graph(11))
     with pytest.raises(ResourceError, match="^the orbit search capped at 10 vertices$"):
         vertex_orbits(edgeless_graph(11))
-    for labelling in (canonical_relabelled, canonical_form):
-        with pytest.raises(ResourceError, match="^canonical labelling capped at 10 vertices$"):
-            labelling(edgeless_graph(11))
+    with pytest.raises(ResourceError, match="^canonical labelling capped at 10 vertices$"):
+        canonical_form(edgeless_graph(11))
     # above the budget a certificate keeps the node's own labelling
     g = cycle_graph(11).relabel([3, 1, 4, 10, 5, 9, 2, 6, 8, 7, 0])
     assert _serial6(g) == to_graph6(g) != to_graph6(cycle_graph(11))

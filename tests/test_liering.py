@@ -17,7 +17,6 @@ from raagcert import (
     from_edges,
     induced_matrix,
     l2_basis,
-    l3_sub_basis,
     signed_automorphisms,
 )
 from raagcert import liering
@@ -77,7 +76,13 @@ def test_signed_automorphism_stream():
 def test_bases():
     c4 = cycle_graph(4)
     assert l2_basis(c4) == ((0, 2), (1, 3))
-    assert l3_sub_basis(c4) == ((0, 2, 0), (0, 2, 2), (1, 3, 1), (1, 3, 3))
+    # the level-3 basis is (0, 2, 0), (0, 2, 2), (1, 3, 1), (1, 3, 3): inverting
+    # v0 alone negates (0, 2, 2), which picks up e0, and no other column
+    assert (induced_matrix(c4, SignedAut((0, 1, 2, 3), (-1, 1, 1, 1)), 3)
+            == SignedAut((0, 1, 2, 3), (1, -1, 1, 1)))
+    # swapping v0 and v2 exchanges the two shapes of the pair (0, 2) alone
+    assert (induced_matrix(c4, SignedAut((2, 1, 0, 3), (1, 1, 1, 1)), 3)
+            == SignedAut((1, 0, 2, 3), (-1, -1, 1, 1)))
     assert l2_basis(complete_graph(3)) == ()
 
 
@@ -128,9 +133,9 @@ def test_matrices_are_signed_permutations():
         g = random_graph(rng, 5)
         sa = list(signed_automorphisms(g))
         for a in rng.sample(sa, min(6, len(sa))):
-            for level, basis in ((1, range(g.n)), (2, l2_basis(g)), (3, l3_sub_basis(g))):
+            for level, dim in ((1, g.n), (2, len(l2_basis(g))), (3, 2 * len(l2_basis(g)))):
                 m = induced_matrix(g, a, level)
-                assert len(m.perm) == len(basis)
+                assert len(m.perm) == dim
                 rows = dense(m)
                 for row in rows:
                     assert sum(abs(x) for x in row) == 1

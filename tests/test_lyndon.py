@@ -8,7 +8,6 @@ from raagcert import (
     InputError,
     ResourceError,
     bracketing,
-    closed_form_lyndon,
     complete_graph,
     dependence_set,
     edgeless_graph,
@@ -30,6 +29,7 @@ from raagcert.lyndon import (
 )
 
 import trace_oracle as oracle
+from trace_oracle import closed_form_lyndon
 from conftest import classes, random_graph
 
 

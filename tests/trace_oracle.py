@@ -14,6 +14,9 @@ dependence heap, so it reaches graphs and lengths the class closure cannot.
 ``anisimov_knuth_words`` builds every standard word of a length letter by
 letter, without the Lyndon pruning ``raagcert.lyndon`` applies, so the
 Lyndon test can be checked on the standard words the enumeration skips.
+
+``closed_form_lyndon`` reads the Lyndon traces of lengths 1 to 3 off the
+adjacency, with no search, for comparison with ``enumerate_lyndon``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from raagcert import Graph
-from raagcert.lyndon import _largest_word
+from raagcert import Graph, InputError, TraceClass, trace_class
+from raagcert.lyndon import _check_length, _largest_word
 
 TraceWord = tuple[int, ...]
 
@@ -164,3 +167,38 @@ def bracketing(g: Graph, std: TraceWord) -> str:
         return f"v{std[0]}"
     x, y = standard_factorization(g, std)
     return f"[{bracketing(g, x)},{bracketing(g, y)}]"
+
+
+def closed_form_lyndon(g: Graph, length: int) -> list[TraceClass]:
+    """Lyndon traces of length 1, 2 or 3 read off directly from adjacency.
+
+    Lengths 1 and 2 are the vertices and the non-adjacent increasing pairs.
+    Length 3 comprises four families over non-commuting pairs: i i k, i j k
+    with both j and k non-commuting with i, i j j, and i j k with j != k where
+    k fails to commute with i or with j.
+    """
+    _check_length(length)
+    if length not in (1, 2, 3):
+        raise InputError("closed forms cover lengths 1, 2 and 3 only")
+
+    def noncomm(i: int, j: int) -> bool:
+        return i != j and not g.adjacent(i, j)
+
+    words: set[TraceWord] = set()
+    if length == 1:
+        words = {(i,) for i in range(g.n)}
+    elif length == 2:
+        words = {(i, j) for i in range(g.n) for j in range(i + 1, g.n) if noncomm(i, j)}
+    else:
+        for i, j in itertools.combinations(range(g.n), 2):
+            if not noncomm(i, j):
+                continue
+            words.add((i, i, j))
+            words.add((i, j, j))
+            # the i < j < k family with both (i,j) and (i,k) non-commuting is
+            # the special case of this disjunction with k > j
+            for k in range(i + 1, g.n):
+                if k != j and (noncomm(i, k) or noncomm(j, k)):
+                    words.add((i, j, k))
+    classes = {trace_class(g, w) for w in words}
+    return sorted(classes, key=lambda m: m.std)
