@@ -7,6 +7,7 @@ the certification rules consume, and round-trip the two text formats.
 """
 
 from raagcert import (
+    VertexSet,
     complement,
     compose,
     cycle_graph,
@@ -22,7 +23,7 @@ from raagcert import (
 
 # A path on three vertices: the middle vertex sees both ends.
 p3 = path_graph(3)
-print("P3, vertex 1:", "link", list(p3.link(1)), "degree", p3.degree(1))
+print("P3, vertex 1:", "link", list(VertexSet(p3.rows[1], p3.n)), "degree", p3.degree(1))
 
 # Domination compares a link against a star; it drives every transvection.
 print("P3: vertex 1 dominates vertex 0?", dominates(p3, 0, 1))

@@ -22,9 +22,23 @@ from raagcert import (
 )
 
 
+def cycles(m):
+    """Each cycle of ``m.perm`` from its least point, with its sign product."""
+    seen = set()
+    for start in range(len(m.perm)):
+        cycle, product, point = [], 1, start
+        while point not in seen:
+            seen.add(point)
+            cycle.append(point)
+            product *= m.signs[point]
+            point = m.perm[point]
+        if cycle:
+            yield tuple(cycle), product
+
+
 def show(label, m):
-    cycles = ", ".join(f"{cycle} sign {product:+d}" for cycle, product in m.cycles())
-    print(f"{label}: perm {m.perm} signs {m.signs}; cycles {cycles or 'none'};"
+    text = ", ".join(f"{cycle} sign {product:+d}" for cycle, product in cycles(m))
+    print(f"{label}: perm {m.perm} signs {m.signs}; cycles {text or 'none'};"
           f" eigenvalue 1? {has_eigenvalue_one(m)}")
 
 

@@ -57,14 +57,6 @@ class VertexSet:
             mask |= 1 << v
         return cls(mask, n)
 
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
-    def empty(cls, n: int) -> "VertexSet":
-        return cls(0, n)
-
     def __iter__(self) -> Iterator[int]:
         mask = self.mask
         while mask:
@@ -83,23 +75,8 @@ class VertexSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def _check_same(self, other: "VertexSet") -> None:
-        if self.n != other.n:
-            raise InputError("vertex sets belong to different graphs")
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check_same(other)
-        return VertexSet(self.mask | other.mask, self.n)
-
     def complement(self) -> "VertexSet":
         return VertexSet(~self.mask & ((1 << self.n) - 1), self.n)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check_same(other)
-        return self.mask & ~other.mask == 0
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __repr__(self) -> str:
         return f"VertexSet({list(self)}, n={self.n})"
@@ -157,10 +134,6 @@ class Graph:
     def degree(self, v: int) -> int:
         self.check_vertex(v)
         return self.rows[v].bit_count()
-
-    def link(self, v: int) -> VertexSet:
-        self.check_vertex(v)
-        return VertexSet(self.rows[v], self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -604,6 +577,11 @@ def decimal(text: str) -> int:
     (7, -2)
     """
     number = text.strip(" \t")
-    if not (text.isascii() and number.removeprefix("-").isdigit()):
+    digits = number.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
         raise InputError(f"{text!r} is not a decimal integer")
-    return int(number)
+    try:
+        return int(number)
+    except ValueError:
+        # past sys.get_int_max_str_digits(); the text itself is not repeated
+        raise InputError(f"a decimal integer of {len(digits)} digits is too long") from None

@@ -48,19 +48,12 @@ validation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import InputError, ResourceError
 from .graphs import Graph
-from .isomorphism import (
-    VertexPermutation,
-    automorphisms,
-    compose_permutations,
-    invert_permutation,
-    is_automorphism,
-)
+from .isomorphism import VertexPermutation, automorphisms, is_automorphism
 
 SIGNED_AUT_MAX_N = 8
 WITNESS_LEVELS = (1, 2, 3)
@@ -84,36 +77,6 @@ class SignedAut:
             raise InputError("signs must be +1 or -1")
         if sorted(self.perm) != list(range(len(self.perm))):
             raise InputError("perm must be a permutation of 0..n-1")
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedAut":
-        if type(n) is not int or n < 0:
-            raise InputError(f"size {n!r} is not a non-negative exact integer")
-        return cls(tuple(range(n)), (1,) * n)
-
-    def compose(self, other: "SignedAut") -> "SignedAut":
-        """self after other: generator i goes to (self.perm(other.perm(i))) with
-        sign self.signs[other.perm(i)] * other.signs[i]."""
-        perm = compose_permutations(self.perm, other.perm)
-        signs = tuple(self.signs[other.perm[i]] * other.signs[i] for i in range(len(perm)))
-        return SignedAut(perm, signs)
-
-    def inverse(self) -> "SignedAut":
-        inv = invert_permutation(self.perm)
-        return SignedAut(inv, tuple(self.signs[p] for p in inv))
-
-    def cycles(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Each cycle of ``perm`` from its least point, with its sign product."""
-        seen: set[int] = set()
-        for start in range(len(self.perm)):
-            cycle = []
-            point = start
-            while point not in seen:
-                seen.add(point)
-                cycle.append(point)
-                point = self.perm[point]
-            if cycle:
-                yield tuple(cycle), math.prod(self.signs[p] for p in cycle)
 
 
 def _trusted_signed(perm: VertexPermutation, signs: tuple[int, ...]) -> SignedAut:
@@ -204,8 +167,9 @@ def _check_signed_aut(g: Graph, a: SignedAut) -> None:
 def induced_matrix(g: Graph, a: SignedAut, level: int) -> SignedAut:
     """Signed permutation matrix of the signed automorphism on the chosen graded
     piece, as a ``SignedAut`` on basis indices: column ``c`` holds ``signs[c]``
-    in row ``perm[c]``, level 1 is ``a`` itself, and matrix products are
-    ``SignedAut.compose``.
+    in row ``perm[c]``, and level 1 is ``a`` itself.  The matrix product
+    ``m k`` of two such matrices holds ``m.signs[k.perm[c]] * k.signs[c]`` in
+    row ``m.perm[k.perm[c]]`` of column ``c``.
 
     On level 2 the pair (i, j) maps to the reordered image pair with
     sign e_i * e_j, negated when the permutation swaps the order.  On level 3

@@ -1,13 +1,23 @@
 """Dense exact-integer matrices, kept only as an oracle for the signed
-permutations of ``raagcert.liering``, and the brute witness scan that
-``eigenvalue_witness_report`` shortens by its lemma.
+permutations of ``raagcert.liering``; the group operations on ``SignedAut``
+(identity, composition, inverse, cycles with their sign products); and the
+brute witness scan that ``eigenvalue_witness_report`` shortens by its lemma.
 
 Matrices are tuples of rows of Python integers.  ``det_exact`` is fraction-free
 (Bareiss) elimination and ``det_by_cofactors`` the Laplace expansion it is
 checked against; neither uses floats.
 """
 
-from raagcert import SignedAut, has_eigenvalue_one, induced_matrix, liering, signed_automorphisms
+import math
+
+from raagcert import (
+    InputError,
+    SignedAut,
+    has_eigenvalue_one,
+    induced_matrix,
+    liering,
+    signed_automorphisms,
+)
 from raagcert.liering import WITNESS_LEVELS, WitnessReport
 
 
@@ -19,8 +29,40 @@ def dense(m: SignedAut) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def identity(n: int) -> SignedAut:
+    if type(n) is not int or n < 0:
+        raise InputError(f"size {n!r} is not a non-negative exact integer")
+    return SignedAut(tuple(range(n)), (1,) * n)
+
+
+def compose(a: SignedAut, b: SignedAut) -> SignedAut:
+    """``a`` after ``b``: point i goes to ``a.perm[b.perm[i]]`` with sign
+    ``a.signs[b.perm[i]] * b.signs[i]``, the matrix product of the dense forms."""
+    return SignedAut(tuple(a.perm[p] for p in b.perm),
+                     tuple(a.signs[p] * e for p, e in zip(b.perm, b.signs)))
+
+
+def inverse(a: SignedAut) -> SignedAut:
+    perm = [0] * len(a.perm)
+    for i, p in enumerate(a.perm):
+        perm[p] = i
+    return SignedAut(tuple(perm), tuple(a.signs[p] for p in perm))
+
+
+def cycles(a: SignedAut) -> list[tuple[tuple[int, ...], int]]:
+    """Each cycle of ``a.perm`` from its least point, with its sign product."""
+    out = []
+    seen = set()
+    for start in range(len(a.perm)):
+        cycle = []
+        point = start
+        while point not in seen:
+            seen.add(point)
+            cycle.append(point)
+            point = a.perm[point]
+        if cycle:
+            out.append((tuple(cycle), math.prod(a.signs[p] for p in cycle)))
+    return out
 
 
 def subtract(a, b) -> tuple[tuple[int, ...], ...]:
@@ -83,7 +125,7 @@ def det_by_cofactors(rows) -> int:
 
 def det_identity_minus(m: SignedAut) -> int:
     """det(I - M) for the dense form of ``m``."""
-    return det_exact(subtract(identity(len(m.perm)), dense(m)))
+    return det_exact(subtract(dense(identity(len(m.perm))), dense(m)))
 
 
 def induced_matrix_oracle(g, a: SignedAut, level: int) -> SignedAut:

@@ -376,13 +376,6 @@ MUTANTS = (
         tests=("test_graphs.py::test_vertices_must_be_exact_integers",),
     ),
     Mutant(
-        name="identity-takes-negative-sizes",
-        file="liering.py",
-        old="""        if type(n) is not int or n < 0:""",
-        new="""        if type(n) is not int:""",
-        tests=("test_graphs.py::test_vertices_must_be_exact_integers",),
-    ),
-    Mutant(
         name="graph-keeps-list-rows",
         file="graphs.py",
         old="""        object.__setattr__(self, "rows", tuple(self.rows))
@@ -550,6 +543,19 @@ MUTANTS = (
         old="""    values = [decimal(x) for x in argtext.split(",")]""",
         new="""    values = [int(x) for x in argtext.split(",")]""",
         tests=("test_cli.py",),
+    ),
+    Mutant(
+        name="long-numeral-escapes-as-value-error",
+        file="graphs.py",
+        old="""    try:
+        return int(number)
+    except ValueError:
+        # past sys.get_int_max_str_digits(); the text itself is not repeated
+        raise InputError(f"a decimal integer of {len(digits)} digits is too long") from None
+""",
+        new="""    return int(number)
+""",
+        tests=("test_cli.py::test_a_numeral_past_the_digit_limit_exits_one",),
     ),
     Mutant(
         name="max-n-option-through-int",

@@ -16,7 +16,7 @@ def refined_colors(g: Graph) -> tuple[int, ...]:
     while True:
         keys = []
         for v in range(g.n):
-            neigh = sorted(colors[w] for w in g.link(v))
+            neigh = sorted(colors[w] for w in range(g.n) if g.rows[v] >> w & 1)
             keys.append((colors[v], tuple(neigh)))
         ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
         new = [ranking[key] for key in keys]

@@ -357,6 +357,31 @@ def test_every_reduction_decreases_the_measure(rule):
                     assert (h.n, h.non_edge_count) < measure, to_graph6(g)
 
 
+def test_every_single_rule_removal_ends(monkeypatch):
+    # certify every class with n <= 7 with one rule at a time taken out of
+    # RULES; each sweep ends, with no RecursionError, and five rules change
+    # no verdict there.  monkeypatch puts RULES back whatever happens; the
+    # module comes from sys.modules, since raagcert binds the function
+    # certify over its name
+    module = sys.modules["raagcert.certify"]
+    graphs = [g for n in range(1, 8) for g in classes(n)]
+    verdicts = {}
+    with shared_searches():
+        for rule in RULES:
+            if rule.name != "FALLBACK":
+                monkeypatch.setattr(module, "RULES", tuple(r for r in RULES if r is not rule))
+                verdicts[rule.name] = Counter(certify(g).verdict for g in graphs)
+    unchanged = {RINF: 1245, NOT_RINF_ABELIAN: 7}
+    assert verdicts == {
+        "ABELIAN": {RINF: 1245, UNDECIDED: 7},
+        "DISCONNECTED": {RINF: 53, NOT_RINF_ABELIAN: 7, UNDECIDED: 1192},
+        "TRANSVECTION_FREE": {RINF: 1236, NOT_RINF_ABELIAN: 7, UNDECIDED: 9},
+        "JOIN_FACTOR": {RINF: 1235, NOT_RINF_ABELIAN: 7, UNDECIDED: 10},
+        **{name: unchanged for name in ("SIMPLIFICATION", "MBA_K_N1", "MBA_K_N2_SPLIT",
+                                        "MBA_K_N2_QUOTIENT", "CHAR_CLOSURE_GENERIC")},
+    }
+
+
 def _audit_forged_deletion(monkeypatch, g, deleted):
     """The audit of a SIMPLIFICATION node on ``g`` whose rule, made faulty on
     ``g`` alone, deletes ``deleted``, over the quotient's real certificate."""

@@ -116,6 +116,19 @@ def test_control_characters_in_an_input_line_exit_one(tmp_path, capsys):
     assert "line 2" in err and "'\\x1c3' is not a decimal integer" in err
 
 
+def test_a_numeral_past_the_digit_limit_exits_one(tmp_path, capsys):
+    # int() refuses a numeral longer than sys.get_int_max_str_digits(); the
+    # message names the digit count instead of repeating the numeral
+    digits = sys.get_int_max_str_digits() + 1
+    path = tmp_path / "long.txt"
+    path.write_text("9" * digits + "; 0-1\n")
+    for argv, where in ((("--builtin", "cycle:" + "9" * digits), ""),
+                        (("--input", str(path)), "line 1: ")):
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {where}a decimal integer of {digits} digits is too long\n"
+
+
 def test_a_non_ascii_byte_names_its_line_in_a_file_and_on_stdin(tmp_path, monkeypatch, capsys):
     message = "error: line 2: input is not ASCII\n"
     non_ascii = "3; 0-1\n3; \u0660-1\n".encode("utf-8")

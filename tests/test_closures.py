@@ -109,7 +109,7 @@ def test_union_of_characteristic_sets_is_characteristic():
         g = random_graph(rng, 6)
         s1 = characteristic_closures(g)[rng.randrange(6)]
         s2 = characteristic_closures(g)[rng.randrange(6)]
-        assert is_characteristic_vertex_set(g, s1.union(s2))
+        assert is_characteristic_vertex_set(g, VertexSet(s1.mask | s2.mask, g.n))
 
 
 def test_closure_degrees_monotone():
@@ -141,7 +141,7 @@ def test_mba_characteristic_sets(fig_mba_5_4_3, fig_mba_7_5_4):
 
     # lone non-maximal vertex: the intersection reduces to its link
     sets = mba_characteristic_sets(fig_mba_5_4_3)
-    assert sets.link_intersection == fig_mba_5_4_3.link(0)
+    assert sets.link_intersection == VertexSet(fig_mba_5_4_3.rows[0], fig_mba_5_4_3.n)
 
     sets = mba_characteristic_sets(fig_mba_7_5_4)
     assert list(sets.max_degree_linked) == [2, 3, 6]
@@ -162,7 +162,7 @@ def test_mba_sets_are_characteristic_and_bounded():
             assert is_characteristic_vertex_set(g, sets.max_degree_linked)
             if mba_parameters(g) is not None:
                 assert sets.link_intersection.mask != top.mask
-                assert sets.link_intersection.issubset(top)
+                assert sets.link_intersection.mask & ~top.mask == 0
                 assert len(sets.max_degree_linked) > 0
 
 
@@ -178,7 +178,7 @@ def test_transvection_freeness_closure_small():
 def test_mba_reductions_delete_the_mba_sets(fig_mba_5_4_3, fig_mba_7_5_4):
     (lone,) = RULES_BY_NAME["MBA_K_N1"].reductions(fig_mba_5_4_3)
     assert lone.deleted == mba_characteristic_sets(fig_mba_5_4_3).link_intersection
-    assert lone.deleted == fig_mba_5_4_3.link(0)
+    assert lone.deleted == VertexSet(fig_mba_5_4_3.rows[0], fig_mba_5_4_3.n)
     (pair,) = RULES_BY_NAME["MBA_K_N2_QUOTIENT"].reductions(fig_mba_7_5_4)
     assert pair.deleted == mba_characteristic_sets(fig_mba_7_5_4).link_intersection
     assert list(pair.deleted) == [2]
