@@ -20,6 +20,19 @@ never emits it above ``CANONICAL_MAX_N`` (10) vertices and the auditor rejects
 it there.  The auditor re-tests every deleted vertex set as characteristic, at
 every size; above 10 vertices a set that colour refinement leaves undecided
 fails closed the same way.
+
+Within a ``shared_searches()`` scope, which the CLI opens around each
+command, both halves do each piece of work once.  A certificate is a
+function of the labelled graph and of ``RULES``, so ``certify`` stores it per
+labelled graph (its rows) together with the rule table that made it.  The
+auditor's re-derivation of a node, ``_rule_problem``, reads nothing of the
+node but its graph6, rule, verdict and citation and each child's graph6 and
+verdict, and nothing outside it but the rule that ``RULES_BY_NAME`` gives
+for its name (the rule's reductions are functions of the parsed graph).  So
+``_audited`` keys its answer on exactly those values, when each is an exact
+``str``, and uses it again only under the very same rule.  A node holding
+any other value, or whose re-derivation exceeds a budget, is audited
+afresh.  Outside a scope nothing is stored.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from .graphs import (
     mba_parameters,
     to_graph6,
 )
-from .isomorphism import CANONICAL_MAX_N, canonical_form
+from .isomorphism import CANONICAL_MAX_N, _store, canonical_form
 # unused: benchmarks/tests/test_bench_trace.py reads raagcert.certify.automorphisms
 from .isomorphism import automorphisms  # noqa: F401
 
@@ -285,15 +298,25 @@ RULES_BY_NAME = {rule.name: rule for rule in RULES}
 def certify(g: Graph) -> Certificate:
     """Deterministic certificate for the graph's group: the first reduction, in
     table order, that is a leaf or has a child with R-infinity.  A rule that
-    would exceed a search budget does not apply."""
+    would exceed a search budget does not apply.  Within a
+    ``shared_searches()`` scope a later call on the same rows, under the very
+    same ``RULES``, returns the stored certificate."""
     if g.n < 1:
         raise InputError("certification needs at least one vertex")
-    for rule in RULES:
+    rules = RULES
+    store = _store("certificates")
+    stored = None if store is None else store.get(g.rows)
+    if stored is not None and stored[0] is rules:
+        return stored[1]
+    for rule in rules:
         try:
             for citation, graphs, _ in rule.reductions(g):
                 children = tuple(certify(h) for h in graphs)
                 if not children or any(child.verdict == RINF for child in children):
-                    return Certificate(rule.verdict, rule.name, citation, g, children)
+                    cert = Certificate(rule.verdict, rule.name, citation, g, children)
+                    if store is not None:
+                        store[g.rows] = rules, cert
+                    return cert
         except ResourceError:
             continue
     raise AssertionError("the FALLBACK leaf applies to every graph")
@@ -320,6 +343,25 @@ def _shape_problem(node: object, check_children: bool = True) -> Optional[str]:
         if problem is not None:
             return f"child {idx}: {problem}"
     return None
+
+
+def _audited(node: dict) -> Optional[str]:
+    """``_rule_problem(node)``, stored within a ``shared_searches()`` scope
+    under the values it reads (see the module docstring)."""
+    store = _store("audits")
+    if store is None:
+        return _rule_problem(node)
+    key = (node["graph6"], node["rule"], node["verdict"], node["citation"],
+           *[value for child in node["children"] for value in (child["graph6"], child["verdict"])])
+    if any(type(value) is not str for value in key):
+        return _rule_problem(node)
+    rule = RULES_BY_NAME.get(key[1])
+    stored = store.get(key)
+    if stored is not None and stored[0] is rule:
+        return stored[1]
+    problem = _rule_problem(node)
+    store[key] = rule, problem
+    return problem
 
 
 def _rule_problem(node: dict) -> Optional[str]:
@@ -376,7 +418,7 @@ def audit_certificate(node: object) -> list[str]:
             children = current["children"]
             stack.extend((f"{path}/{i}", children[i]) for i in reversed(range(len(children))))
             try:
-                problem = _rule_problem(current)
+                problem = _audited(current)
             except ResourceError as exc:
                 problem = f"cannot re-derive the node: {exc}"
         if problem is not None:

@@ -33,6 +33,7 @@ from .certify import UNDECIDED, audit_certificate, certify, simplify
 from .errors import InputError, ResourceError
 from .graphs import (
     Graph,
+    _quoted,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
@@ -61,7 +62,7 @@ BUILTINS = {
 def parse_builtin(text: str) -> Graph:
     name, sep, argtext = text.partition(":")
     if name not in BUILTINS:
-        raise InputError(f"unknown builtin {name!r}; choose from {sorted(BUILTINS)}")
+        raise InputError(f"unknown builtin {_quoted(name)}; choose from {sorted(BUILTINS)}")
     builder, arity = BUILTINS[name]
     if arity == 0:
         if sep:
@@ -254,6 +255,16 @@ def cmd_simplify(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+def _integer_option(text: str) -> int:
+    """``decimal`` as an argparse type: a bad value gets ``decimal``'s own
+    message, which quotes a bounded prefix of it, where argparse would
+    repeat all of it."""
+    try:
+        return decimal(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_io_arguments(sub: argparse.ArgumentParser, with_inputs: bool = True) -> None:
     if with_inputs:
         sub.add_argument("--input", help="file of graph6 or edge-list lines, '-' for stdin")
@@ -281,24 +292,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("certify", help="emit one certificate per input graph")
     _add_io_arguments(sub)
-    sub.add_argument("--jobs", type=decimal, default=1, help="parallel workers")
+    sub.add_argument("--jobs", type=_integer_option, default=1, help="parallel workers")
 
     sub = commands.add_parser("enumerate", help="sweep isomorphism classes up to --max-n")
-    sub.add_argument("--max-n", type=decimal, required=True)
+    sub.add_argument("--max-n", type=_integer_option, required=True)
     sub.add_argument("--certify", action="store_true", help="certify every class")
     _add_io_arguments(sub, with_inputs=False)
-    sub.add_argument("--jobs", type=decimal, default=1, help="parallel workers")
+    sub.add_argument("--jobs", type=_integer_option, default=1, help="parallel workers")
 
     sub = commands.add_parser("lyndon", help="list Lyndon traces of a given length")
-    sub.add_argument("--length", type=decimal, required=True)
+    sub.add_argument("--length", type=_integer_option, required=True)
     _add_io_arguments(sub)
 
     sub = commands.add_parser("ranks", help="ranks of the graded lower-central pieces")
-    sub.add_argument("--upto", type=decimal, required=True)
+    sub.add_argument("--upto", type=_integer_option, required=True)
     _add_io_arguments(sub)
 
     sub = commands.add_parser("autcheck", help="eigenvalue-witness scan of signed automorphisms")
-    sub.add_argument("--max-n", type=decimal, help="scan all non-complete classes up to this size")
+    sub.add_argument("--max-n", type=_integer_option, help="scan all non-complete classes up to this size")
     _add_io_arguments(sub)
 
     sub = commands.add_parser("simplify", help="iterated maximal-degree deletion trace")

@@ -560,9 +560,17 @@ def from_edge_list(text: str) -> Graph:
             u_text, sep2, v_text = chunk.partition("-")
             if not sep2:
                 bad = chunk.strip(" \t")
-                raise InputError(f"bad edge {bad!r}")
+                raise InputError(f"bad edge {_quoted(bad)}")
             edges.append((decimal(u_text), decimal(v_text)))
     return from_edges(n, edges)
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``, or for a text longer than 20 characters the repr of its
+    first 20 and its length, so an error message never repeats a whole input."""
+    if len(text) <= 20:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def decimal(text: str) -> int:
@@ -579,7 +587,7 @@ def decimal(text: str) -> int:
     number = text.strip(" \t")
     digits = number.removeprefix("-")
     if not (text.isascii() and digits.isdigit()):
-        raise InputError(f"{text!r} is not a decimal integer")
+        raise InputError(f"{_quoted(text)} is not a decimal integer")
     try:
         return int(number)
     except ValueError:

@@ -25,15 +25,18 @@ the orbit of a canonically chosen vertex, which the extension's search gives.
 The sizes this package targets (at most 8 to 10 vertices) keep the search
 small, so no external canonical-labelling machinery is used.
 
-A command searches many labelled graphs more than once: ``enumerate_graphs(n)``
-rebuilds every lower level, the serializer searches each enumerated root
-again, and the auditor re-checks orbits of graphs that recur across classes.
-Inside a ``shared_searches()`` scope, which the CLI opens around each
-command, the search's result is stored per labelled graph (its rows) and
-every later search of the same rows reads it.  Only the search's own results
-are stored, never one relabelled from another graph's, so every caller gets
-what it would compute alone.  The outermost scope drops them on exit, and
-outside a scope every call searches afresh.
+A command meets many labelled graphs more than once: ``enumerate --max-n``
+asks for every level from 1 up, the serializer packs each enumerated root's
+canonical graph6 again, and the auditor re-checks graphs that recur across
+classes.  Inside a ``shared_searches()`` scope, which the CLI opens around
+each command, the search's result is stored per labelled graph (its rows),
+and every later call on the same rows reads it; each enumeration level is
+stored too, and ``enumerate_graphs(n)`` resumes from the highest level it
+holds at or below n.  The same scope holds the certificate and audit stores
+of ``certify``.  Only each function's own results are stored, never one
+relabelled from another graph's, so every caller gets what it would compute
+alone.  The outermost scope drops every store on exit, and outside a scope
+every call computes afresh.
 """
 
 from __future__ import annotations
@@ -260,15 +263,18 @@ def _canonical_search(g: Graph) -> _Search:
     return invert_permutation(best_order), tuple(found), tuple(best_cols)
 
 
-# _canonical_search's result per labelled graph (keyed by its rows, which also
-# fix n), kept only while a shared_searches() scope is open
-_searches: Optional[dict[tuple[int, ...], _Search]] = None
+# the open shared_searches() scope's stores, by name: "searches"
+# (_canonical_search's result per labelled graph, keyed by its rows, which
+# also fix n), "levels" (each enumeration level built, by vertex count), and
+# certify's "certificates" and "audits"; None outside a scope
+_stores: Optional[dict[str, dict]] = None
 
 
 @contextmanager
 def shared_searches() -> Iterator[None]:
     """Within this scope every canonical search of a labelled graph already
-    searched returns the stored result instead of searching again.
+    searched returns the stored result instead of searching again, and so do
+    the other stores of ``_stores``.
 
     A nested scope shares the outer one's results; the outermost scope drops
     them on exit, so nothing outlives the command that opened it.  Only
@@ -276,43 +282,49 @@ def shared_searches() -> Iterator[None]:
     relabelling another graph's, so a caller inside the scope gets exactly
     what it would compute outside.
     """
-    global _searches
-    if _searches is not None:
+    global _stores
+    if _stores is not None:
         yield
         return
-    _searches = {}
+    _stores = {"searches": {}, "levels": {}, "certificates": {}, "audits": {}}
     try:
         yield
     finally:
-        _searches = None
+        _stores = None
+
+
+def _store(name: str) -> Optional[dict]:
+    """The open scope's store ``name``, or None outside a scope."""
+    return None if _stores is None else _stores[name]
 
 
 def _search(g: Graph) -> _Search:
     """``_canonical_search(g)``, shared within a ``shared_searches()`` scope."""
-    if _searches is None:
+    searches = _store("searches")
+    if searches is None:
         return _canonical_search(g)
-    result = _searches.get(g.rows)
+    result = searches.get(g.rows)
     if result is None:
-        result = _searches[g.rows] = _canonical_search(g)
+        result = searches[g.rows] = _canonical_search(g)
     return result
 
 
 def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
     """Least point of each point's orbit under the group that permutations of
     {0..n-1} generate."""
+    # root[v] is always the least point of v's class so far, so a merge
+    # renames the larger root's class, whose points all lie at or above it
     root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            v = root[v]
-        return v
-
     for a in generators:
         for v in range(n):
-            x, y = find(v), find(a[v])
+            x, y = root[v], root[a[v]]
             if x != y:
-                root[max(x, y)] = min(x, y)
-    return [find(v) for v in range(n)]
+                if x > y:
+                    x, y = y, x
+                for w in range(y, n):
+                    if root[w] == y:
+                        root[w] = x
+    return root
 
 
 def _search_within(g: Graph, what: str) -> _Search:
@@ -397,9 +409,11 @@ def enumerate_graphs(n: int) -> list[Graph]:
     new vertex v = m - 1 joined to each orbit-least mask M of Aut(h), and the
     extension C = h + M is kept iff v lies in the Aut(C)-orbit of m(C): among
     the vertices with the largest pair (degree, sum of the neighbours'
-    degrees), the one C's canonical order places last.  If v's pair is not
-    the largest, C is dropped before its search; otherwise that one search
-    gives C's canonical order and the generators of Aut(C).
+    degrees), the one C's canonical order places last.  If v's degree is not
+    the largest, which h's degrees and M tell, C is dropped before it is
+    built; if v's pair is not the largest, C is dropped before its search.
+    Otherwise that one search gives C's canonical order and the generators of
+    Aut(C), and when m(C) is v itself, v is kept with no orbit to compute.
 
     m(C) is canonical: an isomorphism f: C -> D maps m(C) into the orbit of
     m(D).  The pair is invariant, so the canonical relabellings k_C and k_D
@@ -416,6 +430,9 @@ def enumerate_graphs(n: int) -> list[Graph]:
       isomorphism between them fixes v, as both new vertices lie in the
       orbits of the canonical vertices; it restricts to h -> h', so h = h',
       and to an automorphism of h mapping M to M', so M = M'.
+
+    Within a ``shared_searches()`` scope each level built is stored, and a
+    call resumes from the highest stored level at or below ``n``.
     """
     if type(n) is not int:
         raise InputError(f"vertex count {n!r} is not an exact integer")
@@ -423,27 +440,55 @@ def enumerate_graphs(n: int) -> list[Graph]:
         raise InputError("enumeration needs at least one vertex")
     if n > ENUMERATE_MAX_N:
         raise ResourceError(f"enumeration capped at {ENUMERATE_MAX_N} vertices")
-    # each representative with the generators of its automorphism group
-    level: list[tuple[Graph, tuple[VertexPermutation, ...]]] = [(from_edges(1, []), ())]
-    for m in range(2, n + 1):
-        kept: list[tuple[str, Graph, tuple[VertexPermutation, ...]]] = []
-        for h, generators in level:
-            for mask in _orbit_least_masks(h.n, generators):
-                cand = _extension(h, mask)
-                degrees = [row.bit_count() for row in cand.rows]
-                if max(degrees) > degrees[-1]:
-                    continue
-                # the neighbours' degree sum of each vertex of v's (largest) degree
-                sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
-                        for u, row in enumerate(cand.rows) if degrees[u] == degrees[-1]}
-                top = max(sums.values())
-                if sums[m - 1] != top:
-                    continue
-                order, cand_generators, columns = _search(cand)
-                last = max((u for u, s in sums.items() if s == top), key=order.__getitem__)
-                roots = _orbit_roots(m, cand_generators)
-                if roots[last] == roots[m - 1]:
-                    kept.append((_graph6_from_columns(m, columns), cand, cand_generators))
-        kept.sort(key=lambda item: item[0])
-        level = [(g, g_generators) for _, g, g_generators in kept]
+    # each level: its representatives with the generators of their
+    # automorphism groups, by vertex count; kept for the scope, if one is open
+    levels = _store("levels")
+    if levels is None:
+        levels = {}
+    if not levels:
+        levels[1] = [(from_edges(1, []), ())]
+    m = max(k for k in levels if k <= n)
+    level = levels[m]
+    while m < n:
+        m += 1
+        level = levels[m] = _augmented_level(level, m)
     return [h for h, _ in level]
+
+
+_Level = list[tuple[Graph, tuple[VertexPermutation, ...]]]
+
+
+def _augmented_level(level: _Level, m: int) -> _Level:
+    """The level on ``m`` vertices from the level on m - 1, as
+    ``enumerate_graphs`` describes."""
+    kept: list[tuple[str, Graph, tuple[VertexPermutation, ...]]] = []
+    for h, generators in level:
+        # v's degree is the mask's size, and a vertex of h gains one where the
+        # mask holds it, so the degree test needs no extension built: v has
+        # the largest degree d iff h's largest degree is below d, or equals
+        # it with no vertex of that degree in the mask
+        h_degrees = [row.bit_count() for row in h.rows]
+        h_top = max(h_degrees)
+        at_top = sum(1 << u for u, deg in enumerate(h_degrees) if deg == h_top)
+        for mask in _orbit_least_masks(h.n, generators):
+            degree = mask.bit_count()
+            if degree < h_top or degree == h_top and mask & at_top:
+                continue
+            cand = _extension(h, mask)
+            degrees = [deg + (mask >> u & 1) for u, deg in enumerate(h_degrees)]
+            degrees.append(degree)
+            # the neighbours' degree sum of each vertex of v's (largest) degree
+            sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
+                    for u, row in enumerate(cand.rows) if degrees[u] == degree}
+            top = max(sums.values())
+            if sums[m - 1] != top:
+                continue
+            order, cand_generators, columns = _search(cand)
+            last = max((u for u, s in sums.items() if s == top), key=order.__getitem__)
+            if last != m - 1:
+                roots = _orbit_roots(m, cand_generators)
+                if roots[last] != roots[m - 1]:
+                    continue
+            kept.append((_graph6_from_columns(m, columns), cand, cand_generators))
+    kept.sort(key=lambda item: item[0])
+    return [(g, g_generators) for _, g, g_generators in kept]

@@ -23,7 +23,7 @@ def counted_searches(monkeypatch) -> list[bool]:
     search = isomorphism._canonical_search
 
     def counted_search(g):
-        searches.append(isomorphism._searches is not None)
+        searches.append(isomorphism._stores is not None)
         return search(g)
 
     monkeypatch.setattr(isomorphism, "_canonical_search", counted_search)

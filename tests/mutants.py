@@ -266,15 +266,15 @@ MUTANTS = (
     Mutant(
         name="augmentation-accepts-without-orbit-test",
         file="isomorphism.py",
-        old="""                if roots[last] == roots[m - 1]:""",
-        new="""                if True:""",
+        old="""                if roots[last] != roots[m - 1]:""",
+        new="""                if False:""",
         tests=("test_isomorphism.py::test_enumeration_is_complete_by_counting",),
     ),
     Mutant(
         name="augmentation-skips-last-orbit-least-mask",
         file="isomorphism.py",
-        old="""            for mask in _orbit_least_masks(h.n, generators):""",
-        new="""            for mask in _orbit_least_masks(h.n, generators)[:-1]:""",
+        old="""        for mask in _orbit_least_masks(h.n, generators):""",
+        new="""        for mask in _orbit_least_masks(h.n, generators)[:-1]:""",
         tests=("test_isomorphism.py::test_enumeration_is_complete_by_counting",),
     ),
     # the smallest pair also gives a canonical vertex, so every class is still
@@ -282,17 +282,23 @@ MUTANTS = (
     Mutant(
         name="augmentation-picks-the-smallest-pair",
         file="isomorphism.py",
-        old="""                if max(degrees) > degrees[-1]:
-                    continue
-                # the neighbours' degree sum of each vertex of v's (largest) degree
-                sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
-                        for u, row in enumerate(cand.rows) if degrees[u] == degrees[-1]}
-                top = max(sums.values())""",
-        new="""                if min(degrees) < degrees[-1]:
-                    continue
-                sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
-                        for u, row in enumerate(cand.rows) if degrees[u] == degrees[-1]}
-                top = min(sums.values())""",
+        old="""            if degree < h_top or degree == h_top and mask & at_top:
+                continue
+            cand = _extension(h, mask)
+            degrees = [deg + (mask >> u & 1) for u, deg in enumerate(h_degrees)]
+            degrees.append(degree)
+            # the neighbours' degree sum of each vertex of v's (largest) degree
+            sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
+                    for u, row in enumerate(cand.rows) if degrees[u] == degree}
+            top = max(sums.values())""",
+        new="""            cand = _extension(h, mask)
+            degrees = [deg + (mask >> u & 1) for u, deg in enumerate(h_degrees)]
+            degrees.append(degree)
+            if min(degrees) < degree:
+                continue
+            sums = {u: sum(degrees[w] for w in range(m) if row >> w & 1)
+                    for u, row in enumerate(cand.rows) if degrees[u] == degree}
+            top = min(sums.values())""",
         tests=("test_isomorphism.py::test_enumerate_matches_oracle",),
     ),
     # -- canonical graph6: the search's columns packed, never a relabelled graph --
@@ -560,8 +566,40 @@ MUTANTS = (
     Mutant(
         name="max-n-option-through-int",
         file="cli.py",
-        old="""    sub.add_argument("--max-n", type=decimal, required=True)""",
+        old="""    sub.add_argument("--max-n", type=_integer_option, required=True)""",
         new="""    sub.add_argument("--max-n", type=int, required=True)""",
         tests=("test_cli.py",),
+    ),
+    # -- input errors quote a bounded prefix of the text --
+    Mutant(
+        name="error-repeats-the-whole-input",
+        file="graphs.py",
+        old="""    if len(text) <= 20:
+        return repr(text)""",
+        new="""    if True:
+        return repr(text)""",
+        tests=("test_cli.py::test_errors_quote_a_bounded_prefix_of_a_long_input",),
+    ),
+    # -- the stores of a shared_searches() scope --
+    Mutant(
+        name="audit-memo-key-drops-child-verdicts",
+        file="certify.py",
+        old="""           *[value for child in node["children"] for value in (child["graph6"], child["verdict"])])""",
+        new="""           *[child["graph6"] for child in node["children"]])""",
+        tests=("test_certify.py::test_audit_store_keys_each_child_verdict",),
+    ),
+    Mutant(
+        name="memo-outlives-scope",
+        file="isomorphism.py",
+        old="""        _stores = None""",
+        new="""        pass""",
+        tests=("test_isomorphism.py::test_shared_searches_end_with_the_command",),
+    ),
+    Mutant(
+        name="certify-memo-ignores-rule-table",
+        file="certify.py",
+        old="""    if stored is not None and stored[0] is rules:""",
+        new="""    if stored is not None:""",
+        tests=("test_certify.py::test_every_single_rule_removal_ends",),
     ),
 )

@@ -33,6 +33,7 @@ from raagcert import (
     to_graph6,
 )
 from raagcert.certify import FIELDS, RULES, RULES_BY_NAME, Reduction, Rule
+from raagcert import isomorphism
 from raagcert.isomorphism import (
     CANONICAL_MAX_N,
     automorphisms,
@@ -380,6 +381,77 @@ def test_every_single_rule_removal_ends(monkeypatch):
         **{name: unchanged for name in ("SIMPLIFICATION", "MBA_K_N1", "MBA_K_N2_SPLIT",
                                         "MBA_K_N2_QUOTIENT", "CHAR_CLOSURE_GENERIC")},
     }
+
+
+def test_stored_certificates_are_the_certificates_outside_a_scope():
+    # every class with n <= 6 and a seeded relabelled copy of each, certified
+    # twice in one scope: the second pass reads the certificate store
+    rng = random.Random(11)
+    graphs = []
+    for n in range(1, 7):
+        for g in classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs += [g, g.relabel(perm)]
+    alone = [json.dumps(certify(g).to_dict()) for g in graphs]
+    with shared_searches():
+        for _ in range(2):
+            assert [json.dumps(certify(g).to_dict()) for g in graphs] == alone
+        stored = isomorphism._stores["certificates"]
+        assert {g.rows for g in graphs} <= set(stored)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutation_corpus_audits_alike_from_the_audit_store(data):
+    # a corpus of mutated small certificates, audited twice in one scope: the
+    # second pass re-derives only the nodes the store does not take (a value
+    # that is not an exact str), and both give the unscoped problems
+    trees = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        tree = json.loads(data.draw(st.sampled_from(_small_certificates())))
+        for _ in range(data.draw(st.integers(1, 2))):
+            node = data.draw(st.sampled_from(_nodes(tree)))
+            _mutate(node, data.draw(st.sampled_from(MUTATIONS)), data)
+        trees.append(tree)
+    alone = [audit_certificate(copy.deepcopy(tree)) for tree in trees]
+    module = sys.modules["raagcert.certify"]
+    real = module._rule_problem
+    calls = []
+
+    def counted(node):
+        calls.append(node)
+        return real(node)
+
+    # hypothesis runs the examples in one call of the test, so the patch is
+    # undone by hand rather than by monkeypatch
+    module._rule_problem = counted
+    try:
+        with shared_searches():
+            assert [audit_certificate(tree) for tree in trees] == alone
+            first = len(calls)
+            assert [audit_certificate(tree) for tree in trees] == alone
+    finally:
+        module._rule_problem = real
+    unkeyed = [node for node in calls[:first]
+               if not all(type(node[k]) is str for k in ("rule", "verdict", "citation"))
+               or not all(type(child["verdict"]) is str for child in node["children"])]
+    assert len(calls) - first == len(unkeyed)
+
+
+def test_audit_store_keys_each_child_verdict():
+    # two nodes that differ only in one child's verdict, audited in either
+    # order within one scope, each get their own problems
+    sound = certify(path_graph(4)).to_dict()
+    child = sound["children"][0]
+    undecided_child = {**child, "verdict": UNDECIDED, "rule": "FALLBACK",
+                       "citation": CITATION["FALLBACK"], "children": []}
+    unsound = {**sound, "children": [undecided_child]}
+    expected = ([], ["root: no child has R-infinity"])
+    for pair in ((sound, unsound), (unsound, sound)):
+        with shared_searches():
+            problems = tuple(audit_certificate(tree) for tree in pair)
+        assert problems == (expected if pair[0] is sound else expected[::-1])
 
 
 def _audit_forged_deletion(monkeypatch, g, deleted):

@@ -129,6 +129,28 @@ def test_a_numeral_past_the_digit_limit_exits_one(tmp_path, capsys):
         assert err == f"error: {where}a decimal integer of {digits} digits is too long\n"
 
 
+def test_errors_quote_a_bounded_prefix_of_a_long_input(monkeypatch, capsys):
+    # a builtin argument, two integer options and an edge endpoint on stdin,
+    # each thousands of characters long, exit 1 with a short message that
+    # names the text's length or its digit count
+    nines = "9" * 5000
+    cases = ((("certify", "--builtin", f"cycle:{nines}x"), None, "(5001 characters)"),
+             (("enumerate", "--max-n", nines), None, "of 5000 digits is too long"),
+             (("certify", "--builtin", "cycle:5", "--jobs", "1_" * 2000), None,
+              "(4000 characters)"),
+             (("certify", "--input", "-"), "3; 0-" + "x" * 3000 + "\n", "(3000 characters)"))
+    for argv, stdin, needle in cases:
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "", argv
+        assert len(err.encode()) < 300 and needle in err, err[:400]
+
+
 def test_a_non_ascii_byte_names_its_line_in_a_file_and_on_stdin(tmp_path, monkeypatch, capsys):
     message = "error: line 2: input is not ASCII\n"
     non_ascii = "3; 0-1\n3; \u0660-1\n".encode("utf-8")
@@ -197,9 +219,10 @@ def test_sweep_output_is_pinned(monkeypatch, capsys):
 
 @pytest.mark.slow
 def test_sweep8_peak_rss_is_bounded():
-    # the searches shared within one command are held until it ends; a
-    # child sweep's peak RSS was 49.7 MiB with them (38.1 MiB without), on
-    # Python 3.11.7 under Linux
+    # the searches, certificates, audit answers and levels shared within one
+    # command are held until it ends; a child sweep's peak RSS was 46.9 MiB
+    # with them all (40.0 MiB with the searches alone), on Python 3.11.7
+    # under Linux
     env = dict(os.environ, PYTHONPATH=SRC)
     probe = (
         "import resource, subprocess, sys\n"

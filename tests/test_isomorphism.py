@@ -638,42 +638,100 @@ def test_shared_searches_change_no_result(monkeypatch):
             assert [_symmetry(g) for g in graphs] == alone
             assert [enumerate_graphs(n) for n in range(1, 7)] == levels
         # each distinct labelled graph searched once, whoever asked first
-        assert len(searches) - 3 * len(graphs) == len(isomorphism._searches)
-    assert isomorphism._searches is None
+        assert len(searches) - 3 * len(graphs) == len(isomorphism._stores["searches"])
+    assert isomorphism._stores is None
+
+
+def _scope_closed():
+    return isomorphism._stores is None
 
 
 def test_shared_searches_end_with_the_command(monkeypatch, tmp_path, capsys):
     searches = counted_searches(monkeypatch)
     assert main(["certify", "--builtin", "petersen", "--builtin", "cycle:6"]) == 0
     assert searches and all(searches)  # the command ran inside a scope
-    assert isomorphism._searches is None
+    assert _scope_closed()
     bad = tmp_path / "bad.txt"
     bad.write_text("3; 0-1\n3; 0-3\n")  # the second line is malformed
     assert main(["certify", "--input", str(bad)]) == 1
-    assert isomorphism._searches is None
+    assert _scope_closed()
     # an internal failure propagates out of main, and the scope still closes
     monkeypatch.setattr("raagcert.cli.audit_certificate", lambda cert: ["forged"])
     with pytest.raises(RuntimeError):
         main(["certify", "--builtin", "cycle:5"])
-    assert isomorphism._searches is None
+    assert _scope_closed()
     with pytest.raises(KeyError):
         with shared_searches():
-            vertex_orbits(cycle_graph(5))
+            g = cycle_graph(5)
+            certify(g).to_dict()
+            enumerate_graphs(4)
+            # every store was filled before the scope ended
+            assert all(isomorphism._stores[name] for name in ("searches", "levels",
+                                                              "certificates"))
             raise KeyError
-    assert isomorphism._searches is None
+    assert _scope_closed()
     capsys.readouterr()
 
 
 def test_nested_shared_searches_share_one_dict():
     g = petersen_graph()
     with shared_searches():
-        outer = isomorphism._searches
+        outer = isomorphism._stores
         with shared_searches():
-            assert isomorphism._searches is outer
+            assert isomorphism._stores is outer
             vertex_orbits(g)
         # the inner scope's search outlives it, inside the outer scope
-        assert isomorphism._searches is outer and g.rows in outer
-    assert isomorphism._searches is None
+        assert isomorphism._stores is outer and g.rows in outer["searches"]
+    assert isomorphism._stores is None
+
+
+def test_enumeration_resumes_from_the_stored_levels(monkeypatch):
+    # in any order of calls within one scope, each level is built once and
+    # every call returns what it returns outside a scope
+    alone = {n: enumerate_graphs(n) for n in (3, 5, 7)}
+    built = []
+    augmented_level = isomorphism._augmented_level
+
+    def counted(level, m):
+        built.append(m)
+        return augmented_level(level, m)
+
+    monkeypatch.setattr(isomorphism, "_augmented_level", counted)
+    with shared_searches():
+        for n in (7, 3, 5, 7):
+            assert enumerate_graphs(n) == alone[n], n
+        levels = isomorphism._stores["levels"]
+        # a caller's list is its own: changing it leaves the stored level
+        enumerate_graphs(5).clear()
+        assert enumerate_graphs(5) == alone[5]
+    assert built == [2, 3, 4, 5, 6, 7]
+    assert sorted(levels) == list(range(1, 8))
+    assert enumerate_graphs(3) == alone[3] and built[6:] == [2, 3]
+
+
+def test_orbit_roots_match_the_orbits():
+    # the least point of each orbit, against orbits grown point by point
+    rng = random.Random(40)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        generators = []
+        for _ in range(rng.randint(0, 3)):
+            perm = list(range(n))
+            for _ in range(rng.randint(0, 2)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                perm[i], perm[j] = perm[j], perm[i]
+            generators.append(tuple(perm))
+        orbit_of = {}
+        for v in range(n):
+            orbit, frontier = {v}, [v]
+            while frontier:
+                x = frontier.pop()
+                for a in generators:
+                    if a[x] not in orbit:
+                        orbit.add(a[x])
+                        frontier.append(a[x])
+            orbit_of[v] = min(orbit)
+        assert isomorphism._orbit_roots(n, generators) == [orbit_of[v] for v in range(n)]
 
 
 def test_stored_searches_are_tuples():
@@ -682,7 +740,7 @@ def test_stored_searches_are_tuples():
         for g in classes(5):
             automorphisms(g)
             canonical_form(g)
-        stored = isomorphism._searches
+        stored = isomorphism._stores["searches"]
         assert stored
         for rows, (order, generators, columns) in stored.items():
             assert type(rows) is type(order) is type(generators) is type(columns) is tuple
