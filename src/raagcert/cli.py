@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from contextlib import nullcontext
-from multiprocessing import Pool
 from typing import NoReturn, Optional, Sequence, TextIO
 
 from .certify import UNDECIDED, audit_certificate, certify, simplify
@@ -129,18 +127,9 @@ def _certify_one(g: Graph) -> dict:
     return cert
 
 
-def _map_jobs(jobs: int, func, items: Sequence):
-    if jobs > 1 and len(items) > 1:
-        jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with Pool(jobs) as pool:
-        return pool.map(func, items)
-
-
 def cmd_certify(args: argparse.Namespace, out: TextIO) -> int:
     graphs = read_graphs(args)
-    certs = _map_jobs(args.jobs, _certify_one, [g for _, g in graphs])
+    certs = [_certify_one(g) for _, g in graphs]
     status = 0
     for (name, _), cert in zip(graphs, certs):
         if cert["verdict"] == UNDECIDED:
@@ -161,7 +150,7 @@ def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
         graphs = enumerate_graphs(n)
         keys = [to_graph6(g) for g in graphs]
         if args.certify:
-            certs = _map_jobs(args.jobs, _certify_one, graphs)
+            certs = [_certify_one(g) for g in graphs]
         else:
             certs = [None] * len(keys)
         for key, cert in zip(keys, certs):
@@ -276,9 +265,29 @@ def _add_io_arguments(sub: argparse.ArgumentParser, with_inputs: bool = True) ->
 
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, as on malformed input: 2 means UNDECIDED.
-    Subcommand parsers are made of the same class."""
+    Subcommand parsers are made of the same class.
+
+    argparse repeats a bad token whole, bare or as its repr, so ``error``
+    quotes each long token of the command line through ``_quoted``, as the
+    input errors do.  A message that would still not fit in 300 bytes with
+    the usage line, such as one naming the value after an ``=`` or many
+    unrecognized arguments, is quoted whole the same way."""
+
+    _tokens: Sequence[str] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> NoReturn:
+        for token in sorted(self._tokens, key=len, reverse=True):
+            quoted = _quoted(token)
+            if quoted != repr(token):
+                message = message.replace(repr(token), quoted).replace(token, quoted)
+        # 250 characters and the "prog: error: " prefix stay under 300 bytes;
+        # ascii() spells a character in at least as many bytes as stderr does
+        if len(self.format_usage()) + len(ascii(message)) > 250:
+            message = _quoted(message)
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -292,13 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("certify", help="emit one certificate per input graph")
     _add_io_arguments(sub)
-    sub.add_argument("--jobs", type=_integer_option, default=1, help="parallel workers")
 
     sub = commands.add_parser("enumerate", help="sweep isomorphism classes up to --max-n")
     sub.add_argument("--max-n", type=_integer_option, required=True)
     sub.add_argument("--certify", action="store_true", help="certify every class")
     _add_io_arguments(sub, with_inputs=False)
-    sub.add_argument("--jobs", type=_integer_option, default=1, help="parallel workers")
 
     sub = commands.add_parser("lyndon", help="list Lyndon traces of a given length")
     sub.add_argument("--length", type=_integer_option, required=True)
@@ -329,8 +336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = sys.stdout
     opened: Optional[TextIO] = None
     try:
-        if "jobs" in args and args.jobs < 1:
-            raise InputError("--jobs must be at least 1")
         if args.out:
             opened = open(args.out, "w", encoding="ascii")
             out = opened

@@ -291,7 +291,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if type(u) is not int or type(v) is not int:
             raise InputError(f"edge ({u!r}, {v!r}) needs exact integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u}, {v}) out of range")
+            raise InputError(f"edge {_quoted(f'{u}-{v}')} out of range")
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v

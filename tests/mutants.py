@@ -580,6 +580,39 @@ MUTANTS = (
         return repr(text)""",
         tests=("test_cli.py::test_errors_quote_a_bounded_prefix_of_a_long_input",),
     ),
+    # -- usage errors and the edge range error quote a bounded prefix too --
+    Mutant(
+        name="usage-error-repeats-the-whole-token",
+        file="cli.py",
+        old="""        for token in sorted(self._tokens, key=len, reverse=True):
+            quoted = _quoted(token)
+            if quoted != repr(token):
+                message = message.replace(repr(token), quoted).replace(token, quoted)
+        # 250 characters and the "prog: error: " prefix stay under 300 bytes;
+        # ascii() spells a character in at least as many bytes as stderr does
+        if len(self.format_usage()) + len(ascii(message)) > 250:
+            message = _quoted(message)
+""",
+        new="",
+        tests=("test_cli.py::test_errors_quote_a_bounded_prefix_of_a_long_input",
+               "test_cli_fuzz.py::test_cli_grammar_fuzz"),
+    ),
+    Mutant(
+        name="usage-error-keeps-a-long-message",
+        file="cli.py",
+        old="""            message = _quoted(message)""",
+        new="""            pass""",
+        tests=("test_cli.py::test_errors_quote_a_bounded_prefix_of_a_long_input",
+               "test_cli_fuzz.py::test_cli_grammar_fuzz"),
+    ),
+    Mutant(
+        name="edge-range-error-repeats-the-endpoints",
+        file="graphs.py",
+        old="""            raise InputError(f"edge {_quoted(f'{u}-{v}')} out of range")""",
+        new="""            raise InputError(f"edge ({u}, {v}) out of range")""",
+        tests=("test_cli.py::test_errors_quote_a_bounded_prefix_of_a_long_input",
+               "test_cli_fuzz.py::test_cli_grammar_fuzz"),
+    ),
     # -- the stores of a shared_searches() scope --
     Mutant(
         name="audit-memo-key-drops-child-verdicts",

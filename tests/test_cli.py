@@ -130,15 +130,28 @@ def test_a_numeral_past_the_digit_limit_exits_one(tmp_path, capsys):
 
 
 def test_errors_quote_a_bounded_prefix_of_a_long_input(monkeypatch, capsys):
-    # a builtin argument, two integer options and an edge endpoint on stdin,
-    # each thousands of characters long, exit 1 with a short message that
-    # names the text's length or its digit count
-    nines = "9" * 5000
+    # a builtin argument, two integer options, edge endpoints on stdin and
+    # argparse's own usage errors, each thousands of characters long, exit 1
+    # with a short message that names the text's length or its digit count
+    nines, long = "9" * 5000, "x" * 3000
     cases = ((("certify", "--builtin", f"cycle:{nines}x"), None, "(5001 characters)"),
              (("enumerate", "--max-n", nines), None, "of 5000 digits is too long"),
-             (("certify", "--builtin", "cycle:5", "--jobs", "1_" * 2000), None,
+             (("ranks", "--builtin", "cycle:5", "--upto", "1_" * 2000), None,
               "(4000 characters)"),
-             (("certify", "--input", "-"), "3; 0-" + "x" * 3000 + "\n", "(3000 characters)"))
+             (("certify", "--input", "-"), "3; 0-" + "x" * 3000 + "\n", "(3000 characters)"),
+             # a decimal endpoint, under the digit limit but out of range
+             (("certify", "--input", "-"), "3; 0-" + "9" * 4000 + "\n", "(4002 characters)"),
+             # an unknown option, a stray argument, a bad choice, an unknown
+             # subcommand and an old --jobs, each echoed by argparse
+             (("certify", "--bogus", long), None, "--bogus '" + "x" * 20 + "'..."),
+             (("certify", long), None, "(3000 characters)"),
+             (("certify", "--builtin", "cycle:5", "--format", long), None, "(3000 characters)"),
+             ((long,), None, "(3000 characters)"),
+             (("enumerate", "--max-n", "3", "--jobs", long), None, "--jobs '"),
+             # a value after "=" is not a token of its own, so the message is
+             # quoted whole
+             (("certify", "--builtin", "cycle:5", "--format=" + long), None,
+              "'argument --format: i'"))
     for argv, stdin, needle in cases:
         if stdin is not None:
             monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -243,26 +256,6 @@ def test_enumerate_without_certify(capsys):
     assert len(out.strip().splitlines()) == 1 + 2 + 4 + 1  # classes plus summary
     code, _, err = run_cli(capsys, "enumerate", "--max-n", "9")
     assert code == 1 and "--max-n" in err
-
-
-def test_enumerate_jobs_deterministic(capsys):
-    # forked workers inherit a snapshot of the command's stored searches
-    code, seq, _ = run_cli(capsys, "enumerate", "--max-n", "6", "--certify")
-    assert code == 0
-    code, par, _ = run_cli(capsys, "enumerate", "--max-n", "6", "--certify", "--jobs", "2")
-    assert code == 0
-    assert seq == par
-
-
-def test_certify_jobs_deterministic(capsys):
-    argv = ["certify", "--builtin", "petersen", "--builtin", "cycle:7",
-            "--builtin", "complete_multipartite:2,2,3", "--builtin", "edgeless:4",
-            "--builtin", "complete:5", "--builtin", "cycle:5"]
-    code, seq, _ = run_cli(capsys, *argv)
-    assert code == 0
-    code, par, _ = run_cli(capsys, *argv, "--jobs", "2")
-    assert code == 0
-    assert seq == par
 
 
 def test_lyndon_and_ranks(capsys):
@@ -457,66 +450,26 @@ def test_unreadable_paths_are_reported_without_a_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and str(target) in err
 
 
-class _RecordingPool:
-    """Stands in for ``multiprocessing.Pool``: records its size, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, items):
-        return [func(item) for item in items]
-
-
-def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr("raagcert.cli.Pool", _RecordingPool)
-    monkeypatch.setattr("raagcert.cli.os.cpu_count", lambda: 3)
-    argv = ["certify", "--builtin", "cycle:5", "--builtin", "petersen"]
-    code, seq, _ = run_cli(capsys, *argv)
-    assert code == 0 and _RecordingPool.sizes == []
-    code, par, _ = run_cli(capsys, *argv, "--jobs", "1000")
-    assert code == 0 and par == seq
-    assert _RecordingPool.sizes == [3]
-    monkeypatch.setattr("raagcert.cli.os.cpu_count", lambda: None)
-    code, par, _ = run_cli(capsys, *argv, "--jobs", "8")
-    assert code == 0 and par == seq
-    assert _RecordingPool.sizes == [3]  # an unknown core count runs in-process
-
-
-def test_jobs_below_one_rejected(monkeypatch, capsys):
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr("raagcert.cli.Pool", _RecordingPool)
-    for argv in (("certify", "--builtin", "cycle:5"), ("enumerate", "--max-n", "3")):
-        for jobs in ("0", "-2"):
-            code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
-            assert code == 1 and out == "" and "--jobs" in err
-    assert _RecordingPool.sizes == []
-
-
 def test_jobs_only_where_read(capsys):
-    # ranks, lyndon, autcheck and simplify run in-process and take no --jobs
-    for argv in (("ranks", "--upto", "2"), ("lyndon", "--length", "2"),
-                 ("autcheck",), ("simplify",)):
+    # every subcommand runs in-process, so none takes --jobs: an old --jobs N
+    # is an unrecognized argument, a usage error
+    for argv in (("certify", "--builtin", "cycle:5"), ("enumerate", "--max-n", "3"),
+                 ("ranks", "--upto", "2", "--builtin", "cycle:5"),
+                 ("lyndon", "--length", "2", "--builtin", "cycle:5"),
+                 ("autcheck", "--builtin", "cycle:5"), ("simplify", "--builtin", "cycle:5")):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--builtin", "cycle:5", "--jobs", "2"])
+            main([*argv, "--jobs", "2"])
         assert exc.value.code == 1
-        assert "--jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--jobs" in err and len(err.encode()) < 300, err
 
 
 def test_usage_errors_exit_one(capsys):
     # exit status 2 is kept for UNDECIDED verdicts
-    for argv, needle in ((("certify", "--builtin", "cycle:5", "--jobs", "x"), "--jobs"),
+    for argv, needle in ((("ranks", "--builtin", "cycle:5", "--upto", "x"), "--upto"),
                          (("enumerate",), "--max-n"),
                          # the integer options read ASCII decimal digits only
-                         (("certify", "--builtin", "cycle:5", "--jobs", "1_0"), "--jobs"),
+                         (("enumerate", "--max-n", "1_0"), "--max-n"),
                          (("enumerate", "--max-n", "+3"), "--max-n"),
                          (("lyndon", "--length", "\u0663", "--builtin", "cycle:5"), "--length"),
                          (("ranks", "--upto", "2.0", "--builtin", "cycle:5"), "--upto"),
@@ -563,7 +516,7 @@ def test_calls_sharing_one_parser_match_fresh_calls(monkeypatch, capsys):
     sequence = [
         ("certify", "--builtin", "cycle:5"),
         ("certify", "--builtin", "petersen"),  # the appended list starts empty again
-        ("certify", "--builtin", "cycle:5", "--jobs", "x"),
+        ("ranks", "--builtin", "cycle:5", "--upto", "x"),
         ("certify", "--builtin", "complete:3", "--format", "text"),
         ("wheel",),
         ("enumerate", "--max-n", "3", "--format", "text"),
