@@ -10,6 +10,14 @@ carries a ``schema`` version field.  Exit status: 0 for a clean run, 2 when
 any verdict is UNDECIDED (or a witness scan reports a failure), 1 for
 malformed input, a command-line usage error or an internal failure.
 
+Every input line is parsed before any work, so malformed input writes
+nothing.  ``certify`` and ``enumerate`` then certify, audit and write one
+graph before they start the next, and ``autcheck --max-n`` scans one class
+at a time, building each level only when it reaches it.  So a reader that
+closes the pipe stops the run at the next record, and an internal failure
+(the auditor rejecting a certificate of this program's own) comes after the
+records before it are written.
+
 ``main`` builds its argument parser on its first call and keeps it for the
 rest of the process, so a caller that runs many commands in one process
 (a test, a benchmark) builds it once, as a CLI process does.  It dispatches
@@ -128,10 +136,9 @@ def _certify_one(g: Graph) -> dict:
 
 
 def cmd_certify(args: argparse.Namespace, out: TextIO) -> int:
-    graphs = read_graphs(args)
-    certs = [_certify_one(g) for _, g in graphs]
     status = 0
-    for (name, _), cert in zip(graphs, certs):
+    for name, g in read_graphs(args):
+        cert = _certify_one(g)
         if cert["verdict"] == UNDECIDED:
             status = 2
         payload = {"schema": SCHEMA, "input": name, "certificate": cert}
@@ -147,18 +154,14 @@ def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     tally: dict[str, int] = {}
     total = 0
     for n in range(1, args.max_n + 1):
-        graphs = enumerate_graphs(n)
-        keys = [to_graph6(g) for g in graphs]
-        if args.certify:
-            certs = [_certify_one(g) for g in graphs]
-        else:
-            certs = [None] * len(keys)
-        for key, cert in zip(keys, certs):
+        for g in enumerate_graphs(n):
+            key = to_graph6(g)
             total += 1
-            if cert is None:
+            if not args.certify:
                 _emit(out, {"schema": SCHEMA, "n": n, "graph6": key},
                       args.format == "json", key)
                 continue
+            cert = _certify_one(g)
             tally[cert["verdict"]] = tally.get(cert["verdict"], 0) + 1
             if cert["verdict"] == UNDECIDED:
                 status = 2
@@ -205,12 +208,12 @@ def cmd_autcheck(args: argparse.Namespace, out: TextIO) -> int:
         if not 1 <= args.max_n <= SIGNED_AUT_MAX_N:
             raise InputError(
                 f"--max-n must be between 1 and {SIGNED_AUT_MAX_N} for witness scans")
-        graphs = [
+        graphs = (
             (to_graph6(g), g)
             for n in range(1, args.max_n + 1)
             for g in enumerate_graphs(n)
             if not g.is_complete()
-        ]
+        )
     else:
         graphs = read_graphs(args)
     status = 0

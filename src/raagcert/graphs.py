@@ -291,7 +291,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if type(u) is not int or type(v) is not int:
             raise InputError(f"edge ({u!r}, {v!r}) needs exact integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge {_quoted(f'{u}-{v}')} out of range")
+            raise InputError(f"edge {_quoted(f'{_numeral(u)}-{_numeral(v)}')} out of range")
         if u == v:
             raise InputError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
@@ -571,6 +571,15 @@ def _quoted(text: str) -> str:
     if len(text) <= 20:
         return repr(text)
     return f"{text[:20]!r}... ({len(text)} characters)"
+
+
+def _numeral(x: int) -> str:
+    """``str(x)``, or for an integer past Python's digit limit, where ``str``
+    raises ``ValueError``, its bit length in angle brackets."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()} bits>"
 
 
 def decimal(text: str) -> int:

@@ -608,10 +608,72 @@ MUTANTS = (
     Mutant(
         name="edge-range-error-repeats-the-endpoints",
         file="graphs.py",
-        old="""            raise InputError(f"edge {_quoted(f'{u}-{v}')} out of range")""",
+        old="""            raise InputError(f"edge {_quoted(f'{_numeral(u)}-{_numeral(v)}')} out of range")""",
         new="""            raise InputError(f"edge ({u}, {v}) out of range")""",
         tests=("test_cli.py::test_errors_quote_a_bounded_prefix_of_a_long_input",
                "test_cli_fuzz.py::test_cli_grammar_fuzz"),
+    ),
+    Mutant(
+        name="edge-range-error-formats-an-endpoint-past-the-digit-limit",
+        file="graphs.py",
+        old="""        return f"<{x.bit_length()} bits>\"""",
+        new="""        raise""",
+        tests=("test_cli.py::test_errors_quote_a_bounded_prefix_of_a_long_input",),
+    ),
+    # -- one graph certified, audited and written before the next --
+    Mutant(
+        name="enumerate-certifies-a-whole-level-first",
+        file="cli.py",
+        old="""        for g in enumerate_graphs(n):
+            key = to_graph6(g)
+            total += 1
+            if not args.certify:
+                _emit(out, {"schema": SCHEMA, "n": n, "graph6": key},
+                      args.format == "json", key)
+                continue
+            cert = _certify_one(g)
+""",
+        new="""        graphs = enumerate_graphs(n)
+        certs = [_certify_one(g) for g in graphs] if args.certify else []
+        for i, g in enumerate(graphs):
+            key = to_graph6(g)
+            total += 1
+            if not args.certify:
+                _emit(out, {"schema": SCHEMA, "n": n, "graph6": key},
+                      args.format == "json", key)
+                continue
+            cert = certs[i]
+""",
+        tests=("test_cli.py::test_a_closed_pipe_stops_the_run_at_the_next_record",),
+    ),
+    Mutant(
+        name="certify-certifies-every-input-first",
+        file="cli.py",
+        old="""    for name, g in read_graphs(args):
+        cert = _certify_one(g)
+""",
+        new="""    for name, cert in [(name, _certify_one(g)) for name, g in read_graphs(args)]:
+""",
+        tests=("test_cli.py::test_a_closed_pipe_stops_the_run_at_the_next_record",),
+    ),
+    Mutant(
+        name="autcheck-lists-every-class-first",
+        file="cli.py",
+        old="""        graphs = (
+            (to_graph6(g), g)
+            for n in range(1, args.max_n + 1)
+            for g in enumerate_graphs(n)
+            if not g.is_complete()
+        )
+""",
+        new="""        graphs = [
+            (to_graph6(g), g)
+            for n in range(1, args.max_n + 1)
+            for g in enumerate_graphs(n)
+            if not g.is_complete()
+        ]
+""",
+        tests=("test_cli.py::test_a_closed_pipe_stops_the_run_at_the_next_record",),
     ),
     # -- the stores of a shared_searches() scope --
     Mutant(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from raagcert import InputError, from_graph6, to_graph6, cycle_graph, graphs
+from raagcert import InputError, from_graph6, to_graph6, cycle_graph, graphs, isomorphism
 from raagcert import cli
 from raagcert.cli import build_parser, main, parse_builtin
 from raagcert.lyndon import enumerate_lyndon
@@ -31,6 +31,19 @@ def run_cli(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def counted_calls(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name`` from now on, one entry per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_parse_builtin():
@@ -162,6 +175,12 @@ def test_errors_quote_a_bounded_prefix_of_a_long_input(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert code == 1 and out == "", argv
         assert len(err.encode()) < 300 and needle in err, err[:400]
+    # decimal refuses a numeral past Python's digit limit, but a library
+    # caller can pass such an endpoint, which str() would refuse to format
+    for edge in ((0, 10 ** 5000), (-10 ** 5000, 1)):
+        with pytest.raises(InputError, match="16610 bits>") as caught:
+            graphs.from_edges(3, [edge])
+        assert len(str(caught.value).encode()) < 300
 
 
 def test_a_non_ascii_byte_names_its_line_in_a_file_and_on_stdin(tmp_path, monkeypatch, capsys):
@@ -216,6 +235,13 @@ def test_sweep_output_is_pinned(monkeypatch, capsys):
     # the exact stdout the sweep7 benchmark workload checks, with the
     # representatives that canonical augmentation keeps
     searches = counted_searches(monkeypatch)
+    # the module, not the function the package binds under its name
+    certify_module = sys.modules["raagcert.certify"]
+    certifies = counted_calls(monkeypatch, certify_module, "certify")
+    monkeypatch.setattr(cli, "certify", certify_module.certify)
+    derived = counted_calls(monkeypatch, certify_module, "Certificate")
+    rederived = counted_calls(monkeypatch, certify_module, "_rule_problem")
+    extensions = counted_calls(monkeypatch, isomorphism, "_extension")
     code, out, _ = run_cli(capsys, "enumerate", "--max-n", "7", "--certify")
     assert code == 0
     assert json_lines(out)[-1]["summary"] == {
@@ -228,14 +254,49 @@ def test_sweep_output_is_pinned(monkeypatch, capsys):
     # refinement leaves it undecided; the enumeration also searches the 55
     # extensions it drops after their search (test_isomorphism.py)
     assert len(searches) == 1497
+    # the other work of the command's stores: 1,252 root calls of certify and
+    # 1,054 of children, a certificate derived once per labelled graph, one
+    # audit re-derivation per distinct node, and the extensions that
+    # canonical augmentation builds
+    assert (len(certifies), len(derived), len(rederived), len(extensions)) == (
+        2306, 1279, 1252, 1639)
+
+
+def test_a_closed_pipe_stops_the_run_at_the_next_record(monkeypatch):
+    # each graph is certified, audited and written before the next one is
+    # certified, so a reader gone after 19 records costs 20 certificates,
+    # not the 52 of every level up to the 20th record's (1 + 2 + 4 + 11 + 34);
+    # autcheck --max-n builds no level past the record that fails
+    class ClosingStdout(io.StringIO):
+        def __init__(self, closes_at):
+            super().__init__()
+            self.closes_at, self.writes = closes_at, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == self.closes_at:
+                raise BrokenPipeError
+            return super().write(text)
+
+    certified = counted_calls(monkeypatch, cli, "_certify_one")
+    levels = counted_calls(monkeypatch, cli, "enumerate_graphs")
+    cycles = [arg for n in (5, 6, 7) for arg in ("--builtin", f"cycle:{n}")]
+    for argv, closes_at, counts in ((("enumerate", "--max-n", "7", "--certify"), 20, (20, 5)),
+                                    (("certify", *cycles), 2, (2, 0)),
+                                    (("autcheck", "--max-n", "6"), 1, (0, 2))):
+        monkeypatch.setattr(sys, "stdout", ClosingStdout(closes_at))
+        del certified[:], levels[:]
+        assert main(list(argv)) == 1, argv
+        assert (sys.stdout.writes, len(certified), len(levels)) == (closes_at, *counts), argv
 
 
 @pytest.mark.slow
 def test_sweep8_peak_rss_is_bounded():
     # the searches, certificates, audit answers and levels shared within one
-    # command are held until it ends; a child sweep's peak RSS was 46.9 MiB
-    # with them all (40.0 MiB with the searches alone), on Python 3.11.7
-    # under Linux
+    # command are held until it ends, while each record is written once its
+    # certificate passes the audit; a child sweep's peak RSS was 36.3 MiB
+    # (46.1 MiB when each level's audited certificates were all held before
+    # its first line), on Python 3.11.7 under Linux
     env = dict(os.environ, PYTHONPATH=SRC)
     probe = (
         "import resource, subprocess, sys\n"
@@ -247,7 +308,7 @@ def test_sweep8_peak_rss_is_bounded():
     peak = int(subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                               capture_output=True, text=True).stdout)
     peak_mib = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    assert peak_mib < 75, peak_mib
+    assert peak_mib < 50, peak_mib
 
 
 def test_enumerate_without_certify(capsys):
