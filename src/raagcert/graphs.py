@@ -6,20 +6,23 @@ Every graph has at most 64 vertices, ``Graph(...)`` included, so a row fits in
 one machine word; the empty graph can only arise internally as a quotient
 result and is rejected by every parser and builder.
 
-``Graph(...)`` and ``from_edges`` validate their rows; the symmetry check
-compares the rows with their transpose.  Graphs derived from valid graphs
-(``induced``, ``Graph.relabel``, ``complement``, ``compose``) and graphs parsed
-by ``from_graph6`` after its input checks are valid by construction, so they
-skip the re-validation.  graph6 is handled as strings, never bit by bit: its
-body is base64 in another alphabet, and the upper triangle is one bit string
-whose columns are the rows' low bits.  ``induced`` compresses whole rows, one
-run of consecutive kept vertices at a time.
+``Graph(...)`` validates its rows; the symmetry check compares the rows with
+their transpose.  ``from_edges`` checks each edge it is given, and the rows it
+builds from them are then valid by construction, as are the graphs derived
+from valid graphs (``induced``, ``Graph.relabel``, ``complement``,
+``compose``), the named constructions and the graphs parsed by ``from_graph6``
+after its input checks, so they all skip the re-validation.  Graphs are built
+and relabelled in whole rows: a complete multipartite graph gives each block
+the complement of the block's mask, and ``Graph.relabel`` is one transpose
+between two row permutations.  graph6 is handled as strings, never bit by
+bit: its body is base64 in another alphabet, and the upper triangle is one
+bit string whose columns are the rows' low bits.  ``induced`` compresses whole
+rows, one run of consecutive kept vertices at a time.
 """
 
 from __future__ import annotations
 
 import binascii
-import itertools
 import re
 import sys
 from array import array
@@ -203,20 +206,25 @@ class Graph:
         return self.n <= 1 or self._reach(1) == (1 << self.n) - 1
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Graph whose vertex ``perm[v]`` plays the role of the old vertex ``v``."""
+        """Graph whose vertex ``perm[v]`` plays the role of the old vertex ``v``.
+
+        With P the permutation matrix, the new adjacency is P A P^T.  Moving
+        the rows gives P A; A being symmetric, its transpose is A P^T, the
+        old rows with their columns moved, and moving these rows gives
+        P A P^T.
+
+        >>> list(path_graph(3).relabel([1, 0, 2]).edges())
+        [(0, 1), (0, 2)]
+        """
         if any(type(v) is not int for v in perm):
             raise InputError("relabelling must hold exact integers")
         if sorted(perm) != list(range(self.n)):
             raise InputError("relabelling must be a permutation of the vertices")
         rows = [0] * self.n
-        for v in range(self.n):
-            row = self.rows[v]
-            new = 0
-            while row:
-                low = row & -row
-                new |= 1 << perm[low.bit_length() - 1]
-                row ^= low
-            rows[perm[v]] = new
+        for v, row in zip(perm, self.rows):
+            rows[v] = row
+        for v, col in zip(perm, _transpose(self.n, rows)):
+            rows[v] = col
         return _trusted_graph(self.n, tuple(rows))
 
     def __repr__(self) -> str:
@@ -296,7 +304,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise InputError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _trusted_graph(n, tuple(rows))
 
 
 # -- named constructions ----------------------------------------------------
@@ -304,7 +312,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     _check_vertex_count(n)
-    return from_edges(n, itertools.combinations(range(n), 2))
+    return complete_multipartite_graph([1] * n)
 
 
 def edgeless_graph(n: int) -> Graph:
@@ -331,13 +339,14 @@ def complete_multipartite_graph(parts: Sequence[int]) -> Graph:
         raise InputError("every block must have at least one vertex")
     n = sum(parts)
     _check_vertex_count(n)
-    edges = []
-    offsets = list(itertools.accumulate([0] + list(parts)))
-    for a, b in itertools.combinations(range(len(parts)), 2):
-        for u in range(offsets[a], offsets[a + 1]):
-            for v in range(offsets[b], offsets[b + 1]):
-                edges.append((u, v))
-    return from_edges(n, edges)
+    full = (1 << n) - 1
+    rows = []
+    start = 0
+    for p in parts:
+        # each vertex of a block is adjacent to every vertex outside it
+        rows += [full ^ ((1 << p) - 1) << start] * p
+        start += p
+    return _trusted_graph(n, tuple(rows))
 
 
 def petersen_graph() -> Graph:

@@ -6,14 +6,17 @@ operations, kept only as an oracle for it.
 ``induced`` re-indexes every neighbour through a dict,
 ``max_degree_vertices`` collects the top-degree vertices one by one, and
 ``is_connected`` grows the set reached from vertex 0 one adjacent pair at a
-time.  Each raises the same ``InputError`` messages, offsets included, as the
-code it checks.
+time, ``relabel`` moves each neighbour one set bit at a time, and
+``complete_multipartite_graph`` lists every edge between two blocks.  Each
+raises the same ``InputError`` messages, offsets included, as the code it
+checks, and builds its graph through the validating ``Graph(...)``.
 
 ``srg_parameters`` reads the strong-regularity parameters pair by pair; the
 tests use it to pick the strongly regular cases that the rules must settle.
 ``to_networkx`` hands a graph to networkx, the tests' independent oracle.
 """
 
+import itertools
 from typing import NamedTuple, Optional
 
 import networkx as nx
@@ -142,6 +145,37 @@ def is_connected(g: Graph) -> bool:
                 reached.add(w)
                 stack.append(w)
     return len(reached) == g.n
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Graph whose vertex ``perm[v]`` plays the role of the old vertex ``v``."""
+    if any(type(v) is not int for v in perm):
+        raise InputError("relabelling must hold exact integers")
+    if sorted(perm) != list(range(g.n)):
+        raise InputError("relabelling must be a permutation of the vertices")
+    rows = [0] * g.n
+    for v in range(g.n):
+        row = g.rows[v]
+        new = 0
+        while row:
+            low = row & -row
+            new |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        rows[perm[v]] = new
+    return Graph(g.n, tuple(rows))
+
+
+def complete_multipartite_graph(parts) -> Graph:
+    """Join of edgeless blocks, every edge between two blocks listed."""
+    offsets = list(itertools.accumulate([0] + list(parts)))
+    n = offsets[-1]
+    rows = [0] * n
+    for a, b in itertools.combinations(range(len(parts)), 2):
+        for u in range(offsets[a], offsets[a + 1]):
+            for v in range(offsets[b], offsets[b + 1]):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 class SrgParameters(NamedTuple):

@@ -119,6 +119,24 @@ MUTANTS = (
         new="""                seen = comp""",
         tests=("test_graphs.py::test_components_match_networkx",),
     ),
+    # -- graphs built and relabelled in whole rows, validated once --
+    Mutant(
+        name="relabel-moves-rows-not-columns",
+        file="graphs.py",
+        old="""        for v, col in zip(perm, _transpose(self.n, rows)):
+            rows[v] = col
+""",
+        new="",
+        tests=("test_graphs.py::test_relabel_matches_oracle",),
+    ),
+    Mutant(
+        name="from-edges-sets-one-row",
+        file="graphs.py",
+        old="""        rows[v] |= 1 << u
+""",
+        new="",
+        tests=("test_graphs.py::test_from_edges_matches_the_validating_constructor",),
+    ),
     Mutant(
         name="join-bail-inverted",
         file="certify.py",

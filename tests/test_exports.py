@@ -27,7 +27,8 @@ KEPT = {
 
 # public methods of exported classes that nothing in the package calls
 KEPT_METHODS = {
-    "Graph.relabel": "the benchmark's inputs relabel their seeded graphs with it",
+    "Graph.relabel": "relabels the benchmark's seeded graphs and the tests' labellings; "
+                     "certifying a canonical relabelling would call it in the package",
     "TraceClass.words": "reads the word cache that the benchmark clears and measures",
     "BracketTree.leaves": _BASIS,
 }

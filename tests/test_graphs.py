@@ -493,6 +493,83 @@ def test_induced_matches_oracle():
             assert induced(g, reversed(tuple(keep))) == expected
 
 
+def _seeded_graph(rng, n):
+    p = rng.uniform(0.1, 0.9)
+    return from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_relabel_matches_oracle():
+    # every size 1..64, so _transpose meets each array width and both sides
+    # of each change of width: 8/9, 16/17, 32/33 and 64
+    rng = random.Random(46)
+    pool = [_seeded_graph(rng, n) for n in range(1, 65) for _ in range(3)]
+    pool += [edgeless_graph(64), complete_graph(64), path_graph(64)] + _oracle_pool()
+    for g in pool:
+        perm = rng.sample(range(g.n), g.n)
+        relabelled = g.relabel(perm)
+        assert relabelled == graph_oracle.relabel(g, perm), (g, perm)
+        assert isinstance(relabelled.rows, tuple)
+
+
+def test_relabel_laws():
+    rng = random.Random(4646)
+    for n in (1, 2, 3, 8, 9, 16, 17, 32, 33, 63, 64):
+        g = _seeded_graph(rng, n)
+        p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+        inverse = [0] * n
+        for v, w in enumerate(p):
+            inverse[w] = v
+        assert g.relabel(list(range(n))) == g
+        assert g.relabel(p).relabel(q) == g.relabel([q[w] for w in p])
+        assert g.relabel(p).relabel(inverse) == g.relabel(inverse).relabel(p) == g
+        moved = {frozenset((p[u], p[v])) for u, v in g.edges()}
+        assert set(map(frozenset, g.relabel(p).edges())) == moved
+
+
+@pytest.mark.parametrize("perm", [
+    (0, 1, 2), (0, 1, 2, 3, 4), (), (0, 1, 1, 2), (0, 1, 2, 4), (-1, 0, 1, 2), (3, 2, 1, 0, 0),
+    (1.0, 0, 2, 3), (True, False, 2, 3), (0, 1, 2, "3"), (0, 1, 2, None),
+])
+def test_relabel_errors_match_oracle(perm):
+    g = cycle_graph(4)
+    expected = _error(lambda p: graph_oracle.relabel(g, p), perm)
+    assert expected in ("InputError: relabelling must hold exact integers",
+                        "InputError: relabelling must be a permutation of the vertices")
+    assert _error(g.relabel, perm) == expected
+
+
+def test_from_edges_matches_the_validating_constructor():
+    # from_edges checks each edge and skips Graph.__post_init__; its rows
+    # must be the ones the validating constructor accepts, whatever the
+    # order, direction and repetition of the edges
+    rng = random.Random(4647)
+    for n in list(range(1, 65)) + [63, 64, 64]:
+        edges = list(_seeded_graph(rng, n).edges())
+        drawn = edges + rng.sample(edges, len(edges) // 3) + rng.sample(edges, len(edges) // 4)
+        drawn = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in drawn]
+        rng.shuffle(drawn)
+        pairs = set(map(frozenset, drawn))
+        rows = [sum(1 << w for w in range(n) if frozenset((v, w)) in pairs) for v in range(n)]
+        g = from_edges(n, drawn)
+        assert g == Graph(n, rows) and Graph(n, g.rows) == g, (n, drawn)
+        assert isinstance(g.rows, tuple)
+
+
+def test_multipartite_rows_match_oracle():
+    rng = random.Random(4648)
+    cases = [[1] * n for n in (1, 2, 9, 17, 33, 64)] + [[64], [32, 32], [1, 63], [8] * 8]
+    for _ in range(40):
+        n = rng.randint(1, 64)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 10))))
+        cases.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+    for parts in cases:
+        g = complete_multipartite_graph(parts)
+        assert g == graph_oracle.complete_multipartite_graph(parts), parts
+        assert isinstance(g.rows, tuple)
+    for n in range(1, 65):
+        assert complete_graph(n) == from_edges(n, itertools.combinations(range(n), 2))
+
+
 def _wide_graph(rng, n):
     """A graph above the 64-vertex cap, which Graph(...) refuses too."""
     rows = [0] * n

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import functools
 import hashlib
 import itertools
 import math
@@ -279,24 +280,48 @@ def _partitions(n, most=None):
             yield (k, *rest)
 
 
-def _burnside_count(n: int) -> int:
-    """Graphs on n vertices up to isomorphism: by Burnside's lemma, the mean
-    over S_n of 2 ** (orbits of a permutation on vertex pairs), summed over
-    cycle types (Harary–Palmer, *Graphical Enumeration*, 1973)."""
-    total = Fraction(0)
+def _burnside_counts(n: int) -> list[int]:
+    """Graphs on n vertices up to isomorphism by edge count, the m-th entry
+    counting those with m edges.  By Pólya's theorem it is the mean over S_n
+    of the product, over the orbits of a permutation on vertex pairs, of
+    1 + x ** (orbit size), summed over cycle types (Harary–Palmer, *Graphical
+    Enumeration*, 1973); at x = 1 each product is Burnside's 2 ** (orbits)."""
+    total = [Fraction(0)] * (n * (n - 1) // 2 + 1)
     for cycles in _partitions(n):
-        orbits = (sum(k // 2 for k in cycles)
-                  + sum(math.gcd(a, b) for a, b in itertools.combinations(cycles, 2)))
+        # the pairs within a k-cycle make orbits of size k, and one of size
+        # k / 2 for even k; those across an a- and a b-cycle make gcd(a, b)
+        # orbits of size lcm(a, b)
+        sizes = [k for k in cycles for _ in range((k - 1) // 2)]
+        sizes += [k // 2 for k in cycles if k % 2 == 0]
+        sizes += [math.lcm(a, b) for a, b in itertools.combinations(cycles, 2)
+                  for _ in range(math.gcd(a, b))]
+        poly = [1]
+        for size in sizes:
+            padded = poly + [0] * size
+            poly = [c + (padded[m - size] if m >= size else 0) for m, c in enumerate(padded)]
         centralizer = math.prod(k**m * math.factorial(m)
                                 for k, m in collections.Counter(cycles).items())
-        total += Fraction(2**orbits, centralizer)
-    assert total.denominator == 1
-    return int(total)
+        for m, c in enumerate(poly):
+            total[m] += Fraction(c, centralizer)
+    assert all(count.denominator == 1 for count in total)
+    return [int(count) for count in total]
 
 
 def test_burnside_count_matches_oeis_a000088():
-    assert [_burnside_count(n) for n in range(1, 11)] == [
+    assert [sum(_burnside_counts(n)) for n in range(1, 11)] == [
         1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+
+
+def test_burnside_counts_match_oeis_a008406():
+    assert [_burnside_counts(n) for n in range(1, 8)] == [
+        [1],
+        [1, 1],
+        [1, 1, 1, 1],
+        [1, 1, 2, 3, 2, 1, 1],
+        [1, 1, 2, 4, 6, 6, 6, 4, 2, 1, 1],
+        [1, 1, 2, 5, 9, 15, 21, 24, 24, 21, 15, 9, 5, 2, 1, 1],
+        [1, 1, 2, 5, 10, 21, 41, 65, 97, 131, 148, 148, 131, 97, 65, 41, 21, 10, 5, 2, 1, 1],
+    ]
 
 
 # networkx warns that its hash values changed in 3.5; only bucket equality is used
@@ -307,7 +332,7 @@ def test_enumeration_is_complete_by_counting(n):
     networkx (Weisfeiler–Lehman hash buckets, then a full check within each),
     so the enumeration misses no class, independently of raagcert's search."""
     found = classes(n)
-    assert len(found) == _burnside_count(n)
+    assert len(found) == sum(_burnside_counts(n))
     buckets = {}
     for g in found:
         h = graph_oracle.to_networkx(g)
@@ -317,14 +342,31 @@ def test_enumeration_is_complete_by_counting(n):
             assert not nx.is_isomorphic(a, b)
 
 
-def test_enumeration_matches_atlas_totals(graph_classes):
+@functools.lru_cache(maxsize=None)
+def _atlas_counts() -> collections.Counter:
+    """The graphs of networkx's atlas (every graph on at most 7 vertices,
+    up to isomorphism) counted by (vertices, edges)."""
     from networkx.generators.atlas import graph_atlas_g
 
-    atlas_counts = {}
-    for g in graph_atlas_g():
-        atlas_counts[g.number_of_nodes()] = atlas_counts.get(g.number_of_nodes(), 0) + 1
+    return collections.Counter((g.number_of_nodes(), g.number_of_edges())
+                               for g in graph_atlas_g())
+
+
+def test_enumeration_matches_atlas_totals(graph_classes):
     for n in range(1, 8):
-        assert len(graph_classes(n)) == atlas_counts[n]
+        atlas = sum(count for (nodes, _), count in _atlas_counts().items() if nodes == n)
+        assert len(graph_classes(n)) == atlas
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_enumeration_edge_counts_match_polya(n):
+    """Each level's classes by edge count: a merge at one edge count and a
+    split at another cancel in the total, but not here."""
+    found = collections.Counter(g.edge_count for g in classes(n))
+    histogram = [found[m] for m in range(n * (n - 1) // 2 + 1)]
+    assert histogram == _burnside_counts(n)
+    if n <= 7:
+        assert histogram == [_atlas_counts()[n, m] for m in range(len(histogram))]
 
 
 def test_complement_preserves_automorphism_count():
@@ -489,6 +531,17 @@ def test_isolated_vertices_come_first_in_ascending_order():
 def test_isolated_vertices_come_first_on_eight_vertex_classes():
     for g in classes(8):
         _assert_isolated_vertices_come_first(g)
+
+
+@pytest.mark.slow
+def test_canonical_form_survives_relabelling_on_eight_vertex_classes():
+    # two seeded relabellings of each 8-vertex class; below 8 vertices the
+    # tests relabel every class once or more
+    rng = random.Random(8)
+    for g in classes(8):
+        key = canonical_form(g)
+        for _ in range(2):
+            assert canonical_form(g.relabel(rng.sample(range(8), 8))) == key, g
 
 
 def test_search_with_isolated_vertices_lifts_the_search_without_them():
