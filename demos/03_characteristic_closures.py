@@ -10,9 +10,10 @@ domination closure of a vertex through the graph's automorphism group.
 from raagcert import (
     characteristic_closures,
     cycle_graph,
+    from_edges,
+    induced,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
-    mba_characteristic_sets,
     path_graph,
     petersen_graph,
     transvection_free_vertices,
@@ -37,7 +38,11 @@ print("max-degree set characteristic?",
 print("single end vertex characteristic?",
       is_characteristic_vertex_set(p3, VertexSet.of([0], 3)))
 
-# For non-regular graphs, two more characteristic sets built from links.
-sets = mba_characteristic_sets(p3)
-print("vertices adjacent to every low-degree vertex:", list(sets.link_intersection))
-print("max-degree vertices adjacent to some low-degree vertex:", list(sets.max_degree_linked))
+# CHAR_QUOTIENT deletes such sets.  In this max-by-abelian graph the lone
+# vertex of non-maximal degree is 0; the least characteristic set holding its
+# link is the link itself, and deleting it cuts vertex 0 off.
+fig = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3), (2, 4)])
+link = VertexSet(fig.rows[0], fig.n)
+print("link of the low-degree vertex:", list(link),
+      "characteristic?", is_characteristic_vertex_set(fig, link))
+print("quotient connected?", induced(fig, link.complement()).is_connected())

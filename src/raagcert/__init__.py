@@ -20,11 +20,9 @@ from .certify import (
     simplify,
 )
 from .closures import (
-    MbaCharacteristicSets,
     characteristic_closures,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
-    mba_characteristic_sets,
     transvection_free_vertices,
 )
 from .errors import InputError, ResourceError

@@ -14,12 +14,13 @@ proves, and the reductions it allows on a graph.  ``certify`` searches the
 table and ``audit_certificate`` checks a serialized tree against the same
 table, re-deriving every node from its graph6 string alone.  The auditor fails
 closed: a node it cannot re-derive within the search budgets is a problem, and
-so are malformed JSON values, which it reports instead of raising.  In
-particular ``CHAR_CLOSURE_GENERIC`` needs the vertex orbits, so ``certify``
-never emits it above ``CANONICAL_MAX_N`` (10) vertices and the auditor rejects
-it there.  The auditor re-tests every deleted vertex set as characteristic, at
-every size; above 10 vertices a set that colour refinement leaves undecided
-fails closed the same way.
+so are malformed JSON values, which it reports instead of raising.  Every
+quotient deletes a vertex set, so the auditor re-tests each one as
+characteristic, at every size; above 10 vertices a set that colour
+refinement leaves undecided fails closed the same way.  ``CHAR_QUOTIENT``
+tries characteristic closures, which need the vertex orbits, last and only
+up to ``CANONICAL_MAX_N`` (10) vertices, so none of its nodes above that
+needs an orbit search to audit.
 
 Within a ``shared_searches()`` scope, which the CLI opens around each
 command, both halves do each piece of work once.  A certificate is a
@@ -38,24 +39,24 @@ afresh.  Outside a scope nothing is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .closures import (
+    _cell_of,
+    _closure,
+    _refined_partitions,
     characteristic_closures,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
-    mba_characteristic_sets,
-    transvection_free_vertices,
 )
 from .errors import InputError, ResourceError
 from .graphs import (
     Graph,
     VertexSet,
-    _trusted_graph,
     complement,
     from_graph6,
     induced,
-    mba_parameters,
     to_graph6,
 )
 from .isomorphism import CANONICAL_MAX_N, _store, canonical_form
@@ -186,87 +187,38 @@ def _join_factor(g: Graph) -> Iterator[Reduction]:
         )
 
 
-def _simplification(g: Graph) -> Iterator[Reduction]:
+def _characteristic_sets(g: Graph) -> Iterator[int]:
+    """The masks that CHAR_QUOTIENT deletes, in order: the maximal-degree
+    vertices; for each cell C of the degree partition and of the partition
+    after one refinement round, the separator T = cl(N(C) - C) on the latter
+    partition when T misses C, so that the quotient cuts C off; then each
+    vertex's characteristic closure, whose orbit search raises
+    ``ResourceError`` above ``CANONICAL_MAX_N`` vertices and so ends the rule
+    there.  Each is characteristic at every size (see the closures module)."""
     if not g.is_regular():
-        yield from _deletion(
-            g, g.max_degree_vertices(),
-            "deleting all maximal-degree vertices is a characteristic quotient onto a "
-            "smaller defining graph",
-        )
+        yield g.max_degree_vertices().mask
+    partitions = list(islice(_refined_partitions(g), 2))
+    cell_of = _cell_of(g.n, partitions[-1])
+    for cell in dict.fromkeys(cell for cells in partitions for cell in cells):
+        outside = 0
+        for v in VertexSet(cell, g.n):
+            outside |= g.rows[v]
+        separator = _closure(g, cell_of, outside & ~cell, avoid=cell)
+        if not separator & cell:
+            yield separator
+    for closure in characteristic_closures(g):
+        yield closure.mask
 
 
-def _mba_links(g: Graph, low: int) -> Optional[list[int]]:
-    """Links of the vertices of non-maximal degree of a max-by-abelian graph
-    with exactly ``low`` of them, else None; counting them first keeps
-    ``mba_parameters`` to the rules whose count matches."""
-    nonmax = g.max_degree_vertices().complement()
-    if len(nonmax) != low or mba_parameters(g) is None:
-        return None
-    return [g.rows[v] for v in nonmax]
-
-
-def _links_partition(g: Graph, lk1: int, lk2: int) -> bool:
-    return lk1 ^ lk2 == (1 << g.n) - 1
-
-
-def _add_cross_edges(g: Graph, side1: int, side2: int) -> Graph:
-    """``g`` with every edge between the disjoint vertex masks ``side1`` and ``side2``."""
-    rows = list(g.rows)
-    for v in range(g.n):
-        if side1 >> v & 1:
-            rows[v] |= side2
-        elif side2 >> v & 1:
-            rows[v] |= side1
-    return _trusted_graph(g.n, tuple(rows))
-
-
-def _mba_k_n1(g: Graph) -> Iterator[Reduction]:
-    if _mba_links(g, 1) is not None:
-        yield from _deletion(
-            g, mba_characteristic_sets(g).link_intersection,
-            "one vertex of non-maximal degree: quotient by the normal closure of its "
-            "link is characteristic and leaves a disconnected graph",
-        )
-
-
-def _mba_k_n2_split(g: Graph) -> Iterator[Reduction]:
-    links = _mba_links(g, 2)
-    if links is None or not _links_partition(g, *links):
-        return
-    # with every cross edge already there the quotient is g itself, which
-    # would not decrease the measure
-    joined = _add_cross_edges(g, *links)
-    if joined != g:
-        yield Reduction(
-            "the links of the two non-maximal vertices partition the vertices: adding "
-            "all cross edges is a characteristic quotient onto a join of two "
-            "disconnected graphs",
-            (joined,),
-        )
-
-
-def _mba_k_n2_quotient(g: Graph) -> Iterator[Reduction]:
-    links = _mba_links(g, 2)
-    if links is None or _links_partition(g, *links):
-        return
-    sets = mba_characteristic_sets(g)
-    yield from _deletion(
-        g, sets.link_intersection or sets.max_degree_linked,
-        "two non-maximal vertices: quotient by the intersection of their links, or by "
-        "the maximal-degree vertices their links cover, leaves a smaller non-complete "
-        "graph",
-    )
-
-
-def _char_closure(g: Graph) -> Iterator[Reduction]:
-    masks = {closure.mask: None for closure in characteristic_closures(g)}
-    masks.setdefault(transvection_free_vertices(g).mask)
-    for mask in masks:
-        yield from _deletion(
-            g, VertexSet(mask, g.n),
-            "quotient by a characteristic closure, or by the set of transvection-free "
-            "vertices, is a characteristic quotient",
-        )
+def _char_quotient(g: Graph) -> Iterator[Reduction]:
+    tried: set[int] = set()
+    for mask in _characteristic_sets(g):
+        if mask not in tried:
+            tried.add(mask)
+            yield from _deletion(
+                g, VertexSet(mask, g.n),
+                "deleting a characteristic vertex set is a characteristic quotient onto a "
+                "smaller defining graph")
 
 
 RULES: tuple[Rule, ...] = (
@@ -284,11 +236,7 @@ RULES: tuple[Rule, ...] = (
         "symmetries and partial conjugations, and some graded piece of the lower "
         "central series carries eigenvalue 1")),
     Rule("JOIN_FACTOR", RINF, _join_factor),
-    Rule("SIMPLIFICATION", RINF, _simplification),
-    Rule("MBA_K_N1", RINF, _mba_k_n1),
-    Rule("MBA_K_N2_SPLIT", RINF, _mba_k_n2_split),
-    Rule("MBA_K_N2_QUOTIENT", RINF, _mba_k_n2_quotient),
-    Rule("CHAR_CLOSURE_GENERIC", RINF, _char_closure),
+    Rule("CHAR_QUOTIENT", RINF, _char_quotient),
     Rule("FALLBACK", UNDECIDED, _leaf_if(
         lambda g: True, "no rule applies; conjecturally the group still has R-infinity")),
 )
@@ -297,8 +245,8 @@ RULES_BY_NAME = {rule.name: rule for rule in RULES}
 
 def certify(g: Graph) -> Certificate:
     """Deterministic certificate for the graph's group: the first reduction, in
-    table order, that is a leaf or has a child with R-infinity.  A rule that
-    would exceed a search budget does not apply.  Within a
+    table order, that is a leaf or has a child with R-infinity.  A reduction
+    that would exceed a search budget ends its rule's turn.  Within a
     ``shared_searches()`` scope a later call on the same rows, under the very
     same ``RULES``, returns the stored certificate."""
     if g.n < 1:

@@ -15,29 +15,36 @@ member's domination closure and orbit.  The orbits come from
 ``isomorphism.vertex_orbits``; no automorphism list is built, and
 ``characteristic_closures`` reads every vertex's closure from one search.
 
+The lemma behind every deletion of ``certify``'s CHAR_QUOTIENT rule: let P
+be a partition of the vertices whose every cell each automorphism maps to
+itself.  Then a set that contains each member's domination closure and is a
+union of cells of P contains each member's orbit too, so it is
+characteristic.  cl(S), the least superset of S with both properties
+(``_closure``), is therefore characteristic.  On the orbit partition, cl of
+one vertex is its characteristic closure.
+
 ``is_characteristic_vertex_set`` mostly settles the orbit half of its test
-without that search, by colour refinement from the degree partition (McKay,
-"Practical graph isomorphism", 1981): each round splits every cell by the
-vertex's number of neighbours in each cell.  Automorphisms preserve degrees,
-so they preserve the degree partition, and a partition they preserve stays
-preserved when its cells are split by counts taken against its own cells.
-So every orbit lies inside one cell of every round, and a set that is a
-union of cells contains each member's orbit.  Refinement can stabilise on
-cells coarser than the orbits: on C3 ⊔ C4 every vertex has degree 2 and two
-neighbours of degree 2, so the partition never leaves one cell, and only the
+without the orbit search, and CHAR_QUOTIENT closes its sets, by colour
+refinement from the degree partition (McKay, "Practical graph isomorphism",
+1981): each round splits every cell by the vertex's number of neighbours in
+each cell.  Automorphisms preserve degrees, so they preserve the degree
+partition, and a partition they preserve stays preserved when its cells are
+split by counts taken against its own cells.  So every round is a partition
+P of the lemma, at every size and with no search.  Refinement can stabilise
+on cells coarser than the orbits: on C3 ⊔ C4 every vertex has degree 2 and
+two neighbours of degree 2, so the partition never leaves one cell, and only the
 orbit search shows that the triangle and the square are characteristic.  The
 search runs only in such a case, so the test takes the same path at every
 size: closures, then refined cells, then orbits, and the orbit search's
 budget (10 vertices, ``ResourceError`` above it) is its only size limit.
-The sets that the deletion rules remove above that budget, the
-maximal-degree vertices and the two sets of ``mba_characteristic_sets``, are
-unions of degree cells or of cells after one round, so refinement settles
-their orbit half without the search.
+The sets that CHAR_QUOTIENT deletes above that budget are unions of degree
+cells or of cells after one round, so refinement settles their orbit half
+without the search.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .graphs import Graph, VertexSet
@@ -60,17 +67,33 @@ def _closure_mask(g: Graph, v: int) -> int:
     return closure
 
 
+def _cell_of(n: int, cells: Sequence[int]) -> list[int]:
+    """The mask of each vertex's cell, in a partition given by its cell masks."""
+    cell_of = [0] * n
+    for cell in cells:
+        for v in VertexSet(cell, n):
+            cell_of[v] = cell
+    return cell_of
+
+
+def _closure(g: Graph, cell_of: Sequence[int], mask: int, avoid: int = 0) -> int:
+    """cl(mask): the least superset of ``mask`` that holds each member's cell,
+    ``cell_of[v]``, and domination closure; or, once it meets ``avoid``, a
+    subset of cl(mask) that meets ``avoid``."""
+    closed = 0
+    while mask and not closed & avoid:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        closed |= low
+        mask = (mask | cell_of[v] | _closure_mask(g, v)) & ~closed
+    return closed
+
+
 def characteristic_closures(g: Graph) -> tuple[VertexSet, ...]:
-    """The characteristic closure of every vertex, from one orbit search: the
-    union of the orbits of the members of its domination closure."""
+    """The characteristic closure of every vertex, from one orbit search: cl
+    of the vertex on the orbit partition."""
     orbits = vertex_orbits(g)
-    out = []
-    for v in range(g.n):
-        mask = 0
-        for u in VertexSet(_closure_mask(g, v), g.n):
-            mask |= orbits[u]
-        out.append(VertexSet(mask, g.n))
-    return tuple(out)
+    return tuple(VertexSet(_closure(g, orbits, 1 << v), g.n) for v in range(g.n))
 
 
 def transvection_free_vertices(g: Graph) -> VertexSet:
@@ -138,29 +161,3 @@ def is_characteristic_vertex_set(g: Graph, s: VertexSet) -> bool:
             return True
     orbits = vertex_orbits(g)
     return not any(orbits[v] & ~s.mask for v in s)
-
-
-class MbaCharacteristicSets(NamedTuple):
-    link_intersection: VertexSet
-    max_degree_linked: VertexSet
-
-
-def mba_characteristic_sets(g: Graph) -> MbaCharacteristicSets:
-    """The two characteristic vertex sets attached to a non-regular graph.
-
-    ``link_intersection`` collects the vertices adjacent to every vertex of
-    non-maximal degree; ``max_degree_linked`` the maximal-degree vertices
-    adjacent to at least one vertex of non-maximal degree.
-    """
-    if g.is_regular():
-        raise InputError("these sets are only defined for non-regular graphs")
-    top = g.max_degree_vertices()
-    inter = (1 << g.n) - 1
-    union = 0
-    for v in top.complement():
-        inter &= g.rows[v]
-        union |= g.rows[v]
-    return MbaCharacteristicSets(
-        link_intersection=VertexSet(inter, g.n),
-        max_degree_linked=VertexSet(union & top.mask, g.n),
-    )

@@ -1,6 +1,7 @@
 """Structured graph families for tests: small-degree regular graphs, strongly
-regular graphs with lambda < k-1 and mu < k, and seeded families on 11 to 64
-vertices, above the canonical-labelling budget."""
+regular graphs with lambda < k-1 and mu < k, the split max-by-abelian
+family, and seeded families on 11 to 64 vertices, above the
+canonical-labelling budget."""
 
 import random
 
@@ -80,6 +81,26 @@ def rook(m: int) -> Graph:
 def srg_without_twins() -> list[Graph]:
     """Strongly regular graphs with lambda < k-1 and mu < k."""
     return [paley(13), clebsch(), shrikhande(), rook(3), rook(4), rook(5)]
+
+
+def split_mba(k: int) -> Graph:
+    """Max-by-abelian graph on 4k + 2 vertices: two adjacent low vertices 0
+    and 1, whose links partition the vertices, and sides A (linked to 0) and
+    B (linked to 1) of k twin pairs each.  Every edge within and across the
+    sides is present except those inside a pair and between the i-th pairs
+    of A and of B."""
+    n = 4 * k + 2
+    # vertex v of a side is in pair (v - 2) // 2, on side A for pairs below k
+    pair = {v: (v - 2) // 2 for v in range(2, n)}
+    edges = [(0, 1)] + [(0 if pair[v] < k else 1, v) for v in pair]
+    edges += [(u, v) for u in pair for v in pair if u < v
+              and pair[u] != pair[v] and pair[v] - pair[u] != k]
+    return from_edges(n, edges)
+
+
+def split_family() -> list[Graph]:
+    """``split_mba(k)`` for k = 3..10, on 14 to 42 vertices."""
+    return [split_mba(k) for k in range(3, 11)]
 
 
 def cycle_blow_up(m: int, t: int) -> Graph:

@@ -407,13 +407,20 @@ MUTANTS = (
         new="",
         tests=("test_graphs.py", "test_liering.py"),
     ),
-    # -- every reduction strictly decreases (n, non-edges), whatever the table order --
+    # -- CHAR_QUOTIENT's sets: cl() holds each member's cell, and a separator misses its cell --
     Mutant(
-        name="split-yields-itself",
+        name="closure-skips-the-cell-union",
+        file="closures.py",
+        old="""        mask = (mask | cell_of[v] | _closure_mask(g, v)) & ~closed""",
+        new="""        mask = (mask | _closure_mask(g, v)) & ~closed""",
+        tests=("test_certify.py::test_orbit_closure_certificate_audits_clean",),
+    ),
+    Mutant(
+        name="separator-may-meet-its-cell",
         file="certify.py",
-        old="""    if joined != g:""",
-        new="""    if True:""",
-        tests=("test_certify.py::test_every_reduction_decreases_the_measure",),
+        old="""        if not separator & cell:""",
+        new="""        if True:""",
+        tests=("test_closures.py::test_char_quotient_sets_are_characteristic_on_small_classes",),
     ),
     # -- the auditor: each check of _rule_problem and _shape_problem --
     Mutant(

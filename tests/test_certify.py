@@ -43,7 +43,7 @@ from raagcert.isomorphism import (
 
 import graph_oracle
 from conftest import classes, counted_searches, random_graph
-from families import large_families, small_degree_regular
+from families import large_families, small_degree_regular, split_family, srg_without_twins
 
 # the citations of the two leaves every disconnected graph satisfies
 CITATION = {name: next(RULES_BY_NAME[name].reductions(edgeless_graph(2))).citation
@@ -153,26 +153,60 @@ def test_certify_examples():
 
 
 def test_certify_simplification_path():
+    # the paper's simplification, deleting the maximal-degree vertices, is
+    # CHAR_QUOTIENT's first set
     cert = certify(path_graph(4))
-    assert cert.rule == "SIMPLIFICATION" and cert.verdict == RINF
+    assert cert.rule == "CHAR_QUOTIENT" and cert.verdict == RINF
+    assert cert.children[0].graph == induced(path_graph(4), VertexSet.of([0, 3], 4))
     assert cert.children[0].rule == "DISCONNECTED"
     assert cert.children[0].graph == edgeless_graph(2)
 
 
 def test_certify_mba_rules(split_mba_8):
-    lone = certify(from_graph6("EEv_"))  # (6, 5, 3) max-by-abelian
-    assert lone.rule == "MBA_K_N1"
-    assert lone.children[0].rule == "DISCONNECTED"
+    # max-by-abelian graphs with one low vertex, (6, 5, 3), with two, (6, 4,
+    # 3), and with two whose links partition the vertices: each reduces by
+    # one deletion to a smaller graph with R-infinity
+    expected = {"EEv_": "DISCONNECTED", "ETpo": "JOIN_FACTOR"}
+    for g, child_rule in [(from_graph6(text), rule) for text, rule in expected.items()] + [
+            (split_mba_8, "DISCONNECTED")]:
+        cert = certify(g)
+        assert (cert.rule, cert.verdict) == ("CHAR_QUOTIENT", RINF)
+        (child,) = cert.children
+        assert child.rule == child_rule and child.graph.n < g.n
+        assert audit_certificate(cert.to_dict()) == []
 
-    quotient = certify(from_graph6("ETpo"))  # (6, 4, 3) max-by-abelian
-    assert quotient.rule == "MBA_K_N2_QUOTIENT"
-    assert quotient.verdict == RINF
 
-    cert = certify(split_mba_8)
-    assert cert.rule == "MBA_K_N2_SPLIT"
+def test_orbit_closure_certificate_audits_clean():
+    # GUZdqw is regular and colour refinement leaves it one cell, so only a
+    # characteristic closure reduces it, and the auditor re-tests that set
+    # against the orbits
+    cert = certify(from_graph6("GUZdqw"))
+    assert (cert.rule, cert.verdict) == ("CHAR_QUOTIENT", RINF)
+    assert audit_certificate(cert.to_dict()) == []
     assert cert.children[0].rule == "JOIN_FACTOR"
-    assert cert.children[0].graph.n == 8
-    assert cert.children[0].graph.edge_count > split_mba_8.edge_count
+
+
+def test_split_family_is_rinf_through_char_quotient():
+    # the split family once needed a rule that adds edges; a separator now
+    # cuts one side off, and the certificate audits clean
+    for g in split_family():
+        cert = certify(g)
+        assert (cert.rule, cert.verdict) == ("CHAR_QUOTIENT", RINF), g.n
+        assert audit_certificate(cert.to_dict()) == [], g.n
+
+
+def _structured_graphs():
+    return ([g for seed in range(6) for _, g in large_families(seed)]
+            + small_degree_regular() + srg_without_twins())
+
+
+def test_structured_verdicts_are_pinned():
+    # the verdict of each structured graph, in order, as before the deletion
+    # rules became one: 224 RINF and 24 UNDECIDED
+    verdicts = [certify(g).verdict for g in _structured_graphs()]
+    assert Counter(verdicts) == {RINF: 224, UNDECIDED: 24}
+    assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == (
+        "65feb72f0910c4efa61320f29f5324e1d9cfd77256f4e49b58fcef3775db3aa4")
 
 
 def test_small_degree_regular_graphs_settle_early():
@@ -329,18 +363,16 @@ def test_auditor_flags_tampering():
 
 
 def test_audit_rejects_circular_reduction(monkeypatch):
-    # the join of two copies of K1+K2 is max-by-abelian with two non-maximal
-    # vertices whose links partition it, and every cross edge is already
-    # there, so the split rule would reduce it to itself and yields nothing
+    # a node claiming that the join of two copies of K1+K2 reduces to itself:
+    # every CHAR_QUOTIENT reduction deletes a vertex, so none matches
     g = compose(k1_plus_k2(), k1_plus_k2(), "simplicial_join")
-    assert list(RULES_BY_NAME["MBA_K_N2_SPLIT"].reductions(g)) == []
     joined = certify(g).to_dict()
-    circular = {**joined, "rule": "MBA_K_N2_SPLIT", "children": [joined]}
+    circular = {**joined, "rule": "CHAR_QUOTIENT", "children": [joined]}
     problems = audit_certificate(circular)
-    assert problems == ["root: children match no reduction of rule MBA_K_N2_SPLIT"]
+    assert problems == ["root: children match no reduction of rule CHAR_QUOTIENT"]
     # a faulty rule that does reduce the graph to itself meets the measure check
-    faulty = Rule("MBA_K_N2_SPLIT", RINF, lambda h: iter([Reduction("", (h,))]))
-    monkeypatch.setitem(RULES_BY_NAME, "MBA_K_N2_SPLIT", faulty)
+    faulty = Rule("CHAR_QUOTIENT", RINF, lambda h: iter([Reduction("", (h,))]))
+    monkeypatch.setitem(RULES_BY_NAME, "CHAR_QUOTIENT", faulty)
     problems = audit_certificate(circular)
     assert problems == ["root: a child does not decrease the (n, non-edges) measure"]
 
@@ -360,8 +392,8 @@ def test_every_reduction_decreases_the_measure(rule):
 
 def test_every_single_rule_removal_ends(monkeypatch):
     # certify every class with n <= 7 with one rule at a time taken out of
-    # RULES; each sweep ends, with no RecursionError, and five rules change
-    # no verdict there.  monkeypatch puts RULES back whatever happens; the
+    # RULES; each sweep ends, with no RecursionError, and every rule changes
+    # some verdict there.  monkeypatch puts RULES back whatever happens; the
     # module comes from sys.modules, since raagcert binds the function
     # certify over its name
     module = sys.modules["raagcert.certify"]
@@ -372,14 +404,12 @@ def test_every_single_rule_removal_ends(monkeypatch):
             if rule.name != "FALLBACK":
                 monkeypatch.setattr(module, "RULES", tuple(r for r in RULES if r is not rule))
                 verdicts[rule.name] = Counter(certify(g).verdict for g in graphs)
-    unchanged = {RINF: 1245, NOT_RINF_ABELIAN: 7}
     assert verdicts == {
         "ABELIAN": {RINF: 1245, UNDECIDED: 7},
         "DISCONNECTED": {RINF: 53, NOT_RINF_ABELIAN: 7, UNDECIDED: 1192},
         "TRANSVECTION_FREE": {RINF: 1236, NOT_RINF_ABELIAN: 7, UNDECIDED: 9},
         "JOIN_FACTOR": {RINF: 1235, NOT_RINF_ABELIAN: 7, UNDECIDED: 10},
-        **{name: unchanged for name in ("SIMPLIFICATION", "MBA_K_N1", "MBA_K_N2_SPLIT",
-                                        "MBA_K_N2_QUOTIENT", "CHAR_CLOSURE_GENERIC")},
+        "CHAR_QUOTIENT": {RINF: 434, NOT_RINF_ABELIAN: 7, UNDECIDED: 811},
     }
 
 
@@ -455,10 +485,10 @@ def test_audit_store_keys_each_child_verdict():
 
 
 def _audit_forged_deletion(monkeypatch, g, deleted):
-    """The audit of a SIMPLIFICATION node on ``g`` whose rule, made faulty on
+    """The audit of a CHAR_QUOTIENT node on ``g`` whose rule, made faulty on
     ``g`` alone, deletes ``deleted``, over the quotient's real certificate."""
     quotient = induced(g, deleted.complement())
-    real = RULES_BY_NAME["SIMPLIFICATION"].reductions
+    real = RULES_BY_NAME["CHAR_QUOTIENT"].reductions
 
     def reductions(h):
         if h != g:
@@ -466,9 +496,9 @@ def _audit_forged_deletion(monkeypatch, g, deleted):
             return
         yield Reduction("", (quotient,), deleted)
 
-    faulty = Rule("SIMPLIFICATION", RINF, reductions)
-    monkeypatch.setitem(RULES_BY_NAME, "SIMPLIFICATION", faulty)
-    node = {"verdict": RINF, "rule": "SIMPLIFICATION", "citation": "",
+    faulty = Rule("CHAR_QUOTIENT", RINF, reductions)
+    monkeypatch.setitem(RULES_BY_NAME, "CHAR_QUOTIENT", faulty)
+    node = {"verdict": RINF, "rule": "CHAR_QUOTIENT", "citation": "",
             "graph6": to_graph6(g), "children": [certify(quotient).to_dict()]}
     return audit_certificate(node)
 
@@ -524,16 +554,16 @@ def test_certificates_byte_identical_up_to_six_vertices():
     # every certificate of the 208 classes on at most 6 vertices, in
     # enumeration order, one JSON line each
     assert _certificate_digest(6) == (
-        "87074ad9614d398c46a6080c03735d97b4ff79630a9601190bdb8e677b0b005d")
+        "3ca174585d6423d56b754508b7e8b843c9eff72efb697983a1c94edaebd8cd44")
 
 
 def test_certificates_byte_identical_up_to_seven_vertices():
     assert _certificate_digest(7) == (
-        "9a0f91d05baca94950f3f7d954c31bda66ee65a702b00900bf96f0599f352ba4")
+        "7f3b8ec3273079d7ef698f4e8832fe1ce4feb926114db319cc4b429826b7137d")
 
 
 def _char_closure_forgery(g):
-    return {"verdict": RINF, "rule": "CHAR_CLOSURE_GENERIC", "citation": "",
+    return {"verdict": RINF, "rule": "CHAR_QUOTIENT", "citation": "",
             "graph6": to_graph6(g), "children": [certify(cycle_graph(4)).to_dict()]}
 
 
@@ -546,8 +576,8 @@ def test_audit_rejects_char_closure_forgery_on_complete_graph(n):
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_audit_rejects_char_closure_forgery_without_listing_automorphisms(n, monkeypatch):
-    # the edgeless graph's 9! or 10! automorphisms are never listed: the
-    # closures are unions of vertex orbits
+    # the edgeless graph's 9! or 10! automorphisms are never listed: its
+    # characteristic closures are unions of vertex orbits
     forgery = _char_closure_forgery(edgeless_graph(n))
 
     def refuse(g):
@@ -558,12 +588,13 @@ def test_audit_rejects_char_closure_forgery_without_listing_automorphisms(n, mon
                 and getattr(module, "automorphisms", None) is automorphisms):
             monkeypatch.setattr(module, "automorphisms", refuse)
     assert audit_certificate(forgery) == [
-        "root: children match no reduction of rule CHAR_CLOSURE_GENERIC"]
+        "root: children match no reduction of rule CHAR_QUOTIENT"]
 
 
 def test_audit_rejects_nodes_it_cannot_rederive():
-    # C11 does have R-infinity, but the characteristic-closure rule cannot be
-    # re-derived beyond the symmetry budget, so the auditor fails closed
+    # C11 does have R-infinity, but no separator reduces it, and its
+    # characteristic closures cannot be re-derived beyond the symmetry
+    # budget, so the auditor fails closed
     problems = audit_certificate(_char_closure_forgery(cycle_graph(11)))
     assert len(problems) == 1 and "cannot re-derive" in problems[0]
 
@@ -794,6 +825,7 @@ def test_eight_vertex_sweep():
     # on at most 8 vertices, so none of them is dead
     digest = hashlib.sha256()
     verdicts: Counter = Counter()
+    roots: Counter = Counter()
     rules = set()
     for n in range(1, 9):
         for g in classes(n):
@@ -801,10 +833,14 @@ def test_eight_vertex_sweep():
             digest.update((json.dumps(tree) + "\n").encode("ascii"))
             assert audit_certificate(tree) == []
             rules.update(node["rule"] for node in _nodes(tree))
+            roots[tree["rule"]] += 1
             if n == 8:
                 verdicts[tree["verdict"]] += 1
     assert verdicts == {RINF: 12345, NOT_RINF_ABELIAN: 1}
     assert rules == {rule.name for rule in RULES} - {"FALLBACK"}
+    # the root rule of each of the 13,598 classes on at most 8 vertices
+    assert roots == {"ABELIAN": 8, "DISCONNECTED": 1485, "JOIN_FACTOR": 1478,
+                     "CHAR_QUOTIENT": 10548, "TRANSVECTION_FREE": 79}
     # every certificate on at most 8 vertices, as _certificate_digest writes them
     assert digest.hexdigest() == (
-        "169129c361883d93076167f9a667af8b22ef3a6fa0d6e5b7a35e50b03dc03bf1")
+        "012698e71be439d7e75a7257d1f250bfba24e59e5085495da263223534dd4def")

@@ -21,13 +21,12 @@ from raagcert import (
     induced,
     is_characteristic_vertex_set,
     is_transvection_free_graph,
-    mba_characteristic_sets,
     mba_parameters,
     path_graph,
     petersen_graph,
     transvection_free_vertices,
 )
-from raagcert.certify import RULES_BY_NAME
+from raagcert.certify import RULES_BY_NAME, _characteristic_sets
 from raagcert.closures import _closure_mask, _refined_partitions
 from raagcert.isomorphism import automorphisms, canonical_form, vertex_orbits
 
@@ -35,7 +34,7 @@ import closure_oracle as oracle
 import graph_oracle
 import symmetry_oracle
 from conftest import classes, random_graph
-from families import large_families
+from families import large_families, small_degree_regular, split_family, srg_without_twins
 
 
 def test_domination_closure_examples():
@@ -135,35 +134,41 @@ def test_closure_is_domination_closed_and_aut_invariant():
             assert {perm[u] for u in s} == set(s)
 
 
-def test_mba_characteristic_sets(fig_mba_5_4_3, fig_mba_7_5_4):
-    sets = mba_characteristic_sets(path_graph(3))
-    assert list(sets.link_intersection) == [1]
-
-    # lone non-maximal vertex: the intersection reduces to its link
-    sets = mba_characteristic_sets(fig_mba_5_4_3)
-    assert sets.link_intersection == VertexSet(fig_mba_5_4_3.rows[0], fig_mba_5_4_3.n)
-
-    sets = mba_characteristic_sets(fig_mba_7_5_4)
-    assert list(sets.max_degree_linked) == [2, 3, 6]
-    assert 2 in sets.link_intersection  # the vertex adjacent to both low-degree ones
-
-    with pytest.raises(InputError):
-        mba_characteristic_sets(cycle_graph(5))
+def _rule_sets(g):
+    """The masks CHAR_QUOTIENT tries on ``g``, up to the orbit search's budget."""
+    masks = []
+    try:
+        masks.extend(_characteristic_sets(g))
+    except ResourceError:
+        assert g.n > 10
+    return masks
 
 
-def test_mba_sets_are_characteristic_and_bounded():
-    for n in range(2, 7):
+def test_char_quotient_sets_are_characteristic_on_small_classes():
+    # the closures lemma, checked against the full automorphism list
+    checked = 0
+    for n in range(1, 7):
         for g in classes(n):
-            if g.is_regular():
-                continue
-            top = g.max_degree_vertices()
-            sets = mba_characteristic_sets(g)
-            assert is_characteristic_vertex_set(g, sets.link_intersection)
-            assert is_characteristic_vertex_set(g, sets.max_degree_linked)
-            if mba_parameters(g) is not None:
-                assert sets.link_intersection.mask != top.mask
-                assert sets.link_intersection.mask & ~top.mask == 0
-                assert len(sets.max_degree_linked) > 0
+            auts = symmetry_oracle.automorphisms(g)
+            for mask in _rule_sets(g):
+                assert oracle.is_characteristic_vertex_set(g, VertexSet(mask, n), auts), (g, mask)
+                checked += 1
+    assert checked > 1000
+
+
+def test_char_quotient_sets_need_no_orbit_search_above_the_budget(monkeypatch):
+    # on the structured graphs above 10 vertices colour refinement settles
+    # every set the rule tries, so the auditor never needs the orbit search
+    graphs = [g for seed in range(6) for _, g in large_families(seed)]
+    graphs += small_degree_regular() + srg_without_twins() + split_family()
+    sets = [(g, mask) for g in graphs if g.n > 10 for mask in _rule_sets(g)]
+
+    def refuse(g):
+        raise AssertionError("orbit search")
+
+    monkeypatch.setattr("raagcert.closures.vertex_orbits", refuse)
+    assert all(is_characteristic_vertex_set(g, VertexSet(mask, g.n)) for g, mask in sets)
+    assert len(sets) > len(graphs)
 
 
 def test_transvection_freeness_closure_small():
@@ -176,12 +181,13 @@ def test_transvection_freeness_closure_small():
 
 
 def test_mba_reductions_delete_the_mba_sets(fig_mba_5_4_3, fig_mba_7_5_4):
-    (lone,) = RULES_BY_NAME["MBA_K_N1"].reductions(fig_mba_5_4_3)
-    assert lone.deleted == mba_characteristic_sets(fig_mba_5_4_3).link_intersection
-    assert lone.deleted == VertexSet(fig_mba_5_4_3.rows[0], fig_mba_5_4_3.n)
-    (pair,) = RULES_BY_NAME["MBA_K_N2_QUOTIENT"].reductions(fig_mba_7_5_4)
-    assert pair.deleted == mba_characteristic_sets(fig_mba_7_5_4).link_intersection
-    assert list(pair.deleted) == [2]
+    # the paper's sets for max-by-abelian graphs are separators: the link of a
+    # lone low vertex, and the vertex adjacent to both low vertices
+    rule = RULES_BY_NAME["CHAR_QUOTIENT"]
+    deleted = [r.deleted for r in rule.reductions(fig_mba_5_4_3)]
+    assert VertexSet(fig_mba_5_4_3.rows[0], fig_mba_5_4_3.n) in deleted
+    deleted = [r.deleted for r in rule.reductions(fig_mba_7_5_4)]
+    assert VertexSet.of([2], fig_mba_7_5_4.n) in deleted
 
 
 # -- the closed forms against the searches they replaced ------------------------
@@ -214,21 +220,60 @@ def test_closures_match_oracle_on_seven_vertex_classes():
         _assert_closures_match_oracle(g)
 
 
-def _char_closure_deletions_by_oracle(g):
-    """Deleted sets of CHAR_CLOSURE_GENERIC, in the order the rule tries them,
-    from the oracle's closures swept through the full automorphism list."""
-    auts = symmetry_oracle.automorphisms(g)
+def _cells_by_oracle(g, key):
+    """Masks of the vertices grouped by ``key(v)``, in order of least vertex."""
+    cells = {}
+    for v in range(g.n):
+        cells[key(v)] = cells.get(key(v), 0) | 1 << v
+    return list(cells.values())
+
+
+def _closure_by_oracle(g, cells, mask):
+    """The least superset of ``mask`` holding each member's cell and the
+    oracle's domination closure."""
+    while True:
+        grown = mask
+        for v in VertexSet(mask, g.n):
+            grown |= oracle.domination_closure(g, v).mask
+            grown |= next(cell for cell in cells if cell >> v & 1)
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _char_quotient_deletions_by_oracle(g):
+    """Deleted sets of CHAR_QUOTIENT, in the order the rule tries them, from
+    the definitions: cells grouped by degree, then by degree and the
+    neighbours' degrees within each degree cell, and characteristic closures
+    swept through the full automorphism list."""
+    degree = [g.degree(v) for v in range(g.n)]
+    by_degree = _cells_by_oracle(g, degree.__getitem__)
+    rank = {degree[cell.bit_length() - 1]: i for i, cell in enumerate(by_degree)}
+    refined = _cells_by_oracle(g, lambda v: (
+        degree[v], tuple(sorted(degree[u] for u in range(g.n) if g.adjacent(u, v)))))
+    refined.sort(key=lambda cell: rank[degree[(cell & -cell).bit_length() - 1]])
     masks = {}
+    if not g.is_regular():
+        masks.setdefault(graph_oracle.max_degree_vertices(g).mask)
+    for cell in dict.fromkeys(by_degree + refined):
+        outside = 0
+        for v in VertexSet(cell, g.n):
+            outside |= g.rows[v]
+        separator = _closure_by_oracle(g, refined, outside & ~cell)
+        if not separator & cell:
+            masks.setdefault(separator)
+    auts = symmetry_oracle.automorphisms(g)
     for v in range(g.n):
         masks.setdefault(sum({1 << perm[u] for u in oracle.domination_closure(g, v)
                               for perm in auts}))
-    masks.setdefault(oracle.transvection_free_vertices(g).mask)
     return [VertexSet(mask, g.n) for mask in masks
             if 0 < mask.bit_count() <= g.n - 2
             and not induced(g, VertexSet(mask, g.n).complement()).is_complete()]
 
 
 def test_char_closure_rule_runs_one_orbit_search(monkeypatch):
+    # GUZdqw is regular and refinement leaves it one cell, so only a
+    # characteristic closure, from one orbit search, reduces it
     calls = []
 
     def counting(g):
@@ -236,15 +281,16 @@ def test_char_closure_rule_runs_one_orbit_search(monkeypatch):
         return vertex_orbits(g)
 
     monkeypatch.setattr("raagcert.closures.vertex_orbits", counting)
-    rule = RULES_BY_NAME["CHAR_CLOSURE_GENERIC"]
-    g = cycle_graph(10)
+    rule = RULES_BY_NAME["CHAR_QUOTIENT"]
+    g = from_graph6("GUZdqw")
     reductions = list(rule.reductions(g))
     assert len(calls) == 1
-    assert [r.deleted for r in reductions] == _char_closure_deletions_by_oracle(g)
+    assert [r.deleted for r in reductions] == _char_quotient_deletions_by_oracle(g)
+    assert len(reductions) == 3
 
 
 def test_char_closure_rule_reductions_match_oracle():
-    rule = RULES_BY_NAME["CHAR_CLOSURE_GENERIC"]
+    rule = RULES_BY_NAME["CHAR_QUOTIENT"]
     graphs = [g for n in range(1, 7) for g in classes(n)] + [petersen_graph()]
     for g in graphs:
         closures = characteristic_closures(g)
@@ -253,7 +299,7 @@ def test_char_closure_rule_reductions_match_oracle():
             VertexSet.of({a[u] for a in auts for u in oracle.domination_closure(g, v)}, g.n)
             for v in range(g.n)), g
         reductions = list(rule.reductions(g))
-        assert [r.deleted for r in reductions] == _char_closure_deletions_by_oracle(g), g
+        assert [r.deleted for r in reductions] == _char_quotient_deletions_by_oracle(g), g
         for r in reductions:
             assert r.children == (induced(g, r.deleted.complement()),)
 

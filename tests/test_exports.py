@@ -18,6 +18,9 @@ KEPT = {
     "path_graph": "builds the paths of the paper's examples",
     "to_edge_list": "writes the edge-list format that from_edge_list reads",
     "dominates": "the definition that the closed-form domination closure replaces",
+    "mba_parameters": "the paper's max-by-abelian test, which benchmarks/tests imports",
+    "transvection_free_vertices": "the vertices that the TRANSVECTION_FREE leaf needs to "
+                                  "be every vertex; demo 03 prints them",
     "bracketing": _BASIS,
     "standard_factorization": _BASIS,
     "dependence_set": _BASIS,

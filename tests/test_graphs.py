@@ -29,7 +29,6 @@ from raagcert import (
     to_edge_list,
     to_graph6,
 )
-from raagcert.certify import _add_cross_edges
 from raagcert.graphs import decimal
 from raagcert.isomorphism import _extension, canonical_form
 
@@ -646,9 +645,7 @@ def test_derived_graphs_revalidate(n, m, p, seed):
     g = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
     h = from_edges(m, [(u, v) for u in range(m) for v in range(u + 1, m)
                        if rng.random() < p]) if m else Graph(0, ())
-    full = (1 << n) - 1
     keep = rng.getrandbits(n)
-    other = rng.getrandbits(n) & ~keep
     perm = list(range(n))
     rng.shuffle(perm)
     derived = [
@@ -659,8 +656,6 @@ def test_derived_graphs_revalidate(n, m, p, seed):
         compose(g, h, "disjoint_union"),
         compose(g, h, "simplicial_join"),
         from_graph6(to_graph6(g)),
-        _add_cross_edges(g, keep, other),
-        _add_cross_edges(g, keep, full ^ keep),
     ]
     if n < 64:
         derived.append(_extension(g, keep))

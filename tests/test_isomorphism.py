@@ -641,7 +641,7 @@ def test_classes_and_root_verdicts_are_pinned():
             digest.update(b"%s %s %s\n" % (
                 canonical_form(g), cert.verdict.encode(), cert.rule.encode()))
     assert digest.hexdigest() == (
-        "0825f349c9d919532adf3e8c573365b0e8d1eaad6a87b90f56296d17da339df4")
+        "c7b31e08c42d4cafcade645f5e7737cf6d0a79a14cf15b0f72e71fa0c602e8d8")
 
 
 # -- enumeration: canonical augmentation -------------------------------------------
