@@ -28,21 +28,15 @@ small, so no external canonical-labelling machinery is used.
 A command meets many labelled graphs more than once: ``enumerate --max-n``
 asks for every level from 1 up, the serializer packs each enumerated root's
 canonical graph6 again, and the auditor re-checks graphs that recur across
-classes.  Inside a ``shared_searches()`` scope, which the CLI opens around
-each command, the search's result is stored per labelled graph (its rows),
-and every later call on the same rows reads it; each enumeration level is
-stored too, and ``enumerate_graphs(n)`` resumes from the highest level it
-holds at or below n.  The same scope holds the certificate and audit stores
-of ``certify``.  Only each function's own results are stored, never one
-relabelled from another graph's, so every caller gets what it would compute
-alone.  The outermost scope drops every store on exit, and outside a scope
-every call computes afresh.
+classes.  So the work a command shares, here and in ``certify``, goes through
+``_shared``, which keeps each result for the ``shared_searches()`` scope that
+the CLI opens around each command.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import InputError, ResourceError
 from .graphs import Graph, _graph6_from_columns, _trusted_graph, from_edges
@@ -263,50 +257,51 @@ def _canonical_search(g: Graph) -> _Search:
     return invert_permutation(best_order), tuple(found), tuple(best_cols)
 
 
-# the open shared_searches() scope's stores, by name: "searches"
-# (_canonical_search's result per labelled graph, keyed by its rows, which
-# also fix n), "levels" (each enumeration level built, by vertex count), and
-# certify's "certificates" and "audits"; None outside a scope
+# the open shared_searches() scope's stores, one per kind of shared work (see
+# _shared); None outside a scope
 _stores: Optional[dict[str, dict]] = None
 
 
 @contextmanager
 def shared_searches() -> Iterator[None]:
-    """Within this scope every canonical search of a labelled graph already
-    searched returns the stored result instead of searching again, and so do
-    the other stores of ``_stores``.
-
-    A nested scope shares the outer one's results; the outermost scope drops
-    them on exit, so nothing outlives the command that opened it.  Only
-    results of ``_canonical_search`` itself are stored, never one derived by
-    relabelling another graph's, so a caller inside the scope gets exactly
-    what it would compute outside.
-    """
+    """Within this scope ``_shared`` keeps what it computes.  A nested scope
+    shares the outer one's stores; the outermost scope drops them on exit, so
+    nothing outlives the command that opened it."""
     global _stores
     if _stores is not None:
         yield
         return
-    _stores = {"searches": {}, "levels": {}, "certificates": {}, "audits": {}}
+    _stores = {}
     try:
         yield
     finally:
         _stores = None
 
 
-def _store(name: str) -> Optional[dict]:
-    """The open scope's store ``name``, or None outside a scope."""
-    return None if _stores is None else _stores[name]
+_Key = TypeVar("_Key")
+_Value = TypeVar("_Value")
+
+
+def _shared(kind: str, key: Hashable, compute: Callable[[_Key], _Value], arg: _Key) -> _Value:
+    """``compute(arg)``, kept within a ``shared_searches()`` scope for every
+    later call with this ``kind`` and an equal ``key``; outside a scope it is
+    computed afresh.
+
+    The key must fix the value: it holds everything ``compute`` reads, so a
+    stored result is exactly what the call would compute alone, and never one
+    relabelled from another input's.  A stored ``None`` is a result like any
+    other; a ``compute`` that raises stores nothing."""
+    if _stores is None:
+        return compute(arg)
+    store = _stores.setdefault(kind, {})
+    if key not in store:
+        store[key] = compute(arg)
+    return store[key]
 
 
 def _search(g: Graph) -> _Search:
-    """``_canonical_search(g)``, shared within a ``shared_searches()`` scope."""
-    searches = _store("searches")
-    if searches is None:
-        return _canonical_search(g)
-    result = searches.get(g.rows)
-    if result is None:
-        result = searches[g.rows] = _canonical_search(g)
-    return result
+    # the rows fix the graph, n included
+    return _shared("searches", g.rows, _canonical_search, g)
 
 
 def _orbit_roots(n: int, generators: Sequence[VertexPermutation]) -> list[int]:
@@ -430,9 +425,6 @@ def enumerate_graphs(n: int) -> list[Graph]:
       isomorphism between them fixes v, as both new vertices lie in the
       orbits of the canonical vertices; it restricts to h -> h', so h = h',
       and to an automorphism of h mapping M to M', so M = M'.
-
-    Within a ``shared_searches()`` scope each level built is stored, and a
-    call resumes from the highest stored level at or below ``n``.
     """
     if type(n) is not int:
         raise InputError(f"vertex count {n!r} is not an exact integer")
@@ -440,29 +432,24 @@ def enumerate_graphs(n: int) -> list[Graph]:
         raise InputError("enumeration needs at least one vertex")
     if n > ENUMERATE_MAX_N:
         raise ResourceError(f"enumeration capped at {ENUMERATE_MAX_N} vertices")
-    # each level: its representatives with the generators of their
-    # automorphism groups, by vertex count; kept for the scope, if one is open
-    levels = _store("levels")
-    if levels is None:
-        levels = {}
-    if not levels:
-        levels[1] = [(from_edges(1, []), ())]
-    m = max(k for k in levels if k <= n)
-    level = levels[m]
-    while m < n:
-        m += 1
-        level = levels[m] = _augmented_level(level, m)
-    return [h for h, _ in level]
+    return [h for h, _ in _level(n)]
 
 
+# a level: its representatives with the generators of their automorphism groups
 _Level = list[tuple[Graph, tuple[VertexPermutation, ...]]]
 
 
-def _augmented_level(level: _Level, m: int) -> _Level:
-    """The level on ``m`` vertices from the level on m - 1, as
+def _level(m: int) -> _Level:
+    return _shared("levels", m, _built_level, m)
+
+
+def _built_level(m: int) -> _Level:
+    """The level on ``m`` vertices, from the level on m - 1 as
     ``enumerate_graphs`` describes."""
+    if m == 1:
+        return [(from_edges(1, []), ())]
     kept: list[tuple[str, Graph, tuple[VertexPermutation, ...]]] = []
-    for h, generators in level:
+    for h, generators in _level(m - 1):
         # v's degree is the mask's size, and a vertex of h gains one where the
         # mask holds it, so the degree test needs no extension built: v has
         # the largest degree d iff h's largest degree is below d, or equals

@@ -34,14 +34,13 @@ every signed automorphism.  The report counts the signed automorphisms per
 witness level and lists only those with no witness, so a scan's memory does
 not grow with the group.
 
-A scan asks for one graph's matrices many times in a row, so the sign vectors
-are built once per graph, and the level-2 basis with its column map is kept
-for the most recent graph object, found by identity so that no lookup hashes
-the ``Graph``.  ``induced_matrix`` checks on every call that its permutation
-is a graph automorphism, through ``is_automorphism``, which answers a repeat
-of the pair it last accepted at once; so a scan walks the edges once per
-permutation.  The signed automorphisms built from Aut(g), and the matrices of
-one that passed that check, are valid by construction and skip ``SignedAut``
+A scan builds the sign vectors and the level-2 basis with its column map
+once.  ``induced_matrix`` checks on every call that its permutation is a
+graph automorphism, through ``is_automorphism``, which answers a repeat of
+the pair it last accepted at once; the scan builds levels 2 and 3 of a
+signed automorphism whose level 1 passed that check without it, so it walks
+the edges once per permutation.  The signed automorphisms built from Aut(g),
+and their matrices, are valid by construction and skip ``SignedAut``
 validation.
 """
 
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import InputError, ResourceError
 from .graphs import Graph
@@ -137,26 +136,6 @@ def l2_basis(g: Graph) -> tuple[tuple[int, int], ...]:
     )
 
 
-_PairColumns = tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]
-
-# the graph whose level-2 basis _pair_columns built last, with its result
-_last_pairs: tuple[Optional[Graph], _PairColumns] = (None, ((), {}))
-
-
-def _pair_columns(g: Graph) -> _PairColumns:
-    """The level-2 basis of ``g`` and the column of each of its pairs.  A scan
-    asks for one graph's matrices many times in a row, so one entry suffices.
-    It is found by identity: a lookup by value would hash the whole ``Graph``
-    each time."""
-    global _last_pairs
-    last, columns = _last_pairs
-    if last is not g:
-        pairs = l2_basis(g)
-        columns = pairs, {pair: c for c, pair in enumerate(pairs)}
-        _last_pairs = g, columns
-    return columns
-
-
 def _check_signed_aut(g: Graph, a: SignedAut) -> None:
     if not is_automorphism(g, a.perm):
         if len(a.perm) != g.n:
@@ -183,7 +162,15 @@ def induced_matrix(g: Graph, a: SignedAut, level: int) -> SignedAut:
         return a
     if level not in (2, 3):
         raise InputError("level must be 1, 2 or 3")
-    pairs, column = _pair_columns(g)
+    pairs = l2_basis(g)
+    return _graded_matrix(a, level, pairs, {pair: c for c, pair in enumerate(pairs)})
+
+
+def _graded_matrix(a: SignedAut, level: int, pairs: tuple[tuple[int, int], ...],
+                   column: dict[tuple[int, int], int]) -> SignedAut:
+    """``induced_matrix`` on level 2 or 3 of a signed automorphism of the
+    graph whose level-2 basis is ``pairs``, with ``column`` giving each
+    pair's column, unchecked."""
     perm, signs = a.perm, a.signs
     rows: list[int] = []
     row_signs: list[int] = []
@@ -246,6 +233,8 @@ def eigenvalue_witness_report(g: Graph) -> WitnessReport:
         raise InputError("the scan requires a non-complete graph")
     counts = dict.fromkeys(WITNESS_LEVELS, 0)
     failures = []
+    pairs = l2_basis(g)
+    column = {pair: c for c, pair in enumerate(pairs)}
     # the permutation whose levels 2 and 3 were tried last, and its level
     perm, witness = None, 0
     for a in signed_automorphisms(g):
@@ -255,7 +244,7 @@ def eigenvalue_witness_report(g: Graph) -> WitnessReport:
         if a.perm != perm:
             perm = a.perm
             witness = next((level for level in WITNESS_LEVELS[1:]
-                            if has_eigenvalue_one(induced_matrix(g, a, level))), 0)
+                            if has_eigenvalue_one(_graded_matrix(a, level, pairs, column))), 0)
         if witness:
             counts[witness] += 1
         else:

@@ -177,14 +177,8 @@ def witness_report_oracle(g) -> WitnessReport:
 
 def withhold_higher_witnesses(monkeypatch) -> None:
     """Make levels 2 and 3 give the 1 x 1 matrix (-1), which has no eigenvalue
-    1, in ``eigenvalue_witness_report`` and in the oracle alike: no
-    non-complete graph with n <= 8 lacks a witness, so this is the way to
-    reach the failure path."""
-    real = liering.induced_matrix
-
-    def level_one_only(g, a, level):
-        m = real(g, a, level)
-        return m if level == 1 else SignedAut((0,), (-1,))
-
-    monkeypatch.setattr(liering, "induced_matrix", level_one_only)
-    monkeypatch.setitem(globals(), "induced_matrix", level_one_only)
+    1, in ``eigenvalue_witness_report`` and in the oracle alike (both build
+    them through ``liering._graded_matrix``): no non-complete graph with
+    n <= 8 lacks a witness, so this is the way to reach the failure path."""
+    monkeypatch.setattr(liering, "_graded_matrix",
+                        lambda a, level, pairs, column: SignedAut((0,), (-1,)))

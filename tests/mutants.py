@@ -718,8 +718,15 @@ MUTANTS = (
     Mutant(
         name="certify-memo-ignores-rule-table",
         file="certify.py",
-        old="""    if stored is not None and stored[0] is rules:""",
-        new="""    if stored is not None:""",
+        old="""_shared("certificates", (RULES, g.rows), _derived, g)""",
+        new="""_shared("certificates", g.rows, _derived, g)""",
         tests=("test_certify.py::test_every_single_rule_removal_ends",),
+    ),
+    Mutant(
+        name="audit-memo-ignores-rule",
+        file="certify.py",
+        old="""_shared("audits", (RULES_BY_NAME.get(key[1]), *key), _rule_problem, node)""",
+        new="""_shared("audits", key, _rule_problem, node)""",
+        tests=("test_certify.py::test_audit_store_answers_afresh_under_another_rule",),
     ),
 )

@@ -413,9 +413,10 @@ def test_every_single_rule_removal_ends(monkeypatch):
     }
 
 
-def test_stored_certificates_are_the_certificates_outside_a_scope():
+def test_stored_certificates_are_the_certificates_outside_a_scope(monkeypatch):
     # every class with n <= 6 and a seeded relabelled copy of each, certified
-    # twice in one scope: the second pass reads the certificate store
+    # twice in one scope: the second pass reads the certificate store and
+    # derives nothing
     rng = random.Random(11)
     graphs = []
     for n in range(1, 7):
@@ -424,11 +425,15 @@ def test_stored_certificates_are_the_certificates_outside_a_scope():
             rng.shuffle(perm)
             graphs += [g, g.relabel(perm)]
     alone = [json.dumps(certify(g).to_dict()) for g in graphs]
+    module = sys.modules["raagcert.certify"]
+    derived = []
+    real = module._derived
+    monkeypatch.setattr(module, "_derived", lambda g: derived.append(g) or real(g))
     with shared_searches():
-        for _ in range(2):
-            assert [json.dumps(certify(g).to_dict()) for g in graphs] == alone
-        stored = isomorphism._stores["certificates"]
-        assert {g.rows for g in graphs} <= set(stored)
+        assert [json.dumps(certify(g).to_dict()) for g in graphs] == alone
+        first = len(derived)
+        assert [json.dumps(certify(g).to_dict()) for g in graphs] == alone
+    assert first > 0 and len(derived) == first
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -501,6 +506,50 @@ def _audit_forged_deletion(monkeypatch, g, deleted):
     node = {"verdict": RINF, "rule": "CHAR_QUOTIENT", "citation": "",
             "graph6": to_graph6(g), "children": [certify(quotient).to_dict()]}
     return audit_certificate(node)
+
+
+def _counted_rule_problems(monkeypatch) -> list:
+    """The nodes ``_rule_problem`` re-derives from now on."""
+    module = sys.modules["raagcert.certify"]
+    calls = []
+    real = module._rule_problem
+    monkeypatch.setattr(module, "_rule_problem", lambda node: calls.append(node) or real(node))
+    return calls
+
+
+def test_audit_store_keeps_no_budget_failure(monkeypatch):
+    # a node whose re-derivation exceeds a budget is re-derived, and fails
+    # closed, each time it is audited
+    calls = _counted_rule_problems(monkeypatch)
+    with shared_searches():
+        for _ in range(2):
+            (problem,) = audit_certificate(_char_closure_forgery(cycle_graph(11)))
+            assert "cannot re-derive" in problem
+    assert len([node for node in calls if node["rule"] == "CHAR_QUOTIENT"]) == 2
+
+
+def test_audit_store_re_derives_a_clean_node_once(monkeypatch):
+    leaf = certify(cycle_graph(5)).to_dict()
+    assert leaf["rule"] == "TRANSVECTION_FREE" and leaf["children"] == []
+    calls = _counted_rule_problems(monkeypatch)
+    with shared_searches():
+        assert audit_certificate(leaf) == audit_certificate(leaf) == []
+    assert len(calls) == 1
+
+
+def test_audit_store_answers_afresh_under_another_rule(monkeypatch):
+    # one forged CHAR_QUOTIENT node audited in one scope, first under the real
+    # rule, then under a faulty one that makes the forgery's reduction real:
+    # the second audit re-derives the node and finds the deleted set wrong
+    g, deleted = path_graph(4), VertexSet.of([0], 4)
+    quotient = induced(g, deleted.complement())
+    node = {"verdict": RINF, "rule": "CHAR_QUOTIENT", "citation": "",
+            "graph6": to_graph6(g), "children": [certify(quotient).to_dict()]}
+    with shared_searches():
+        assert audit_certificate(node) == [
+            "root: children match no reduction of rule CHAR_QUOTIENT"]
+        assert _audit_forged_deletion(monkeypatch, g, deleted) == [
+            "root: deleted vertex set fails the characteristic-set test"]
 
 
 def test_audit_rechecks_deleted_sets(monkeypatch):

@@ -1,5 +1,6 @@
 """The package exports only what its own code uses, and a short list of
-names kept on purpose; so do the methods of its exported classes."""
+names kept on purpose; so do the methods of its exported classes.  Its
+module-level state is a short list kept on purpose too."""
 
 import ast
 import types
@@ -8,7 +9,8 @@ from pathlib import Path
 import raagcert
 
 SRC = Path(raagcert.__file__).resolve().parent
-TREES = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+PATHS = sorted(SRC.glob("*.py"))
+TREES = [ast.parse(path.read_text(encoding="utf-8")) for path in PATHS]
 
 _BASIS = "brackets Lyndon traces into the basis of the graded pieces; its fate is open"
 
@@ -35,6 +37,19 @@ KEPT_METHODS = {
     "TraceClass.words": "reads the word cache that the benchmark clears and measures",
     "BracketTree.leaves": _BASIS,
 }
+
+# module-level state, as module.name: each name a ``global`` statement
+# rebinds and each function a functools cache decorates
+KEPT_STATE = {
+    "isomorphism._stores": "the shared_searches() scope behind _shared",
+    "isomorphism._accepted": "the benchmark pins one is_automorphism call per signed "
+                             "automorphism, and a scan asks about each automorphism many "
+                             "times in a row (ROADMAP items 1 and 2)",
+    "cli._parser": "the argument parser, built once per process",
+    "lyndon._class_words": "the Lyndon word cache that the benchmark clears and reads",
+}
+
+FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
 
 
 def _names_read_in_src() -> set[str]:
@@ -85,3 +100,25 @@ def test_every_public_method_has_a_caller_or_a_reason():
     read = _attributes_read_in_src()
     unread = {f"{cls}.{method}" for cls, method in _public_methods() if method not in read}
     assert unread == set(KEPT_METHODS)
+
+
+def _decorator_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _module_state() -> set[str]:
+    state = set()
+    for path, tree in zip(PATHS, TREES):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                state.update(f"{path.stem}.{name}" for name in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    _decorator_name(d) in FUNCTOOLS_CACHES for d in node.decorator_list):
+                state.add(f"{path.stem}.{node.name}")
+    return state
+
+
+def test_every_module_level_state_has_a_reason():
+    assert _module_state() == set(KEPT_STATE)

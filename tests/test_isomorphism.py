@@ -743,13 +743,14 @@ def test_enumeration_resumes_from_the_stored_levels(monkeypatch):
     # every call returns what it returns outside a scope
     alone = {n: enumerate_graphs(n) for n in (3, 5, 7)}
     built = []
-    augmented_level = isomorphism._augmented_level
+    built_level = isomorphism._built_level
 
-    def counted(level, m):
+    def counted(m):
+        level = built_level(m)
         built.append(m)
-        return augmented_level(level, m)
+        return level
 
-    monkeypatch.setattr(isomorphism, "_augmented_level", counted)
+    monkeypatch.setattr(isomorphism, "_built_level", counted)
     with shared_searches():
         for n in (7, 3, 5, 7):
             assert enumerate_graphs(n) == alone[n], n
@@ -757,9 +758,9 @@ def test_enumeration_resumes_from_the_stored_levels(monkeypatch):
         # a caller's list is its own: changing it leaves the stored level
         enumerate_graphs(5).clear()
         assert enumerate_graphs(5) == alone[5]
-    assert built == [2, 3, 4, 5, 6, 7]
+    assert built == [1, 2, 3, 4, 5, 6, 7]
     assert sorted(levels) == list(range(1, 8))
-    assert enumerate_graphs(3) == alone[3] and built[6:] == [2, 3]
+    assert enumerate_graphs(3) == alone[3] and built[7:] == [1, 2, 3]
 
 
 def test_orbit_roots_match_the_orbits():

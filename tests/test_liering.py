@@ -393,10 +393,12 @@ def test_witness_scan_checks_each_permutation_once(monkeypatch):
     # per automorphism on top of one level-1 matrix per signed automorphism
     for g in (cycle_graph(5), edgeless_graph(4), from_edges(5, [(0, 1), (1, 2), (3, 4)])):
         edge_walks, matrices = [], []
-        edges, matrix = Graph.edges, liering.induced_matrix
+        edges, matrix, graded = Graph.edges, liering.induced_matrix, liering._graded_matrix
         monkeypatch.setattr(Graph, "edges", lambda h: edge_walks.append(h) or edges(h))
         monkeypatch.setattr(liering, "induced_matrix",
                             lambda h, a, level: matrices.append(level) or matrix(h, a, level))
+        monkeypatch.setattr(liering, "_graded_matrix",
+                            lambda a, level, *basis: matrices.append(level) or graded(a, level, *basis))
         report = eigenvalue_witness_report(g)
         monkeypatch.undo()
         auts = len(automorphisms(g))
